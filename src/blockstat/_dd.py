@@ -31,10 +31,6 @@ def two_prod(a: float, b: float) -> DD:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def dd_from(a: float) -> DD:
-    return a, 0.0
-
-
 def dd_add(x: DD, y: DD) -> DD:
     s, e = two_sum(x[0], y[0])
     e += x[1] + y[1]
@@ -42,36 +38,8 @@ def dd_add(x: DD, y: DD) -> DD:
     return s2, e2
 
 
-def dd_neg(x: DD) -> DD:
-    return -x[0], -x[1]
-
-def dd_sub(x: DD, y: DD) -> DD:
-    return dd_add(x, dd_neg(y))
-
-
-def dd_mul(x: DD, y: DD) -> DD:
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    s, e2 = two_sum(p, e)
-    return s, e2
-
-
 def dd_mul_f(x: DD, f: float) -> DD:
     p, e = two_prod(x[0], f)
     e += x[1] * f
     s, e2 = two_sum(p, e)
     return s, e2
-
-
-def dd_div(x: DD, y: DD) -> DD:
-    q0 = x[0] / y[0]
-    r = dd_sub(x, dd_mul_f(y, q0))
-    q1 = r[0] / y[0]
-    r = dd_sub(r, dd_mul_f(y, q1))
-    q2 = r[0] / y[0]
-    s, e = two_sum(q0, q1)
-    return dd_add((s, e), (q2, 0.0))
-
-
-def dd_div_f(x: DD, f: float) -> DD:
-    return dd_div(x, (f, 0.0))

@@ -36,12 +36,15 @@ def load_measure(spec: str) -> LambdaMeasure:
         return _KEYWORD_MEASURES[spec]()
     try:
         with open(spec) as fh:
-            return LambdaMeasure.from_dict(json.load(fh))
-    except FileNotFoundError:
+            d = json.load(fh)
+    except OSError:
         raise BlockstatError(
             f"measure {spec!r} is neither a keyword ({', '.join(_KEYWORD_MEASURES)}) "
             "nor a readable JSON file"
         )
+    except ValueError as exc:
+        raise BlockstatError(f"measure file {spec!r} is not valid JSON: {exc}")
+    return LambdaMeasure.from_dict(d)
 
 
 def _json_out(payload: dict, path: str | None) -> None:
@@ -405,7 +408,7 @@ def main(argv=None) -> int:
         if getattr(args, "model", None) in ("moran", "moran-x"):
             if args.N is None or args.s is None:
                 raise BlockstatError("the Moran model needs --N and --s")
-        elif hasattr(args, "sigma") and args.command in ("stationary", "moments"):
+        elif args.command in ("stationary", "simulate", "moments"):
             if args.sigma is None:
                 raise BlockstatError(f"{args.command} needs --sigma")
         return args.func(args)

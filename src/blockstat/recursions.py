@@ -401,32 +401,26 @@ def solve_star(
         p1 = star_p1(m1, params)
 
     theta = params.theta
-    a_fwd = None
-    if True:  # forward attempt, double-double accumulation
-        a_dd = [(1.0, 0.0), _dd_two_sum(1.0, -p1)]
-        ok = True
-        for n in range(1, K):
-            # a_{n+1} = ((m1/n + theta + sigma) a_n - sigma a_{n-1}) / theta1
-            t1 = _dd_mul_f(a_dd[n], m1 / n + theta + sigma)
-            t2 = _dd_mul_f(a_dd[n - 1], -sigma)
-            s = _dd_add(t1, t2)
-            nxt = _dd_mul_f(s, 1.0 / th1)
-            a_dd.append(nxt)
-            if nxt[0] < -1e-13 or nxt[0] > a_dd[n][0] + 1e-13:
-                ok = False
-                break
-        if ok:
-            a_fwd = np.array([x[0] for x in a_dd])
-    if a_fwd is not None:
-        a = a_fwd
-        tag = "star-forward-dd"
+    # forward attempt, double-double accumulation
+    a_dd = [(1.0, 0.0), _dd_two_sum(1.0, -p1)]
+    for n in range(1, K):
+        # a_{n+1} = ((m1/n + theta + sigma) a_n - sigma a_{n-1}) / theta1
+        t1 = _dd_mul_f(a_dd[n], m1 / n + theta + sigma)
+        t2 = _dd_mul_f(a_dd[n - 1], -sigma)
+        s = _dd_add(t1, t2)
+        nxt = _dd_mul_f(s, 1.0 / th1)
+        a_dd.append(nxt)
+        if nxt[0] < -1e-13 or nxt[0] > a_dd[n][0] + 1e-13:
+            if forward_only:
+                raise InstabilityDetected(
+                    "star forward recursion left the positive decreasing cone"
+                )
+            a = _solve_star_banded(params, m1, K)
+            tag = "star-banded"
+            break
     else:
-        if forward_only:
-            raise InstabilityDetected(
-                "star forward recursion left the positive decreasing cone"
-            )
-        a = _solve_star_banded(params, m1, K)
-        tag = "star-banded"
+        a = np.array([x[0] for x in a_dd])
+        tag = "star-forward-dd"
 
     p = a[:-1] - a[1:]
     p = _clip_negative(p, tag)

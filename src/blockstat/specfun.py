@@ -63,10 +63,6 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def beta_function(a: float, b: float) -> float:
-    return math.exp(log_beta(a, b))
-
-
 def _is_nonpositive_int(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 

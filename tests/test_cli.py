@@ -122,3 +122,45 @@ def test_missing_sigma_is_spec_error():
 
 def test_validate_quick():
     assert main(["validate", "--suite", "quick"]) == 0
+
+
+MALFORMED_MEASURES = {
+    "missing-key": '{"interior": {"type": "beta"}}',
+    "nan-beta": '{"interior": {"type": "beta", "a": NaN, "b": 2.0}}',
+    "nan-atom-mass": '{"interior": {"type": "atoms", "atoms": [[0.5, NaN]]}}',
+    "inf-endpoint-mass": '{"m0": Infinity}',
+    "not-json": '{"interior": ',
+    "not-an-object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MEASURES))
+def test_malformed_measure_file_is_spec_error(tmp_path, capsys, name):
+    spec = tmp_path / "measure.json"
+    spec.write_text(MALFORMED_MEASURES[name])
+    code = main(["stationary", "--model", str(spec), "--sigma", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "kingman", "--start", "3", "--events", "10", "--seed", "1"],
+        ["stationary", "--model", "uniform", "--sigma", "nan"],
+        ["stationary", "--model", "beta31", "--sigma", "inf"],
+        ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "nan", "--theta1", "1"],
+        ["stationary", "--model", "moran", "--N", "10", "--s", "nan"],
+        ["simulate", "--model", "moran", "--N", "10", "--s", "0.5", "--u0", "inf",
+         "--start", "3", "--events", "10", "--seed", "1"],
+    ],
+    ids=["simulate-no-sigma", "nan-sigma", "inf-sigma", "nan-theta0", "nan-moran-s",
+         "inf-moran-u0"],
+)
+def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []

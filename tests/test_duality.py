@@ -7,6 +7,7 @@ import pytest
 
 from blockstat.closedform import PgfEvaluator, bs_rho
 from blockstat.duality import (
+    _merger_row,
     ancestral_type_h,
     ancestral_type_h_from_tails,
     bs_absorption,
@@ -20,7 +21,7 @@ from blockstat.duality import (
     solve_w_moments,
 )
 from blockstat.errors import DomainError, PreconditionViolated
-from blockstat.measures import LambdaMeasure, ModelParams
+from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams, lambda_rate
 from blockstat.recursions import crow_kimura_geometric
 
 
@@ -182,3 +183,17 @@ def test_w1_matches_moran_frequency_surrogate():
     occ = occupancy(path, 0.2)
     mc_mean = sum(k * w for k, w in occ.distribution().items()) / N
     assert mc_mean == pytest.approx(exact_mean, abs=0.06)
+
+
+def test_beta_merger_rows_match_scalar_rates():
+    # the vectorised Beta rows of the w-system against per-entry lambda_rate
+    for lam in (
+        LambdaMeasure.beta(2.5, 2.4),
+        LambdaMeasure(m0=0.3, m1=0.2, interior=BetaDensity(0.7, 1.3, 2.0)),
+    ):
+        for n in range(1, 150):
+            ref = [
+                math.comb(n, n - ell + 1) * lambda_rate(lam, n, n - ell + 1)
+                for ell in range(1, n)
+            ]
+            assert _merger_row(lam, n) == pytest.approx(ref, rel=1e-11, abs=0.0)

@@ -2,16 +2,23 @@
 
 import json
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockstat.errors import DomainError, PreconditionViolated
 from blockstat.measures import (
     Atoms,
+    BetaDensity,
+    CustomDensity,
     LambdaMeasure,
     ModelParams,
     MoranParams,
+    UniformScaled,
     cnk,
     cnk_row,
     is_positive_recurrent,
@@ -19,6 +26,7 @@ from blockstat.measures import (
     sigma_lambda,
     tail_bracket,
 )
+from blockstat.recursions import solve_lambda_truncated
 
 
 def test_lambda_rate_endpoint_atoms():
@@ -158,3 +166,165 @@ def test_moran_params_validation():
         ModelParams(-1.0)
     assert MoranParams(5, 1.0, 0.25, 0.5).u == 0.75
     assert ModelParams(1.0, 0.25, 0.5).theta == 0.75
+
+
+# ----------------------------------------------------------------------
+# Beta(a, b) coefficients and sigma_Lambda against mpmath
+# ----------------------------------------------------------------------
+
+
+def _beta_cnk_3f2(a, b, n, k, mass=1.0):
+    """c_{n,k} of Beta(a, b) at 40 digits:
+        M binom(m0+n-1, n-1) B(a+m0-2, b+n) 3F2(m0+n, a+m0-2, 1; m0+1, a+b+m0+n-2; 1)
+        / (n B(a, b)),   m0 = k-n+1,
+    with the 3F2 at unit argument rewritten by Thomae's relation into
+        G(m0+1) G(a+b+m0+n-2) G(b) / (G(m0+n) G(a+b+m0-2) G(b+1))
+        * 3F2(1-n, a+b-2, b; a+b+m0-2, b+1; 1),
+    a terminating series of n terms (the direct series converges like
+    m^-(b+1) and takes seconds per value)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        m0 = k - n + 1
+        pref = mpmath.binomial(m0 + n - 1, n - 1) * mpmath.beta(a + m0 - 2, b + n)
+        thomae = mpmath.gammaprod(
+            [m0 + 1, a + b + m0 + n - 2, b], [m0 + n, a + b + m0 - 2, b + 1]
+        )
+        f = mpmath.hyp3f2(1 - n, a + b - 2, b, a + b + m0 - 2, b + 1, 1)
+        return mass * pref * thomae * f / (n * mpmath.beta(a, b))
+
+
+def test_beta_cnk_oracle_is_the_unit_argument_3f2():
+    for a, b, n, k in [(2.5, 2.5, 3, 10), (3.58, 2.23, 58, 75), (0.4, 0.35, 1, 1000)]:
+        with mpmath.workdps(30):
+            m0 = k - n + 1
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            direct = (
+                mpmath.binomial(m0 + n - 1, n - 1)
+                * mpmath.beta(a + m0 - 2, b + n)
+                * mpmath.hyp3f2(m0 + n, a + m0 - 2, 1, m0 + 1, a + b + m0 + n - 2, 1)
+                / (n * mpmath.beta(a, b))
+            )
+            assert abs(_beta_cnk_3f2(a, b, n, k) / direct - 1) < 1e-25
+
+
+@given(
+    st.floats(0.3, 5.0),
+    st.floats(0.3, 6.0),
+    st.floats(0.1, 10.0),
+    st.integers(1, 64),
+    st.integers(1, 1024),
+)
+# summed in plain doubles this row misses the absolute bound (1.5e-14)
+@example(a=4.061646490198856, b=1.4233831334711122, mass=1.0, n=47, k=953)
+@settings(max_examples=200, deadline=None)
+def test_beta_cnk_row_matches_3f2_oracle(a, b, mass, n, k):
+    k = min(n + k, 1024)
+    row = cnk_row(LambdaMeasure.beta(a, b, mass), n, k)
+    anchor = float(_beta_cnk_3f2(a, b, n, n + 1, mass))
+    assert np.all(row >= 0.0)
+    assert np.all(np.diff(row) <= 0.0)
+    for kk in {n + 1, (n + 1 + k) // 2, k}:
+        exact = float(_beta_cnk_3f2(a, b, n, kk, mass))
+        got = row[kk - n - 1]
+        assert abs(got - exact) <= 1e-14 * anchor
+        if exact >= 1e-2 * anchor:
+            assert abs(got / exact - 1.0) <= 1e-12
+    assert cnk(LambdaMeasure.beta(a, b, mass), n, k) == row[-1]
+
+
+def test_beta_cnk_matches_custom_density_quadrature():
+    # the generic quadrature route at its own absolute tolerance (1e-12 / n);
+    # b >= 1 keeps the density free of an endpoint singularity at 1
+    for a, b in [(2.5, 1.5), (1.5, 2.0), (0.7, 3.0)]:
+        beta = LambdaMeasure.beta(a, b, 1.3)
+        custom = LambdaMeasure(interior=CustomDensity(beta.interior.density))
+        for n, k in [(1, 2), (3, 7), (10, 40), (25, 26)]:
+            assert cnk(custom, n, k) == pytest.approx(cnk(beta, n, k), abs=1e-12)
+
+
+def test_beta_truncated_solve_runtime():
+    prm = ModelParams(0.5, 0.5, 0.5)
+    start = time.perf_counter()
+    pmf = solve_lambda_truncated(LambdaMeasure.beta(2.0, 2.0), prm)
+    assert time.perf_counter() - start < 1.0
+    assert pmf.residual < 1e-10
+
+
+def _beta_sigma_mpmath(a, b):
+    """M B(a-2, b) (psi(a+b-2) - psi(b)) / B(a, b) at 50 digits; the
+    removable singularities a = 2 and a + b = 2 are stepped over by 1e-30."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if a == 2 or a + b == 2:
+            a += mpmath.mpf(10) ** -30
+        return (
+            mpmath.beta(a - 2, b)
+            * (mpmath.digamma(a + b - 2) - mpmath.digamma(b))
+            / mpmath.beta(a, b)
+        )
+
+
+@given(st.floats(1.001, 6.0), st.floats(0.3, 6.0))
+@settings(max_examples=200, deadline=None)
+def test_beta_sigma_lambda_matches_mpmath(a, b):
+    exact = float(_beta_sigma_mpmath(a, b))
+    assert sigma_lambda(LambdaMeasure.beta(a, b)) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(2.0, 0.5), (2.0, 3.0), (2.0 + 1e-9, 1.0), (2.0 - 1e-9, 3.0), (2.05, 0.5),
+     (2.0501, 0.5), (1.5, 0.5), (1.2, 0.7), (1.01, 0.3), (3.0, 1.0)],
+)
+def test_beta_sigma_lambda_near_removable_singularities(a, b):
+    exact = float(_beta_sigma_mpmath(a, b))
+    assert sigma_lambda(LambdaMeasure.beta(a, b, 2.5)) == pytest.approx(
+        2.5 * exact, rel=1e-14
+    )
+
+
+# ----------------------------------------------------------------------
+# Non-finite and malformed input
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(bad):
+    for make in (
+        lambda: ModelParams(bad),
+        lambda: ModelParams(1.0, bad),
+        lambda: ModelParams(1.0, 0.5, bad),
+        lambda: MoranParams(10, bad),
+        lambda: MoranParams(10, 1.0, bad),
+        lambda: MoranParams(10, 1.0, 0.1, bad),
+        lambda: UniformScaled(bad),
+        lambda: BetaDensity(bad, 2.0),
+        lambda: BetaDensity(2.0, bad),
+        lambda: BetaDensity(2.0, 2.0, bad),
+        lambda: Atoms((0.5,), (bad,)),
+        lambda: LambdaMeasure(m0=bad),
+        lambda: LambdaMeasure(m1=bad),
+    ):
+        with pytest.raises(DomainError):
+            make()
+    with pytest.raises(DomainError):
+        Atoms((math.nan,), (1.0,))
+    with pytest.raises(DomainError):
+        MoranParams(math.nan, 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"interior": {"type": "beta"}},
+        {"interior": {"type": "beta", "a": "x", "b": 2.0}},
+        {"interior": {"type": "atoms"}},
+        {"interior": {"type": "atoms", "atoms": [[0.5]]}},
+        {"interior": "beta"},
+        {"m0": None},
+        [1, 2],
+    ],
+)
+def test_malformed_measure_dict_rejected(spec):
+    with pytest.raises(DomainError):
+        LambdaMeasure.from_dict(spec)
