@@ -57,11 +57,11 @@ def _json_out(payload: dict, path: str | None) -> None:
 
 
 def _pmf_csv(pmf: recursions.StationaryPmf, path: str) -> None:
-    a = pmf.tails()
+    probs = pmf.probs.astype(float).tolist()
+    a = pmf.tails().tolist()
+    rows = "".join(f"{i + 1},{p!r},{a[i + 1]!r}\n" for i, p in enumerate(probs))
     with open(path, "w") as fh:
-        fh.write("n,p_n,a_n\n")
-        for i, p in enumerate(pmf.probs):
-            fh.write(f"{i + 1},{float(p)!r},{float(a[i + 1])!r}\n")
+        fh.write("n,p_n,a_n\n" + rows)
 
 
 def _model_params(args) -> ModelParams:

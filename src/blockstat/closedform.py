@@ -979,10 +979,6 @@ def verify_master_equation(
         elif tag == "bs":
             p = params  # type: ignore[assignment]
             x = z
-            rho_at = lambda t: np.where(
-                t > 0, np.array([pgf.evaluate(ti) for ti in np.atleast_1d(t)]) / t, pgf.p1
-            )
-
             def rho_vec(t):
                 t = np.atleast_1d(t)
                 return np.array(

@@ -241,10 +241,13 @@ class LambdaMeasure:
     def from_atoms(
         locations: Sequence[float], masses: Sequence[float]
     ) -> "LambdaMeasure":
-        order = np.argsort(np.asarray(locations, dtype=float))
-        xs = tuple(float(np.asarray(locations)[i]) for i in order)
-        ms = tuple(float(np.asarray(masses)[i]) for i in order)
-        return LambdaMeasure(interior=Atoms(xs, ms))
+        xs = np.asarray(locations, dtype=float)
+        ms = np.asarray(masses, dtype=float)
+        if xs.shape != ms.shape:
+            raise DomainError("atom locations and masses must align")
+        order = np.argsort(xs)
+        atoms = Atoms(tuple(xs[order].tolist()), tuple(ms[order].tolist()))
+        return LambdaMeasure(interior=atoms)
 
     # -- serialisation ----------------------------------------------------
 

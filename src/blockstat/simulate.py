@@ -10,8 +10,9 @@ bit-identical paths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,6 +23,7 @@ DELTA = -1  # cemetery marker of the killed ASG
 RATE_CAP = 1e12
 RNG_ALGORITHM = "PCG64"
 STATE_CACHE_CAP = 10_000
+_CHUNK = 256  # uniforms converted to Python floats at a time
 
 
 @dataclass
@@ -48,10 +50,12 @@ class JumpPath:
         return self.states.size - 1
 
     def to_csv(self, path: str) -> None:
+        rows = zip(
+            self.states.astype(np.int64).tolist(),
+            self.holding_times.astype(float).tolist(),
+        )
         with open(path, "w") as fh:
-            fh.write("state,holding_time\n")
-            for s, h in zip(self.states, self.holding_times):
-                fh.write(f"{int(s)},{float(h)!r}\n")
+            fh.write("state,holding_time\n" + "".join(f"{s},{h!r}\n" for s, h in rows))
 
 
 @dataclass
@@ -75,77 +79,115 @@ class OccupancyEstimate:
         )
 
     def to_csv(self, path: str) -> None:
+        rows = "".join(f"{s},{float(self.weights[s])!r}\n" for s in sorted(self.weights))
         with open(path, "w") as fh:
-            fh.write("state,weight\n")
-            for s in sorted(self.weights):
-                fh.write(f"{s},{float(self.weights[s])!r}\n")
+            fh.write("state,weight\n" + rows)
 
 
 class _BlockRng:
-    """Pre-drawn exponential/uniform blocks over a PCG64 stream."""
+    """Pre-drawn exponential/uniform blocks over a PCG64 stream.
+
+    Each block is `block` exponentials followed by `block` uniforms;
+    draw i pairs exponential i with uniform i.
+    """
 
     def __init__(self, seed: int, block: int = 1 << 14):
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self.block = block
-        self._exp = self.rng.exponential(size=block)
-        self._uni = self.rng.random(size=block)
+        self._fill()
+
+    def _fill(self) -> None:
+        self._exp = self.rng.exponential(size=self.block)
+        self._uni = self.rng.random(size=self.block)
         self._i = 0
 
     def draw(self) -> tuple[float, float]:
         if self._i >= self.block:
-            self._exp = self.rng.exponential(size=self.block)
-            self._uni = self.rng.random(size=self.block)
-            self._i = 0
+            self._fill()
         i = self._i
         self._i = i + 1
         return self._exp[i], self._uni[i]
 
+    def uniforms(self, exps: list[np.ndarray] | None = None) -> Iterator[float]:
+        """Yield the uniforms of the draws from here on, as Python floats.
+
+        Taking a uniform uses up its draw, exponential included.  When
+        `exps` is given, the exponentials are appended to it block by
+        block: the first n of np.concatenate(exps) belong to the first n
+        uniforms taken.  Uniforms are converted _CHUNK at a time, so a
+        short path does not pay for a whole block; do not mix with draw().
+        """
+        while True:
+            if self._i >= self.block:
+                self._fill()
+            if exps is not None:
+                exps.append(self._exp[self._i :])
+            while self._i < self.block:
+                i = self._i
+                self._i = min(i + _CHUNK, self.block)
+                yield from self._uni[i : self._i].tolist()
+
 
 TableFn = Callable[[int], tuple[np.ndarray, np.ndarray, float]]
+Table = tuple[list[int], list[float], float]
+
+
+class _RateTables(dict):
+    """state -> (targets, cumulative rates, total rate) as Python lists.
+
+    A table is built on the first visit of its state, which is where the
+    exit rate is checked against RATE_CAP; at most STATE_CACHE_CAP states
+    are kept, the others are rebuilt on every visit.
+    """
+
+    def __init__(self, table_for: TableFn):
+        super().__init__()
+        self.table_for = table_for
+
+    def __missing__(self, state: int) -> Table:
+        targets, cum, total = self.table_for(state)
+        if total > RATE_CAP:
+            raise RateOverflow(f"exit rate {total:.3e} from state {state} exceeds cap")
+        entry = (targets.tolist(), cum.tolist(), total)
+        if len(self) < STATE_CACHE_CAP:
+            self[state] = entry
+        return entry
 
 
 def _run_chain(
     table_for: TableFn,
     start: int,
     max_events: int,
-    rng: _BlockRng,
-    tag: str,
     seed: int,
+    tag: str,
 ) -> JumpPath:
     """Simulate a jump chain from cached per-state rate tables.
 
     table_for(k) returns (targets, cumulative_rates, total_rate); a zero
     total rate marks an absorbing state (recorded with infinite sojourn).
+    Draw i gives the sojourn exp_i / total and the jump to the first
+    target whose cumulative rate exceeds u_i * total.
     """
-    states = np.empty(max_events + 1, dtype=np.int64)
-    holds = np.empty(max_events + 1, dtype=float)
-    cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+    tables = _RateTables(table_for)
+    exps: list[np.ndarray] = []
+    states: list[int] = []
+    totals: list[float] = []
     state = start
-    n = 0
-    while True:
-        entry = cache.get(state)
-        if entry is None:
-            entry = table_for(state)
-            if entry[2] > RATE_CAP:
-                raise RateOverflow(
-                    f"exit rate {entry[2]:.3e} from state {state} exceeds cap"
-                )
-            if len(cache) < STATE_CACHE_CAP:
-                cache[state] = entry
-        targets, cum, total = entry
+    for u in _BlockRng(seed).uniforms(exps):
+        targets, cum, total = tables[state]
+        states.append(state)
         if total == 0.0:
-            states[n] = state
-            holds[n] = math.inf
-            n += 1
             break
-        e, u = rng.draw()
-        states[n] = state
-        holds[n] = e / total
-        n += 1
-        if n > max_events:
+        totals.append(total)
+        if len(totals) > max_events:
             break
-        state = int(targets[np.searchsorted(cum, u * total, side="right")])
-    return JumpPath(states[:n].copy(), holds[:n].copy(), seed, tag)
+        state = targets[bisect_right(cum, u * total)]
+    # one draw per visited state; an absorbing last state gets +inf instead
+    n = len(totals)
+    holds = np.concatenate(exps)[: len(states)]
+    holds[:n] /= totals
+    holds[n:] = math.inf
+    return JumpPath(np.array(states, dtype=np.int64), holds, seed, tag)
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +284,7 @@ def simulate_moran_L(
     """Exact path of the Moran block counting chain."""
     if not 1 <= start <= params.N:
         raise DomainError("start must lie in 1..N")
-    rng = _BlockRng(seed)
-    return _run_chain(
-        lambda i: moran_L_rates(params, i), start, max_events, rng, "moran-L", seed
-    )
+    return _run_chain(lambda i: moran_L_rates(params, i), start, max_events, seed, "moran-L")
 
 
 def simulate_lambda_L(
@@ -258,14 +297,8 @@ def simulate_lambda_L(
     """Exact path of the general-measure block counting chain."""
     if start < 1:
         raise DomainError("start must be a positive block count")
-    rng = _BlockRng(seed)
     return _run_chain(
-        lambda k: lambda_L_rates(measure, params, k),
-        start,
-        max_events,
-        rng,
-        "lambda-L",
-        seed,
+        lambda k: lambda_L_rates(measure, params, k), start, max_events, seed, "lambda-L"
     )
 
 
@@ -275,10 +308,7 @@ def simulate_moran_X(
     """Exact path of the Moran type-frequency chain (absorbs when u0 or u1 is 0)."""
     if not 0 <= start <= params.N:
         raise DomainError("start must lie in 0..N")
-    rng = _BlockRng(seed)
-    return _run_chain(
-        lambda k: moran_X_rates(params, k), start, max_events, rng, "moran-X", seed
-    )
+    return _run_chain(lambda k: moran_X_rates(params, k), start, max_events, seed, "moran-X")
 
 
 def simulate_killed_asg(
@@ -298,22 +328,14 @@ def simulate_killed_asg(
         raise DomainError("killed-ASG absorption needs theta0 > 0 and theta1 > 0")
     if start < 1:
         raise DomainError("start must be a positive line count")
-    rng = _BlockRng(seed)
-    cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+    tables = _RateTables(lambda k: killed_asg_rates(measure, params, k))
+    uniforms = _BlockRng(seed).uniforms()
     absorbed_zero = 0
     for _ in range(n_reps):
         state = start
-        for _step in range(max_events_per_rep):
-            entry = cache.get(state)
-            if entry is None:
-                entry = killed_asg_rates(measure, params, state)
-                if entry[2] > RATE_CAP:
-                    raise RateOverflow(f"exit rate from state {state} exceeds cap")
-                if len(cache) < STATE_CACHE_CAP:
-                    cache[state] = entry
-            targets, cum, total = entry
-            _, u = rng.draw()
-            state = int(targets[np.searchsorted(cum, u * total, side="right")])
+        for _step, u in zip(range(max_events_per_rep), uniforms):
+            targets, cum, total = tables[state]
+            state = targets[bisect_right(cum, u * total)]
             if state == 0:
                 absorbed_zero += 1
                 break
@@ -344,13 +366,15 @@ def occupancy(path: JumpPath, burn_in_fraction: float = 0.2) -> OccupancyEstimat
         raise EmptyPath("path carries no simulated time")
     cutoff = burn_in_fraction * total
     t_seen = np.concatenate([[0.0], np.cumsum(holds)])
-    weights: dict[int, float] = {}
-    for s, t0, t1 in zip(states, t_seen[:-1], t_seen[1:]):
-        if t1 <= cutoff:
-            continue
-        w = t1 - max(t0, cutoff)
-        key = int(s)
-        weights[key] = weights.get(key, 0.0) + w
+    after = t_seen[1:] > cutoff
+    clipped = t_seen[1:][after] - np.maximum(t_seen[:-1][after], cutoff)
+    tail = states[after]
+    keys = np.unique(tail)
+    # bincount adds in path order, as a running sum per state would
+    sums = np.bincount(np.searchsorted(keys, tail), weights=clipped)
+    by_key = dict(zip(keys.tolist(), sums.tolist()))
+    # keys in order of first appearance
+    weights = {k: by_key[k] for k in dict.fromkeys(tail.tolist())}
     return OccupancyEstimate(weights, total - cutoff, path.n_events)
 
 

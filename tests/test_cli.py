@@ -72,6 +72,18 @@ def test_simulate_deterministic_artifacts(tmp_path):
     ).read_bytes() == (tmp_path / "b_occupancy.csv").read_bytes()
 
 
+def test_pmf_csv_matches_per_row_format(tmp_path):
+    from blockstat.cli import _pmf_csv
+    from blockstat.measures import MoranParams
+    from blockstat.recursions import solve_moran
+
+    pmf = solve_moran(MoranParams(30, 0.8, 0.3, 0.2))
+    _pmf_csv(pmf, str(tmp_path / "p.csv"))
+    a = pmf.tails()
+    rows = "".join(f"{i + 1},{float(p)!r},{float(a[i + 1])!r}\n" for i, p in enumerate(pmf.probs))
+    assert (tmp_path / "p.csv").read_text() == "n,p_n,a_n\n" + rows
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "w"
     code = main(

@@ -157,6 +157,15 @@ def test_atom_validation():
         LambdaMeasure.from_atoms(list(np.linspace(0.001, 0.999, 10_001)), [1.0] * 10_001)
 
 
+def test_from_atoms_sorts_and_aligns():
+    m = LambdaMeasure.from_atoms(np.array([0.7, 0.2, 0.5]), [3.0, 1.0, 2.0])
+    assert m.interior.locations == (0.2, 0.5, 0.7)
+    assert m.interior.masses == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in m.interior.locations + m.interior.masses)
+    with pytest.raises(DomainError):
+        LambdaMeasure.from_atoms([0.2, 0.5], [1.0, 2.0, 3.0])
+
+
 def test_moran_params_validation():
     with pytest.raises(DomainError):
         MoranParams(1, 1.0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from blockstat.errors import DomainError, EmptyPath, RateOverflow
+import blockstat.simulate as sim
+from blockstat.errors import DomainError, EmptyPath, NonAbsorbing, RateOverflow
 from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
 from blockstat.recursions import solve_moran
 from blockstat.simulate import (
@@ -15,6 +16,7 @@ from blockstat.simulate import (
     killed_asg_rates,
     lambda_L_exit_rate,
     lambda_L_rates,
+    moran_L_rates,
     moran_X_rates,
     occupancy,
     simulate_killed_asg,
@@ -204,3 +206,179 @@ def test_killed_asg_rates_structure():
     assert rates[DELTA] == pytest.approx(0.5)  # kill 1*theta0
     t3, c3, total3 = killed_asg_rates(king, prm, 3)
     assert total3 == pytest.approx(3 * 1.0 + 3 * 0.5 + 3 * 0.5 + 3 * 2.0, rel=1e-14)
+
+
+# ----------------------------------------------------------------------
+# Bit identity with the per-event numpy loops the simulators replaced
+# ----------------------------------------------------------------------
+
+
+def _ref_chain(table_for, start, max_events, seed):
+    """Reference jump chain: one _BlockRng.draw() and one searchsorted per event."""
+    rng = sim._BlockRng(seed)
+    states, holds = [], []
+    state = start
+    while True:
+        targets, cum, total = table_for(state)
+        if total == 0.0:
+            states.append(state)
+            holds.append(math.inf)
+            break
+        e, u = rng.draw()
+        states.append(state)
+        holds.append(e / total)
+        if len(states) > max_events:
+            break
+        state = int(targets[np.searchsorted(cum, u * total, side="right")])
+    return np.array(states, dtype=np.int64), np.array(holds, dtype=float)
+
+
+def _ref_killed_asg(measure, params, start, n_reps, seed, max_events_per_rep=10_000_000):
+    """Reference killed-ASG loop, one _BlockRng.draw() per step."""
+    rng = sim._BlockRng(seed)
+    absorbed_zero = 0
+    for _ in range(n_reps):
+        state = start
+        for _step in range(max_events_per_rep):
+            targets, cum, total = killed_asg_rates(measure, params, state)
+            _, u = rng.draw()
+            state = int(targets[np.searchsorted(cum, u * total, side="right")])
+            if state in (0, DELTA):
+                absorbed_zero += state == 0
+                break
+        else:
+            raise NonAbsorbing("reference replicate did not absorb")
+    return absorbed_zero / n_reps
+
+
+def _ref_occupancy_weights(path, burn_in_fraction):
+    """Reference occupancy: a running sum per sojourn, keys in order of first appearance."""
+    finite = np.isfinite(path.holding_times)
+    holds = path.holding_times[finite]
+    cutoff = burn_in_fraction * float(holds.sum())
+    t_seen = np.concatenate([[0.0], np.cumsum(holds)])
+    weights = {}
+    for s, t0, t1 in zip(path.states[finite], t_seen[:-1], t_seen[1:]):
+        if t1 > cutoff:
+            weights[int(s)] = weights.get(int(s), 0.0) + (t1 - max(t0, cutoff))
+    return weights
+
+
+_MORAN = MoranParams(50, 0.5, 0.1, 0.1)
+_MORAN_X = MoranParams(10, 0.5, 0.3, 0.3)
+_MORAN_X_ABSORBING = MoranParams(10, 0.5)  # u0 = u1 = 0: absorbs at 0 or N
+_PRM = ModelParams(1.0, 0.5, 0.5)
+_KING = LambdaMeasure.kingman(2.0)
+_BETA = LambdaMeasure.beta(2.2, 1.7)
+
+# name -> (simulate(max_events, seed), table_for, start)
+_CHAINS = {
+    "moran-L": (
+        lambda n, sd: simulate_moran_L(_MORAN, 5, n, sd),
+        lambda k: moran_L_rates(_MORAN, k),
+        5,
+    ),
+    "lambda-L kingman": (
+        lambda n, sd: simulate_lambda_L(_KING, _PRM, 3, n, sd),
+        lambda k: lambda_L_rates(_KING, _PRM, k),
+        3,
+    ),
+    "lambda-L beta": (
+        lambda n, sd: simulate_lambda_L(_BETA, _PRM, 3, n, sd),
+        lambda k: lambda_L_rates(_BETA, _PRM, k),
+        3,
+    ),
+    "moran-X": (
+        lambda n, sd: simulate_moran_X(_MORAN_X, 5, n, sd),
+        lambda k: moran_X_rates(_MORAN_X, k),
+        5,
+    ),
+    "moran-X absorbing": (
+        lambda n, sd: simulate_moran_X(_MORAN_X_ABSORBING, 5, n, sd),
+        lambda k: moran_X_rates(_MORAN_X_ABSORBING, k),
+        5,
+    ),
+    "moran-X absorbing start": (
+        lambda n, sd: simulate_moran_X(_MORAN_X_ABSORBING, 0, n, sd),
+        lambda k: moran_X_rates(_MORAN_X_ABSORBING, k),
+        0,
+    ),
+}
+
+
+def _assert_matches_reference(path, name, max_events, seed):
+    _, table_for, start = _CHAINS[name]
+    states, holds = _ref_chain(table_for, start, max_events, seed)
+    assert path.states.dtype == np.int64
+    assert np.array_equal(path.states, states)
+    assert path.holding_times.dtype == holds.dtype
+    assert path.holding_times.tobytes() == holds.tobytes()
+    if not np.isfinite(holds).any():
+        return
+    for burn_in in (0.0, 0.2):
+        occ = occupancy(path, burn_in)
+        ref = _ref_occupancy_weights(path, burn_in)
+        assert list(occ.weights) == list(ref)  # first-appearance order
+        assert [occ.weights[k] for k in ref] == list(ref.values())
+
+
+@pytest.mark.parametrize("seed", [1, 20261018])
+@pytest.mark.parametrize("max_events", [0, 1, 16383, 16384, 16385])
+@pytest.mark.parametrize("name", list(_CHAINS))
+def test_paths_and_occupancy_bit_identical_to_reference(name, max_events, seed):
+    # 16384 draws fill one RNG block: the edge sits at 16383..16385 events
+    path = _CHAINS[name][0](max_events, seed)
+    _assert_matches_reference(path, name, max_events, seed)
+
+
+@pytest.mark.parametrize("seed", [5, 77, 20261018])
+@pytest.mark.parametrize(
+    "measure, start, n_reps",
+    [(_KING, 3, 1), (_KING, 3, 5000), (LambdaMeasure.uniform(), 6, 3000), (_BETA, 1, 4000)],
+)
+def test_killed_asg_bit_identical_to_reference(measure, start, n_reps, seed):
+    prm = ModelParams(1.0, 1.0, 1.0)
+    assert simulate_killed_asg(measure, prm, start, n_reps, seed) == _ref_killed_asg(
+        measure, prm, start, n_reps, seed
+    )
+
+
+def test_small_state_cache_keeps_paths(monkeypatch):
+    monkeypatch.setattr(sim, "STATE_CACHE_CAP", 2)
+    path = _CHAINS["moran-L"][0](16385, 3)
+    _assert_matches_reference(path, "moran-L", 16385, 3)
+    uni = LambdaMeasure.uniform()
+    prm = ModelParams(1.0, 1.0, 1.0)
+    assert simulate_killed_asg(uni, prm, 6, 2000, 4) == _ref_killed_asg(uni, prm, 6, 2000, 4)
+
+
+def test_rate_overflow_on_first_visit():
+    # state 3 sits below the cap (~7.8e11), state 4 above it (~1.04e12);
+    # the branching rate makes 3 -> 4 the first jump
+    prm = ModelParams(2.6e11, 0.5, 0.5)
+    assert simulate_lambda_L(_KING, prm, 3, 0, seed=1).states.tolist() == [3]
+    with pytest.raises(RateOverflow):
+        simulate_lambda_L(_KING, prm, 3, 10, seed=1)
+    with pytest.raises(RateOverflow):
+        simulate_killed_asg(_KING, prm, 3, 10, seed=1)
+
+
+def test_killed_asg_step_cap_raises_non_absorbing():
+    # weak mutation: from 5 lines one step almost never absorbs
+    prm = ModelParams(1.0, 1e-3, 1e-3)
+    with pytest.raises(NonAbsorbing):
+        _ref_killed_asg(_KING, prm, 5, 10, seed=3, max_events_per_rep=1)
+    with pytest.raises(NonAbsorbing):
+        simulate_killed_asg(_KING, prm, 5, 10, seed=3, max_events_per_rep=1)
+
+
+def test_csv_writers_match_per_row_format(tmp_path):
+    path = simulate_moran_X(_MORAN_X_ABSORBING, 5, 1000, seed=2)
+    assert math.isinf(path.holding_times[-1])
+    occ = occupancy(path, 0.2)
+    path.to_csv(str(tmp_path / "path.csv"))
+    occ.to_csv(str(tmp_path / "occ.csv"))
+    rows = "".join(f"{int(s)},{float(h)!r}\n" for s, h in zip(path.states, path.holding_times))
+    assert (tmp_path / "path.csv").read_text() == "state,holding_time\n" + rows
+    rows = "".join(f"{s},{float(occ.weights[s])!r}\n" for s in sorted(occ.weights))
+    assert (tmp_path / "occ.csv").read_text() == "state,weight\n" + rows
