@@ -238,9 +238,9 @@ def _validate_checks(suite: str):
 
         mp = MoranParams(12, 0.7, 0.25, 0.15)
         closed, pg = closedform.moran_closed(mp)
-        shoot = recursions.solve_moran(mp)
+        banded = recursions.solve_moran(mp)
         gth = recursions.solve_moran_nullspace(mp)
-        add("moran closed vs shooting (sup)", closed.sup_distance(shoot), 1e-9)
+        add("moran closed vs banded (sup)", closed.sup_distance(banded), 1e-9)
         add("moran closed vs nullspace (sup)", closed.sup_distance(gth), 1e-9)
         zg = np.linspace(0.05, 0.9, 10)
         add(

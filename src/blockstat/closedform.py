@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -31,6 +30,7 @@ from .recursions import (
     _clip_negative,
     _solve_moran_banded,
     _solve_prlm,
+    _solve_three_term,
     solve_star,
 )
 from .specfun import (
@@ -42,65 +42,27 @@ from .specfun import (
 )
 
 
-def _pair_quad(f2: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-               tol: float = 1e-15, max_panels: int = 4096) -> np.ndarray:
-    """Integrate a 2-vector integrand on shared Gauss-Kronrod panels.
+def _pair_quad_right_singular(
+    f2: Callable[[np.ndarray], np.ndarray], beta: float, tol: float = 1e-15
+) -> np.ndarray:
+    """Shared-panel integral of (1-y)^beta f2(y) over (0,1), beta in (-1,0].
 
     Refining both components on identical panels makes their quadrature
     errors strongly correlated, which is what the ill-conditioned ratio
     I1/I0 of the closed-form pmfs needs.
     """
-    import heapq
-
-    from .specfun import _WG, _WGK, _XGK
-
-    def panel(lo: float, hi: float):
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        x = mid + half * _XGK
-        fx = np.asarray(f2(x), dtype=float)
-        k15 = half * (fx @ _WGK)
-        g7 = half * (fx[:, 1::2] @ _WG)
-        return k15, float(np.max(np.abs(k15 - g7)))
-
-    val, err = panel(a, b)
-    heap = [(-err, a, b, val)]
-    total_err = err
-    n_panels = 1
-    while total_err > tol and n_panels < max_panels:
-        neg_err, lo, hi, old = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            total_err += neg_err
-            heapq.heappush(heap, (0.0, lo, hi, old))
-            continue
-        v1, e1 = panel(lo, mid)
-        v2, e2 = panel(mid, hi)
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        n_panels += 1
-    return np.sum([item[3] for item in heap], axis=0)
-
-
-def _pair_quad_right_singular(
-    f2: Callable[[np.ndarray], np.ndarray], beta: float, tol: float = 1e-15
-) -> np.ndarray:
-    """Shared-panel integral of (1-y)^beta f2(y) over (0,1), beta in (-1,0]."""
-    if beta >= 0.0:
-        def g(y):
-            return f2(y) * np.power(1.0 - y, beta)
-
-        return _pair_quad(g, 0.0, 1.0, tol=tol)
-    q = 1.0 + beta
-
-    def left(y):
+    def g(y):
         return f2(y) * np.power(1.0 - y, beta)
+
+    if beta >= 0.0:
+        return adaptive_quad(g, 0.0, 1.0, tol=tol)
+    q = 1.0 + beta
 
     def right(u):
         y = 1.0 - np.power(u, 1.0 / q)
         return f2(y) / q
 
-    return _pair_quad(left, 0.0, 0.5, tol=0.5 * tol) + _pair_quad(
+    return adaptive_quad(g, 0.0, 0.5, tol=0.5 * tol) + adaptive_quad(
         right, 0.0, 0.5**q, tol=0.5 * tol
     )
 
@@ -148,11 +110,12 @@ def _moran_weight_integrals(params: MoranParams) -> tuple[float, float, float]:
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
     rho0 = u0 / (1.0 + s)
     A = (1.0 + u1 + rho0) * N
-    inv_s = 1.0 / s
     beta_exp = N * rho0 - 1.0
 
     def log_w(y, i):
-        return (N * u1 + i) * np.log(y) + (-A - 1.0) * np.log(y + inv_s)
+        # (y + 1/s)^(-A-1) = s^(A+1) (1 + s y)^(-A-1): the constant goes into
+        # the returned scale, so no term of size A log(1/s) cancels the scale
+        return (N * u1 + i) * np.log(y) - (A + 1.0) * np.log1p(s * y)
 
     # scale against the full log-integrand so the absolute quadrature
     # tolerance is effectively relative to the true peak
@@ -178,7 +141,7 @@ def _moran_weight_integrals(params: MoranParams) -> tuple[float, float, float]:
         return out
 
     i0, i1 = _pair_quad_right_singular(f_pair, beta_split)
-    return float(i0), float(i1), scale
+    return float(i0), float(i1), scale + (A + 1.0) * math.log(s)
 
 
 def _f32_terminating(a1: float, b_top: float, a3: int, b_bot: float, z: float):
@@ -484,9 +447,7 @@ def wf_closed(
             break
         probs[n - 1] = pref * (t1 - t2)
     if fill_from is not None:
-        from .measures import LambdaMeasure as _LM
-
-        p_fill = _solve_prlm(_LM.kingman(m0), params, max(2 * n_max, 128))
+        p_fill, _ = _solve_prlm(LambdaMeasure.kingman(m0), params, max(2 * n_max, 128))
         probs[fill_from - 1 :] = p_fill[fill_from - 1 : n_max]
     tail = 1.0 - float(probs.sum())
     pmf = StationaryPmf(
@@ -822,19 +783,8 @@ def beta31_pgf(
     Pp0 = -(sigma + theta)
     Q00 = Q(0.0)
     if th1 > 0.0:
-        n_unknown = K - 1  # p_2 .. p_K with p_{K+1} = 0
-        ab = np.zeros((3, n_unknown))
-        rhs_vec = np.zeros(n_unknown)
-        for r in range(n_unknown):
-            n = r + 2
-            ab[1, r] = n * Pp0 + Q00  # p_n
-            if r - 1 >= 0:
-                ab[2, r - 1] = sigma * (n + 1)  # p_{n-1}
-            else:
-                rhs_vec[r] = -sigma * (n + 1) * p1
-            if r + 1 < n_unknown:
-                ab[0, r + 1] = th1 * (n + 1)  # p_{n+1}
-        tail_probs = scipy.linalg.solve_banded((1, 1), ab, rhs_vec)
+        n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
+        tail_probs = _solve_three_term(sigma * (n + 1), n * Pp0 + Q00, th1 * (n + 1), p1)
         probs = np.concatenate([[p1], tail_probs])
         if math.isnan(p2):
             p2 = float(probs[1])

@@ -19,9 +19,9 @@ import scipy.integrate
 from scipy.special import betaln
 
 from .closedform import PgfEvaluator
-from .errors import DomainError, NoConvergence, PreconditionViolated, QuadratureFailure
+from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .measures import BetaDensity, LambdaMeasure, ModelParams, UniformScaled, Zero, lambda_rate
-from .recursions import StationaryPmf
+from .recursions import StationaryPmf, _double_until_stable
 
 
 @dataclass
@@ -129,18 +129,10 @@ def solve_w_moments(
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("duality moments need theta0 > 0 and theta1 > 0")
-    prev = None
-    while True:
-        w = _solve_w_system(measure, params, K)
-        if prev is not None:
-            head = prev.size // 4
-            delta = float(np.max(np.abs(w[:head] - prev[:head])))
-            if delta < tol:
-                break
-        prev = w
-        K *= 2
-        if K > K_cap:
-            raise NoConvergence(f"moment truncation cap {K_cap} reached")
+    (w,), K, delta = _double_until_stable(
+        lambda k: (_solve_w_system(measure, params, k),), K, tol, K_cap,
+        head=lambda k: k // 4,
+    )
     full = np.concatenate([[1.0], w])
     defect = complete_monotonicity_defect(full[: min(14, full.size)])
     return MomentSequence(full, K, delta, defect, extras={"closure_delta": delta})

@@ -33,10 +33,6 @@ class EmptyPath(BlockstatError):
     """Occupancy requested for a path with no usable sojourns."""
 
 
-class SingularShooting(BlockstatError):
-    """The shooting boundary equation degenerated."""
-
-
 class NoConvergence(BlockstatError):
     """Truncation doubling hit its cap without stabilising."""
 

@@ -1,6 +1,6 @@
 """Linear solvers for the stationary block-count distributions.
 
-Covers the finite Moran tail recursion (shooting plus a banded fallback),
+Covers the finite Moran tail recursion (one banded tridiagonal solve),
 a brute-force generator null-space oracle, the truncated general-measure
 system, the star-shaped forward recursion, and the geometric closed form
 of the zero-measure (Crow-Kimura) model.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +24,6 @@ from .errors import (
     NoConvergence,
     NotPositiveRecurrent,
     PreconditionViolated,
-    SingularShooting,
 )
 from .measures import (
     LambdaMeasure,
@@ -104,8 +104,11 @@ def _clip_negative(p: np.ndarray, tag: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _moran_coeffs(params: MoranParams, n: int) -> tuple[float, float, float]:
-    """(A_n, B_n, C_n) with A_n a_n = B_n a_{n-1} - C_n a_{n-2}."""
+def _moran_coeffs(params: MoranParams, n):
+    """(A_n, B_n, C_n) with A_n a_n = B_n a_{n-1} - C_n a_{n-2}.
+
+    n is an int or an integer array (then each coefficient is an array).
+    """
     N, s, u1 = params.N, params.s, params.u1
     A = n / N + u1
     C = (N - n + 1) * s / N
@@ -115,10 +118,8 @@ def _moran_coeffs(params: MoranParams, n: int) -> tuple[float, float, float]:
 
 def _moran_tail_residual(params: MoranParams, a: np.ndarray) -> float:
     N = params.N
-    res = 0.0
-    for n in range(2, N):
-        A, B, C = _moran_coeffs(params, n)
-        res = max(res, abs(A * a[n] - B * a[n - 1] + C * a[n - 2]))
+    A, B, C = _moran_coeffs(params, np.arange(2, N))
+    res = float(np.max(np.abs(A * a[2:] - B * a[1:-1] + C * a[:-2]), initial=0.0))
     res = max(res, abs(a[0] - 1.0))
     res = max(
         res,
@@ -131,105 +132,63 @@ def _moran_pmf_residual(params: MoranParams, p: np.ndarray) -> float:
     """Residual of the equivalent pmf-form equations plus its boundary."""
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
     tail = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])  # tail[n-1] = sum_{l>=n} p_l
-    res = abs(p.sum() - 1.0)
-    for n in range(2, N):
-        lhs = (n / N + u1) * p[n - 1]
-        rhs = (N - n + 1) * s / N * p[n - 2] - u0 * tail[n - 1]
-        res = max(res, abs(lhs - rhs))
+    n = np.arange(2, N)
+    lhs = (n / N + u1) * p[1:-1]
+    rhs = (N - n + 1) * s / N * p[:-2] - u0 * tail[1:-2]
+    res = max(abs(p.sum() - 1.0), float(np.max(np.abs(lhs - rhs), initial=0.0)))
     res = max(res, abs((1.0 + params.u) * p[N - 1] - (s / N) * p[N - 2]))
     return res
 
 
 def solve_moran(params: MoranParams) -> StationaryPmf:
-    """Stationary pmf of the Moran block counting chain via linear shooting.
+    """Stationary pmf of the Moran block counting chain.
 
-    The tails solve a homogeneous three-term recursion, so two basis
-    sequences are propagated (with periodic renormalisation for large N)
-    and the boundary equation at n = N-1 fixes a_1.  If the forward pass
-    degrades (tail garbage shows up as lost monotonicity), the same
-    equations are re-solved as a pivoted tridiagonal system.
+    The tails a_n = P(L > n) solve a homogeneous three-term recursion
+    with a_0 = 1 and a boundary equation at n = N-1; the equations are
+    solved together as one pivoted tridiagonal system.
     """
     N = params.N
-    a = np.empty(N)  # a[n] = P(L > n), n = 0..N-1
-    a[0] = 1.0
-
-    # basis: a_n = alpha_n + beta_n * a_1; rescaling both legs jointly keeps
-    # the (homogeneous) boundary equation invariant
-    alpha_p, beta_p = 1.0, 0.0  # at n-2
-    alpha_c, beta_c = 0.0, 1.0  # at n-1
-    scale_every = 50
-    for n in range(2, N):
-        A, B, C = _moran_coeffs(params, n)
-        alpha_n = (B * alpha_c - C * alpha_p) / A
-        beta_n = (B * beta_c - C * beta_p) / A
-        alpha_p, beta_p, alpha_c, beta_c = alpha_c, beta_c, alpha_n, beta_n
-        if n % scale_every == 0:
-            m = max(abs(alpha_c), abs(beta_c), abs(alpha_p), abs(beta_p))
-            if m > 1e200:
-                alpha_p /= m
-                beta_p /= m
-                alpha_c /= m
-                beta_c /= m
-    bc = 1.0 + params.u + params.s / N
-    sN = params.s / N
-    denom = bc * beta_c - sN * beta_p
-    numer = bc * alpha_c - sN * alpha_p
-    if denom == 0.0 or not math.isfinite(numer / denom):
-        raise SingularShooting("Moran boundary equation degenerated")
-    a1 = -numer / denom
-
-    # second pass: direct propagation (true tails are bounded by 1)
-    if N >= 2:
-        a_list = [1.0, a1]
-        for n in range(2, N):
-            A, B, C = _moran_coeffs(params, n)
-            a_list.append((B * a_list[n - 1] - C * a_list[n - 2]) / A)
-        a = np.array(a_list[:N])
-
-    bad = (
-        np.any(a < NEG_CLIP)
-        or np.any(np.diff(a) > 1e-12)
-        or _moran_tail_residual(params, a) > 1e-11
-    )
-    tag = "moran-shooting"
-    if bad:
-        a = _solve_moran_banded(params)
-        tag = "moran-banded"
-
+    a = _solve_moran_banded(params)
     p = np.empty(N)
     p[: N - 1] = a[: N - 1] - a[1:]
     p[N - 1] = a[N - 1]
-    p = _clip_negative(p, tag)
+    p = _clip_negative(p, "moran-banded")
     residual = max(_moran_tail_residual(params, a), _moran_pmf_residual(params, p))
-    return StationaryPmf(p, N, residual, tag)
+    return StationaryPmf(p, N, residual, "moran-banded")
+
+
+def _solve_three_term(
+    sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, x_left: float
+) -> np.ndarray:
+    """x_0..x_{m-1} from sub_r x_{r-1} + diag_r x_r + sup_r x_{r+1} = 0.
+
+    Rows r = 0..m-1 with x_{-1} = x_left given and x_m = 0, so sup[m-1]
+    is never used; solved as a pivoted banded system.
+    """
+    m = diag.size
+    ab = np.zeros((3, m))  # (1,1) banded storage
+    ab[0, 1:] = sup[:-1]
+    ab[1] = diag
+    ab[2, :-1] = sub[1:]
+    rhs = np.zeros(m)
+    rhs[0] = -sub[0] * x_left
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
 
 
 def _solve_moran_banded(params: MoranParams) -> np.ndarray:
-    """Tails a_1..a_{N-1} from the same equations as a tridiagonal solve."""
+    """Tails a_0..a_{N-1} of the Moran chain from its tridiagonal system.
+
+    Unknowns a_1..a_{N-1}: the recursion C a_{n-2} - B a_{n-1} + A a_n = 0
+    at n = 2..N-1, then the boundary row (1+u+s/N) a_{N-1} - (s/N) a_{N-2} = 0.
+    """
     N = params.N
-    n_unknown = N - 1
-    ab = np.zeros((3, n_unknown))  # (1,1) banded storage, unknowns a_1..a_{N-1}
-    rhs = np.zeros(n_unknown)
-    # rows 0..N-3: recursion at n = r+2, written C a_{n-2} - B a_{n-1} + A a_n = 0
-    for r in range(N - 2):
-        n = r + 2
-        A, B, C = _moran_coeffs(params, n)
-        if r - 1 >= 0:
-            ab[2, r - 1] = C
-        else:
-            rhs[r] = -C  # a_0 = 1 moved to the right-hand side
-        ab[1, r] = -B
-        ab[0, r + 1] = A
-    # boundary row r = N-2: (1+u+s/N) a_{N-1} - (s/N) a_{N-2} = 0
-    r = N - 2
-    bc = 1.0 + params.u + params.s / N
-    if r - 1 >= 0:
-        ab[2, r - 1] = -params.s / N
-    else:
-        rhs[r] = params.s / N  # N = 2 has a_0 = 1 on the rhs
-    ab[1, r] = bc
-    a_unknown = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    return np.concatenate([[1.0], a_unknown])
+    A, B, C = _moran_coeffs(params, np.arange(2, N + 1))
+    diag = -B
+    # the last row (n = N) is the boundary equation, not the recursion
+    sN = params.s / N
+    C[-1] = -sN
+    diag[-1] = 1.0 + params.u + sN
+    return np.concatenate([[1.0], _solve_three_term(C, diag, A, 1.0)])
 
 
 def moran_rate_matrix(params: MoranParams) -> np.ndarray:
@@ -285,25 +244,62 @@ def solve_moran_nullspace(params: MoranParams) -> StationaryPmf:
 # ----------------------------------------------------------------------
 
 
-def _solve_prlm(measure: LambdaMeasure, params: ModelParams, K: int) -> np.ndarray:
+def _solve_prlm(
+    measure: LambdaMeasure, params: ModelParams, K: int
+) -> tuple[np.ndarray, float]:
     """Backward substitution for the truncated pmf system with p_{K+1..} = 0.
 
     All recursion coefficients are nonnegative, so the sweep is
-    subtraction-free and the result positive by construction.
+    subtraction-free and the result positive by construction.  Returns
+    the normalised pmf and the largest equation residual
+    |rhs_n - sigma p_{n-1}| met in the sweep, in the same scale.
     """
     sigma = params.sigma
     th0, th1 = params.theta0, params.theta1
     m0, m1 = measure.m0, measure.m1
     p = np.zeros(K)
     p[K - 1] = 1.0
+    res = 0.0
     for n in range(K - 1, 0, -1):
         row = cnk_row(measure, n, K) + (m1 / n + th0)
         val = (m0 * (n + 1) / 2.0 + th1) * p[n] + float(np.dot(row, p[n:]))
         p[n - 1] = val / sigma
+        res = max(res, abs(val - sigma * p[n - 1]))
         if p[n - 1] > 1e250:
             # only ratios matter; rescale the computed block to avoid overflow
-            p[n - 1 :] /= p[n - 1]
-    return p / p.sum()
+            scale = p[n - 1]
+            p[n - 1 :] /= scale
+            res /= scale
+    total = p.sum()
+    return p / total, res / total
+
+
+def _double_until_stable(
+    solve: Callable[[int], tuple],
+    K: int,
+    tol: float,
+    K_cap: int,
+    head: Callable[[int], int],
+) -> tuple[tuple, int, float]:
+    """Solve at K, 2K, 4K, ... until the head of the solution settles.
+
+    solve(K) returns a tuple whose first item is the solution vector; the
+    first head(K) entries of the solution at K are compared with those at
+    2K.  Returns (result, K, delta) for the first doubling that moves the
+    head by delta < tol in sup norm; raises NoConvergence once K would
+    pass K_cap.
+    """
+    prev = solve(K)
+    while True:
+        h = head(K)
+        K *= 2
+        if K > K_cap:
+            raise NoConvergence(f"truncation cap {K_cap} reached without stabilising")
+        cur = solve(K)
+        delta = float(np.max(np.abs(cur[0][:h] - prev[0][:h])))
+        if delta < tol:
+            return cur, K, delta
+        prev = cur
 
 
 def solve_lambda_truncated(
@@ -332,26 +328,9 @@ def solve_lambda_truncated(
                 "the truncated solution may not converge",
                 stacklevel=2,
             )
-    prev = None
-    while True:
-        p = _solve_prlm(measure, params, K)
-        if prev is not None:
-            delta = float(np.max(np.abs(p[: prev.size] - prev)))
-            if delta < tol:
-                break
-        prev = p
-        K *= 2
-        if K > K_cap:
-            raise NoConvergence(f"truncation cap {K_cap} reached without stabilising")
-
-    # residual of the returned solution in the truncated equations
-    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
-    m0, m1 = measure.m0, measure.m1
-    res = 0.0
-    for n in range(1, K):
-        row = cnk_row(measure, n, K) + (m1 / n + th0)
-        lhs = (m0 * (n + 1) / 2.0 + th1) * p[n] + float(np.dot(row, p[n:]))
-        res = max(res, abs(lhs - sigma * p[n - 1]))
+    (p, res), K, delta = _double_until_stable(
+        lambda k: _solve_prlm(measure, params, k), K, tol, K_cap, head=lambda k: k
+    )
     res = max(res, abs(p.sum() - 1.0), delta)
     p = _clip_negative(p, "lambda-truncated")
     return StationaryPmf(p, K, res, "lambda-truncated", extras={"closure_delta": delta})
@@ -436,20 +415,10 @@ def solve_star(
 def _solve_star_banded(params: ModelParams, m1: float, K: int) -> np.ndarray:
     """Tails a_0..a_K from the two-sided tridiagonal system with a_K = 0."""
     sigma, th1, theta = params.sigma, params.theta1, params.theta
-    n_unknown = K - 1  # a_1..a_{K-1}
-    ab = np.zeros((3, n_unknown))
-    rhs = np.zeros(n_unknown)
-    for r in range(n_unknown):
-        n = r + 1
-        ab[1, r] = -(m1 / n + theta + sigma)
-        if r - 1 >= 0:
-            ab[2, r - 1] = sigma
-        else:
-            rhs[r] = -sigma  # sigma * a_0 moved right
-        if r + 1 < n_unknown:
-            ab[0, r + 1] = th1
-        # a_{K} = 0 closes the last row
-    a_unknown = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    n = np.arange(1, K, dtype=float)  # rows for the unknowns a_1..a_{K-1}
+    a_unknown = _solve_three_term(
+        np.full(K - 1, sigma), -(m1 / n + theta + sigma), np.full(K - 1, th1), 1.0
+    )
     return np.concatenate([[1.0], a_unknown, [0.0]])
 
 

@@ -148,7 +148,12 @@ class _RateTables(dict):
         targets, cum, total = self.table_for(state)
         if total > RATE_CAP:
             raise RateOverflow(f"exit rate {total:.3e} from state {state} exceeds cap")
-        entry = (targets.tolist(), cum.tolist(), total)
+        cum = cum.tolist()
+        if cum:
+            # total is a pairwise sum and may exceed the sequential cumsum;
+            # then u * total with u close to 1 would pass the last target
+            cum[-1] = max(cum[-1], total)
+        entry = (targets.tolist(), cum, total)
         if len(self) < STATE_CACHE_CAP:
             self[state] = entry
         return entry

@@ -296,13 +296,13 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     mid = 0.5 * (a + b)
     x = mid + half * _XGK
     fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
+    if fx.ndim > 2 or fx.shape[-1:] != x.shape:
         raise QuadratureFailure("integrand must be vectorized over a 1-d grid")
     if not np.all(np.isfinite(fx)):
         raise QuadratureFailure(f"integrand not finite on [{a}, {b}]")
-    k15 = half * float(np.dot(_WGK, fx))
-    g7 = half * float(np.dot(_WG, fx[1::2]))
-    return k15, abs(k15 - g7)
+    k15 = half * np.dot(fx, _WGK)
+    g7 = half * np.dot(fx[..., 1::2], _WG)
+    return k15, float(np.max(np.abs(k15 - g7)))
 
 
 def adaptive_quad(
@@ -311,13 +311,18 @@ def adaptive_quad(
     b: float,
     tol: float = 1e-12,
     max_panels: int = 4096,
-) -> float:
+) -> float | np.ndarray:
     """Integrate a vectorized integrand on [a, b] to absolute tolerance tol.
 
     Gauss-Kronrod 15-point panels, globally adaptive: the panel with the
     largest error estimate is bisected until the summed error estimate
-    drops below tol.  Raises QuadratureFailure if max_panels is reached
-    first.
+    drops below tol (or below 50 eps times the largest component).
+    Raises QuadratureFailure if max_panels is reached first.
+
+    f maps a grid of shape (n,) to values of shape (n,), or to shape
+    (m, n) for m integrands refined on shared panels; a panel's error
+    estimate is then the largest over the components and an array of
+    m integrals is returned.
     """
     if a == b:
         return 0.0
@@ -333,7 +338,7 @@ def adaptive_quad(
     total_val = val
     total_err = err
     n_panels = 1
-    while total_err > tol and total_err > 50.0 * _EPS * abs(total_val):
+    while total_err > tol and total_err > 50.0 * _EPS * np.max(np.abs(total_val)):
         if n_panels >= max_panels:
             raise QuadratureFailure(
                 f"quadrature error {total_err:.3e} > tol {tol:.3e} "
@@ -348,12 +353,15 @@ def adaptive_quad(
             continue
         v1, e1 = _gk15(f, lo, mid)
         v2, e2 = _gk15(f, mid, hi)
-        total_val += v1 + v2 - old_val
+        total_val = total_val + (v1 + v2 - old_val)  # not +=: val is also in the heap
         total_err += e1 + e2 + neg_err
         heapq.heappush(heap, (-e1, lo, mid, v1))
         heapq.heappush(heap, (-e2, mid, hi, v2))
         n_panels += 1
-    return sign * math.fsum(item[3] for item in heap)
+    vals = np.array([item[3] for item in heap])
+    if vals.ndim == 1:
+        return sign * math.fsum(vals)
+    return sign * np.array([math.fsum(col) for col in vals.T])
 
 
 def quad_power_endpoints(
@@ -376,10 +384,7 @@ def quad_power_endpoints(
         return 0.0
     mid = 0.5 * (a + b)
 
-    def left_plain(x):
-        return np.power(x - a, alpha) * np.power(b - x, beta) * f(x)
-
-    def right_plain(x):
+    def plain(x):
         return np.power(x - a, alpha) * np.power(b - x, beta) * f(x)
 
     # left piece
@@ -392,7 +397,7 @@ def quad_power_endpoints(
 
         left = adaptive_quad(left_sub, 0.0, (mid - a) ** p, tol=0.5 * tol)
     else:
-        left = adaptive_quad(left_plain, a, mid, tol=0.5 * tol)
+        left = adaptive_quad(plain, a, mid, tol=0.5 * tol)
     # right piece
     if -1.0 < beta < 0.0:
         q = 1.0 + beta
@@ -403,7 +408,7 @@ def quad_power_endpoints(
 
         right = adaptive_quad(right_sub, 0.0, (b - mid) ** q, tol=0.5 * tol)
     else:
-        right = adaptive_quad(right_plain, mid, b, tol=0.5 * tol)
+        right = adaptive_quad(plain, mid, b, tol=0.5 * tol)
     return left + right
 
 

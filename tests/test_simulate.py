@@ -1,5 +1,6 @@
 """Simulators: determinism, exact rates, occupancy, absorption frequencies."""
 
+import bisect
 import math
 
 import numpy as np
@@ -382,3 +383,16 @@ def test_csv_writers_match_per_row_format(tmp_path):
     assert (tmp_path / "path.csv").read_text() == "state,holding_time\n" + rows
     rows = "".join(f"{s},{float(occ.weights[s])!r}\n" for s in sorted(occ.weights))
     assert (tmp_path / "occ.csv").read_text() == "state,weight\n" + rows
+
+
+def test_jump_with_u_near_one_picks_last_target():
+    # the pairwise total exceeds the sequential cumsum by 1.4e-14 here, so
+    # u = 1 - 2^-53 would land past the last cumulative rate
+    prm = ModelParams(1.0, 0.5, 0.5)
+    uniform = LambdaMeasure.uniform()
+    _, cum_raw, total_raw = lambda_L_rates(uniform, prm, 32)
+    assert total_raw > cum_raw[-1]
+    targets, cum, total = sim._RateTables(lambda k: lambda_L_rates(uniform, prm, k))[32]
+    u = 1.0 - 2.0**-53
+    assert targets[bisect.bisect_right(cum, u * total)] == targets[-1]
+    assert total == total_raw and cum[:-1] == cum_raw[:-1].tolist()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockstat import specfun as sf
-from blockstat.errors import DomainError, PoleError
+from blockstat.errors import DomainError, PoleError, QuadratureFailure
 
 
 def test_rising_factorial_examples():
@@ -168,3 +168,72 @@ def test_quadrature_endpoint_singularities():
     # int_0^1 x^(-1/2) (1-x)^(-1/2) dx = pi
     val = sf.quad_power_endpoints(lambda x: np.ones_like(x), 0, 1, -0.5, -0.5)
     assert val == pytest.approx(math.pi, abs=1e-12)
+
+
+def _adaptive_quad_scalar_reference(f, a, b, tol=1e-12, max_panels=4096):
+    """Reference: the scalar-only Gauss-Kronrod heap loop."""
+    import heapq
+
+    def gk15(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        fx = np.asarray(f(mid + half * sf._XGK), dtype=float)
+        k15 = half * float(np.dot(sf._WGK, fx))
+        return k15, abs(k15 - half * float(np.dot(sf._WG, fx[1::2])))
+
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    val, err = gk15(a, b)
+    heap = [(-err, a, b, val)]
+    total_val, total_err, n_panels = val, err, 1
+    while total_err > tol and total_err > 50.0 * sf._EPS * abs(total_val):
+        assert n_panels < max_panels
+        neg_err, lo, hi, old_val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            total_err += neg_err
+            heapq.heappush(heap, (0.0, lo, hi, old_val))
+            continue
+        v1, e1 = gk15(lo, mid)
+        v2, e2 = gk15(mid, hi)
+        total_val += v1 + v2 - old_val
+        total_err += e1 + e2 + neg_err
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        n_panels += 1
+    return sign * math.fsum(item[3] for item in heap)
+
+
+_QUAD_CASES = [
+    (lambda x: np.sin(3 * x), 0.0, 1.0, 1e-12),
+    (lambda x: np.exp(-x * x), 2.0, -1.0, 1e-14),
+    (lambda x: np.sqrt(np.abs(x)), -1.0, 2.0, 1e-10),
+    (lambda x: 1.0 / (1e-3 + x * x), 0.0, 1.0, 1e-12),
+    (lambda x: np.log1p(x * x) * np.cos(40 * x), 0.0, 0.3, 1e-15),
+]
+
+
+@pytest.mark.parametrize("f, a, b, tol", _QUAD_CASES)
+def test_scalar_quadrature_matches_reference_loop(f, a, b, tol):
+    assert sf.adaptive_quad(f, a, b, tol=tol) == _adaptive_quad_scalar_reference(f, a, b, tol)
+
+
+def test_vector_quadrature_matches_stacked_scalars():
+    fs = [case[0] for case in _QUAD_CASES]
+    for a, b, tol in [(0.0, 1.0, 1e-12), (1.0, -0.5, 1e-13)]:
+        got = sf.adaptive_quad(lambda x: np.stack([f(x) for f in fs]), a, b, tol=tol)
+        assert got.shape == (len(fs),)
+        for f, g in zip(fs, got):
+            assert g == pytest.approx(sf.adaptive_quad(f, a, b, tol=tol), abs=tol)
+
+
+def test_vector_quadrature_raises_at_panel_cap():
+    def f(x):
+        return np.stack([np.ones_like(x), np.abs(x - 1.0 / 3.0) ** -0.5])
+
+    with pytest.raises(QuadratureFailure, match="after 16 panels"):
+        sf.adaptive_quad(f, 0.0, 1.0, tol=1e-14, max_panels=16)
+    with pytest.raises(QuadratureFailure, match="after 16 panels"):
+        sf.adaptive_quad(lambda x: f(x)[1], 0.0, 1.0, tol=1e-14, max_panels=16)
+    with pytest.raises(QuadratureFailure):
+        sf.adaptive_quad(lambda x: np.ones((2, 3)), 0.0, 1.0)
