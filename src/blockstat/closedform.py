@@ -42,31 +42,6 @@ from .specfun import (
 )
 
 
-def _pair_quad_right_singular(
-    f2: Callable[[np.ndarray], np.ndarray], beta: float, tol: float = 1e-15
-) -> np.ndarray:
-    """Shared-panel integral of (1-y)^beta f2(y) over (0,1), beta in (-1,0].
-
-    Refining both components on identical panels makes their quadrature
-    errors strongly correlated, which is what the ill-conditioned ratio
-    I1/I0 of the closed-form pmfs needs.
-    """
-    def g(y):
-        return f2(y) * np.power(1.0 - y, beta)
-
-    if beta >= 0.0:
-        return adaptive_quad(g, 0.0, 1.0, tol=tol)
-    q = 1.0 + beta
-
-    def right(u):
-        y = 1.0 - np.power(u, 1.0 / q)
-        return f2(y) / q
-
-    return adaptive_quad(g, 0.0, 0.5, tol=0.5 * tol) + adaptive_quad(
-        right, 0.0, 0.5**q, tol=0.5 * tol
-    )
-
-
 @dataclass
 class PgfEvaluator:
     """Probability generating function of a stationary block-count law.
@@ -96,52 +71,94 @@ class PgfEvaluator:
 
 
 # ----------------------------------------------------------------------
-# Moran model
+# Moran and Kingman models: one two-weight closed form
 # ----------------------------------------------------------------------
+#
+# Both laws come from the weights w_i(y) = y^(alpha+i) (1-y)^(beta-1) k(y)
+# on (0, 1) and their integrals I_i:
+#   p_1 = c I_1 / ((alpha+1)(I_0-I_1)),
+#   p_n = c / (I_0-I_1) * (I_1 q_{n,1}/(alpha+1) - I_0 q_{n,2}/(alpha+2)),
+#   G(z) = c / (I_0-I_1) * K(z) z^(-alpha) (1-z)^(-beta)
+#          * int_0^z (I_1 - I_0 y) w_0(y) dy,
+#   q_{n,i} = sum_{m=0}^{n-i} r_m 3F2(m+1, 1-beta, m-n+i; alpha+m+i+1, 1; x),
+#   r_0 = 1, r_{m+1} = r_m rho(i, m) / (alpha+i+1+m).
+# Moran: alpha = N u1, beta = N rho0, c = N u0, k(y) = (1+sy)^(-A-1),
+# K(z) = (1+sz)^A, x = 1+s, rho = (N-i+1-m) s, with rho0 = u0/(1+s) and
+# A = (1+u1+rho0) N.  Kingman, Moran's diffusion limit: alpha = theta1',
+# beta = c = theta0', k(y) = exp(-sigma' y), K(z) = exp(sigma' z), x = 1,
+# rho = sigma'.
 
 
-def _moran_weight_integrals(params: MoranParams) -> tuple[float, float, float]:
-    """Scaled integrals (I0_hat, I1_hat, log_scale) of the Moran pgf family.
+@dataclass(frozen=True)
+class _TwoWeightForm:
+    """The data a model passes to the shared two-weight closed form."""
 
-    I_i = int_0^1 y^(N u1 + i) (1-y)^(N rho0 - 1) (y + 1/s)^(-A-1) dy with
-    A = (1 + u1 + rho0) N, computed as exp(log_scale) * I_hat so only the
-    scale-free ratios are ever used.
+    alpha: float
+    beta: float
+    c: float
+    log_k: Callable[[np.ndarray], np.ndarray]
+    log_K: Callable[[float], float]
+    arg: float
+    q_step: Callable[[int, int], float]  # rho(i, m)
+    tail_solve: Callable[[], np.ndarray]  # stable pmf past formula_valid_to
+
+
+def _scaled_weight(form: _TwoWeightForm) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """(w, scale) with w(y) = w_0(y) exp(-scale).
+
+    scale is the peak of the log-integrand, so an absolute quadrature
+    tolerance on w acts as a relative one; only scale-free ratios of its
+    integrals are used.  A factor (1-y)^(beta-1) with beta > 1 is folded
+    into w; a singular one (beta < 1) is left to the caller.
     """
-    N, s, u0, u1 = params.N, params.s, params.u0, params.u1
-    rho0 = u0 / (1.0 + s)
-    A = (1.0 + u1 + rho0) * N
-    beta_exp = N * rho0 - 1.0
-
-    def log_w(y, i):
-        # (y + 1/s)^(-A-1) = s^(A+1) (1 + s y)^(-A-1): the constant goes into
-        # the returned scale, so no term of size A log(1/s) cancels the scale
-        return (N * u1 + i) * np.log(y) - (A + 1.0) * np.log1p(s * y)
-
-    # scale against the full log-integrand so the absolute quadrature
-    # tolerance is effectively relative to the true peak
+    beta_exp = form.beta - 1.0
     grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    full = log_w(grid, 0) + max(beta_exp, 0.0) * np.log1p(-grid)
+    full = form.alpha * np.log(grid) + form.log_k(grid) + max(beta_exp, 0.0) * np.log1p(-grid)
     scale = float(np.max(full))
 
-    beta_split = beta_exp if beta_exp < 0.0 else 0.0
-
-    def f_pair(y):
-        # the de-singularised integrand is regular at y = 1, so only y = 0
-        # is masked; a folded positive beta exponent sends the y = 1 value
-        # to exp(-inf) = 0, which is the correct limit
-        out = np.zeros((2, y.size))
+    def w(y):
+        # only y = 0 is masked; at y = 1 a folded exponent gives
+        # exp(-inf) = 0, which is the correct limit
+        out = np.zeros_like(y)
         pos = y > 0
         with np.errstate(divide="ignore"):
-            lw = log_w(y[pos], 0) - scale
+            lw = form.alpha * np.log(y[pos]) + form.log_k(y[pos]) - scale
             if beta_exp > 0.0:
                 lw = lw + beta_exp * np.log1p(-y[pos])
-        base = np.exp(lw)
-        out[0, pos] = base
-        out[1, pos] = base * y[pos]
+        out[pos] = np.exp(lw)
         return out
 
-    i0, i1 = _pair_quad_right_singular(f_pair, beta_split)
-    return float(i0), float(i1), scale + (A + 1.0) * math.log(s)
+    return w, scale
+
+
+def _weight_integrals(
+    w: Callable[[np.ndarray], np.ndarray], beta_split: float
+) -> tuple[float, float]:
+    """Integrals of (1-y)^beta_split w(y) (1, y) over (0, 1), beta_split in (-1, 0].
+
+    Refining both components on identical panels makes their quadrature
+    errors strongly correlated, which is what the ill-conditioned ratio
+    I_1/I_0 needs.  The singularity at y = 1 is removed on (1/2, 1) by
+    the substitution u = (1-y)^(1+beta_split).
+    """
+    tol = 1e-15
+
+    def pair(y):
+        base = w(y)
+        return np.stack([base, base * y])
+
+    if beta_split == 0.0:
+        i0, i1 = adaptive_quad(pair, 0.0, 1.0, tol=tol)
+    else:
+        q = 1.0 + beta_split
+
+        def right(u):
+            return pair(1.0 - np.power(u, 1.0 / q)) / q
+
+        i0, i1 = adaptive_quad(
+            lambda y: pair(y) * np.power(1.0 - y, beta_split), 0.0, 0.5, tol=0.5 * tol
+        ) + adaptive_quad(right, 0.0, 0.5**q, tol=0.5 * tol)
+    return float(i0), float(i1)
 
 
 def _f32_terminating(a1: float, b_top: float, a3: int, b_bot: float, z: float):
@@ -158,34 +175,155 @@ def _f32_terminating(a1: float, b_top: float, a3: int, b_bot: float, z: float):
     return math.fsum(terms), math.fsum(map(abs, terms))
 
 
-def _moran_q(params: MoranParams, n: int, i: int) -> tuple[float, float]:
-    """Coefficient q_{n,i} of the Moran pmf expansion and its gross sum."""
-    if n == 1:
-        return (1.0, 1.0) if i == 1 else (0.0, 0.0)
-    N, s, u1 = params.N, params.s, params.u1
-    rho0 = params.u0 / (1.0 + s)
+def _q(form: _TwoWeightForm, n: int, i: int) -> tuple[float, float]:
+    """Coefficient q_{n,i} of the pmf expansion and its gross term sum."""
     terms = []
     gross = []
-    pref = 1.0  # (-N+i-1)_m^up / (Nu1+i+1)_m^up * (-s)^m
+    r = 1.0
     for m in range(n - i + 1):
         val, big = _f32_terminating(
-            m + 1.0, 1.0 - N * rho0, m - n + i, N * u1 + m + i + 1.0, 1.0 + s
+            m + 1.0, 1.0 - form.beta, m - n + i, form.alpha + m + i + 1.0, form.arg
         )
-        terms.append(pref * val)
-        gross.append(abs(pref) * big)
-        pref *= (-N + i - 1 + m) * (-s) / (N * u1 + i + 1 + m)
+        terms.append(r * val)
+        gross.append(abs(r) * big)
+        r *= form.q_step(i, m) / (form.alpha + i + 1 + m)
     return math.fsum(terms), math.fsum(gross)
 
 
-# The alternating combination I1 q_{n,1}/(Nu1+1) - I0 q_{n,2}/(Nu1+2) is
+# The alternating combination I1 q_{n,1}/(alpha+1) - I0 q_{n,2}/(alpha+2) is
 # exponentially ill-conditioned in n: the true pmf is the recessive part of
 # the expansion, so its tail demands relative accuracy ~ p_n / q_n of every
 # factor, including the weight integrals.  The formula is therefore used
 # with a running error estimate (effective relative error ~3e-16 of the
-# term scale) and handed over to the stable banded tail solve beyond its
+# term scale) and handed over to the model's stable tail solve beyond its
 # trustworthy range.
 _Q_EFF_EPS = 1e-15
 _Q_ERR_CAP = 1e-10
+
+
+def _two_weight_closed(
+    form: _TwoWeightForm, n_max: int, tag: str, pgf_tag: str, pgf_params: dict
+) -> tuple[StationaryPmf, PgfEvaluator]:
+    """Head p_1..p_{n_max} and pgf of a two-weight closed form."""
+    w, scale = _scaled_weight(form)
+    beta_split = min(form.beta - 1.0, 0.0)
+    i0, i1 = _weight_integrals(w, beta_split)
+    if i0 <= i1:
+        raise QuadratureFailure(f"{tag}: weight integrals came out non-monotone")
+    a1, a2 = form.alpha + 1.0, form.alpha + 2.0
+    p1 = form.c * i1 / (a1 * (i0 - i1))
+    pref = form.c / (i0 - i1)
+
+    probs = np.empty(n_max)
+    probs[0] = p1
+    valid_to = n_max
+    for n in range(2, n_max + 1):
+        q1, g1 = _q(form, n, 1)
+        q2, g2 = _q(form, n, 2)
+        if (i1 * g1 / a1 + i0 * g2 / a2) * pref * _Q_EFF_EPS > _Q_ERR_CAP:
+            valid_to = n - 1
+            probs[n - 1 :] = form.tail_solve()[n - 1 : n_max]
+            break
+        probs[n - 1] = pref * (i1 * q1 / a1 - i0 * q2 / a2)
+    worst = float(probs.min(initial=0.0))
+    if worst < -1e-9:
+        raise NegativeMass(f"{tag}: closed-form probability {worst}")
+    tail = 1.0 - float(probs.sum())
+    pmf = StationaryPmf(
+        np.where(probs < 0.0, 0.0, probs), n_max, abs(min(tail, 0.0)), tag,
+        tail_mass=max(tail, 0.0), extras={"formula_valid_to": valid_to},
+    )
+
+    ratio = i1 / i0
+    pgf_pref = form.c * i0 / (i0 - i1)
+
+    def evaluate(z: float) -> float:
+        if z <= 0.0:
+            return 0.0
+        if z >= 1.0:
+            return 1.0
+        if z <= 0.6:
+            def f(y):
+                base = (ratio - y) * w(y)
+                if beta_split < 0.0:
+                    base = base * np.power(1.0 - y, beta_split)
+                return base
+
+            j = adaptive_quad(f, 0.0, z, tol=1e-13)
+        else:
+            # int_0^1 (ratio - y) w = 0, so the tail integral is used
+            def f(y):
+                return (y - ratio) * w(y)
+
+            j = quad_power_endpoints(f, z, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
+        log_pref = form.log_K(z) - form.alpha * math.log(z) - form.beta * math.log1p(-z) + scale
+        return pgf_pref * j * math.exp(log_pref)
+
+    return pmf, PgfEvaluator(pgf_tag, pgf_params, evaluate, p1)
+
+
+def _product_form(
+    next_term: Callable[[float, int], float],
+    n_terms: float,
+    drop: float,
+    series: Callable[[float], float],
+    n_max: int,
+    tag: str,
+    pgf_tag: str,
+    pgf_params: dict,
+) -> tuple[StationaryPmf, PgfEvaluator]:
+    """Law p_n = t_n / sum_k t_k with t_1 = 1 and pgf z series(z) / series(1).
+
+    next_term(t, n) gives t_n from t_{n-1}.  Terms are generated up to
+    n_terms, or, from the eighth on, until one falls below drop times
+    the running sum (drop = 0 keeps every term of a terminating series).
+    The first n_max are kept and the rest is reported as tail_mass; the
+    residual is the distance of the summed terms from series(1).
+    """
+    t = [1.0]
+    total = 1.0
+    while len(t) < n_terms and total < math.inf and (len(t) < 8 or drop * total <= t[-1]):
+        t.append(next_term(t[-1], len(t) + 1))
+        total += t[-1]
+    if not total < math.inf:
+        raise DomainError(f"{tag}: the product-form series overflows")
+    norm = math.fsum(t)
+    probs = np.array(t) / norm
+    denom = series(1.0)
+
+    def evaluate(z: float) -> float:
+        if z == 0.0:
+            return 0.0
+        return z * series(z) / denom
+
+    pmf = StationaryPmf(
+        probs[:n_max], min(n_max, probs.size), abs(norm - denom) / denom, tag,
+        tail_mass=float(probs[n_max:].sum()),
+    )
+    return pmf, PgfEvaluator(pgf_tag, pgf_params, evaluate, float(probs[0]))
+
+
+def _factorial_moments(
+    pmf: StationaryPmf,
+    n_max: int,
+    mean: float,
+    next_moment: Callable[[int, float, float], float],
+) -> np.ndarray:
+    """E[(L)_n^down] for n = 0..n_max from a three-term moment recursion.
+
+    next_moment(n, E[(L)_n^down], E[(L-1)_n^down]) gives E[(L)_{n+1}^down];
+    the shifted moment is read off the pmf.
+    """
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = mean
+    j = np.arange(1, pmf.truncation_K + 1, dtype=float)
+    shifted = np.ones_like(j)  # (j-1)_n^down
+    for n in range(1, n_max):
+        shifted *= j - n
+        out[n + 1] = next_moment(n, out[n], float(np.dot(shifted, pmf.probs)))
+    return out
 
 
 def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[StationaryPmf, PgfEvaluator]:
@@ -196,113 +334,33 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     (useful for large N, where only the head carries mass).
     """
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
-    u = params.u
     n_max = N if n_max is None else min(n_max, N)
+    pgf_head = ("moran", {"N": N, "s": s, "u0": u0, "u1": u1})
 
     if u0 == 0.0:
-        t = np.empty(N)
-        t[0] = 1.0
-        for n in range(2, N + 1):
-            t[n - 1] = t[n - 2] * (N - n + 1) * s / (N * u + n)
-        norm = math.fsum(t)
-        probs = t / norm
-        denom = gauss_2f1(1.0, 1.0 - N, N * u + 2.0, -s).value
-
-        def evaluate(z: float) -> float:
-            if z == 0.0:
-                return 0.0
-            return z * gauss_2f1(1.0, 1.0 - N, N * u + 2.0, -s * z).value / denom
-
-        pmf = StationaryPmf(probs[:n_max], n_max, abs(norm - denom) / denom,
-                            "moran-closed-u0zero", tail_mass=float(probs[n_max:].sum()))
-        pgf = PgfEvaluator("moran", _moran_params_dict(params), evaluate, float(probs[0]))
-        return pmf, pgf
-
-    i0, i1, scale = _moran_weight_integrals(params)
-    if i0 <= i1:
-        raise QuadratureFailure("Moran weight integrals came out non-monotone")
-    p1 = N * u0 * i1 / ((N * u1 + 1.0) * (i0 - i1))
-    pref = N * u0 / (i0 - i1)
-
-    probs = np.empty(n_max)
-    probs[0] = p1
-    fill_from = None
-    for n in range(2, n_max + 1):
-        q1, g1 = _moran_q(params, n, 1)
-        q2, g2 = _moran_q(params, n, 2)
-        t1 = i1 * q1 / (N * u1 + 1.0)
-        t2 = i0 * q2 / (N * u1 + 2.0)
-        gross = (i1 * g1 / (N * u1 + 1.0) + i0 * g2 / (N * u1 + 2.0)) * pref
-        err = gross * _Q_EFF_EPS
-        if err > _Q_ERR_CAP:
-            fill_from = n
-            break
-        probs[n - 1] = pref * (t1 - t2)
-    if fill_from is not None:
-        a = _solve_moran_banded(params)
-        p_fill = np.empty(N)
-        p_fill[: N - 1] = a[: N - 1] - a[1:]
-        p_fill[N - 1] = a[N - 1]
-        probs[fill_from - 1 :] = p_fill[fill_from - 1 : n_max]
-    tail = 1.0 - float(probs.sum())
-    pmf = StationaryPmf(
-        _renorm_head(probs, "moran-closed"), n_max, abs(min(tail, 0.0)),
-        "moran-closed", tail_mass=max(tail, 0.0),
-        extras={"formula_valid_to": (fill_from - 1) if fill_from else n_max},
-    )
+        u = params.u
+        return _product_form(
+            lambda t, n: t * (N - n + 1) * s / (N * u + n), N, 0.0,
+            lambda z: gauss_2f1(1.0, 1.0 - N, N * u + 2.0, -s * z).value,
+            n_max, "moran-closed-u0zero", *pgf_head,
+        )
 
     rho0 = u0 / (1.0 + s)
     A = (1.0 + u1 + rho0) * N
-    inv_s = 1.0 / s
-    ratio = i1 / i0
-    pref_const = N * u0 * i0 / (s * (i0 - i1))
-    beta_exp = N * rho0 - 1.0
-    beta_split = beta_exp if beta_exp < 0.0 else 0.0
 
-    def weighted(y):
-        out = np.zeros_like(y)
-        pos = y > 0
-        with np.errstate(divide="ignore"):
-            lw = N * u1 * np.log(y[pos]) - (A + 1.0) * np.log(y[pos] + inv_s) - scale
-            if beta_exp > 0.0:
-                lw = lw + beta_exp * np.log1p(-y[pos])
-        out[pos] = np.exp(lw)
-        return out
+    def tail_solve():
+        a = _solve_moran_banded(params)
+        return np.append(a[:-1] - a[1:], a[-1])
 
-    def evaluate(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z >= 1.0:
-            return 1.0
-        if z <= 0.6:
-            def f(y):
-                base = (ratio - y) * weighted(y)
-                if beta_split < 0.0:
-                    base = base * np.power(1.0 - y, beta_split)
-                return base
-
-            j = adaptive_quad(f, 0.0, z, tol=1e-13)
-        else:
-            def f(y):
-                return (y - ratio) * weighted(y)
-
-            j = quad_power_endpoints(f, z, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
-        logpref = A * math.log(z + inv_s) - N * u1 * math.log(z) - N * rho0 * math.log1p(-z) + scale
-        return pref_const * j * math.exp(logpref)
-
-    pgf = PgfEvaluator("moran", _moran_params_dict(params), evaluate, p1)
-    return pmf, pgf
-
-
-def _moran_params_dict(params: MoranParams) -> dict:
-    return {"N": params.N, "s": params.s, "u0": params.u0, "u1": params.u1}
-
-
-def _renorm_head(probs: np.ndarray, tag: str) -> np.ndarray:
-    worst = float(probs.min(initial=0.0))
-    if worst < -1e-9:
-        raise NegativeMass(f"{tag}: closed-form probability {worst}")
-    return np.where(probs < 0.0, 0.0, probs)
+    form = _TwoWeightForm(
+        alpha=N * u1, beta=N * rho0, c=N * u0,
+        log_k=lambda y: -(A + 1.0) * np.log1p(s * y),
+        log_K=lambda z: A * math.log1p(s * z),
+        arg=1.0 + s,
+        q_step=lambda i, m: (-N + i - 1 + m) * (-s),
+        tail_solve=tail_solve,
+    )
+    return _two_weight_closed(form, n_max, "moran-closed", *pgf_head)
 
 
 def moran_mean(params: MoranParams, p1: float | None = None) -> float:
@@ -328,25 +386,11 @@ def moran_factorial_moments(
     if pmf is None:
         pmf = moran_closed(params)[0]
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = moran_mean(params, p1=float(pmf.probs[0]))
-    j = np.arange(1, pmf.truncation_K + 1, dtype=float)
-    for n in range(1, n_max):
-        shifted = np.ones_like(j)
-        for i in range(n):
-            shifted *= j - 1.0 - i
-        e_shift = float(np.dot(shifted, pmf.probs))
-        out[n + 1] = (
-            (n + 1) * (N - n) * s * out[n] - N * (n + 1) * u1 * e_shift
-        ) / ((n + 1) * (1.0 + s) + N * u0)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Wright-Fisher (Kingman) model
-# ----------------------------------------------------------------------
+    return _factorial_moments(
+        pmf, n_max, moran_mean(params, p1=float(pmf.probs[0])),
+        lambda n, fm, shifted: ((n + 1) * (N - n) * s * fm - N * (n + 1) * u1 * shifted)
+        / ((n + 1) * (1.0 + s) + N * u0),
+    )
 
 
 def _wf_primed(m0: float, params: ModelParams) -> tuple[float, float, float]:
@@ -354,39 +398,6 @@ def _wf_primed(m0: float, params: ModelParams) -> tuple[float, float, float]:
     if m0 <= 0:
         raise PreconditionViolated("Kingman model needs m0 > 0")
     return 2 * params.sigma / m0, 2 * params.theta0 / m0, 2 * params.theta1 / m0
-
-
-def _wf_weight_integrals(sp: float, t0p: float, t1p: float) -> tuple[float, float]:
-    def f_pair(y):
-        out = np.zeros((2, y.size))
-        pos = y > 0
-        with np.errstate(divide="ignore"):
-            lw = t1p * np.log(y[pos]) - sp * y[pos]
-            if t0p - 1.0 > 0.0:
-                lw = lw + (t0p - 1.0) * np.log1p(-y[pos])
-        base = np.exp(lw)
-        out[0, pos] = base
-        out[1, pos] = base * y[pos]
-        return out
-
-    beta_split = t0p - 1.0 if t0p < 1.0 else 0.0
-    i0, i1 = _pair_quad_right_singular(f_pair, beta_split)
-    return float(i0), float(i1)
-
-
-def _wf_q(sp: float, t0p: float, t1p: float, n: int, i: int) -> tuple[float, float]:
-    """Kingman expansion coefficient q_{n,i} and its gross term sum."""
-    if n == 1:
-        return (1.0, 1.0) if i == 1 else (0.0, 0.0)
-    terms = []
-    gross = []
-    pref = 1.0  # sigma'^m / (theta1'+i+1)_m^up
-    for m in range(n - i + 1):
-        val, big = _f32_terminating(m + 1.0, 1.0 - t0p, m - n + i, t1p + m + i + 1.0, 1.0)
-        terms.append(pref * val)
-        gross.append(abs(pref) * big)
-        pref *= sp / (t1p + i + 1 + m)
-    return math.fsum(terms), math.fsum(gross)
 
 
 def wf_closed(
@@ -402,93 +413,28 @@ def wf_closed(
     if params.sigma <= 0:
         raise PreconditionViolated("wf_closed needs sigma > 0")
     sp, t0p, t1p = _wf_primed(m0, params)
-    tp = t0p + t1p
+    pgf_head = ("wf", {"m0": m0, **_params_dict(params)})
 
     if t0p == 0.0:
-        t = [1.0]
-        n = 1
-        while t[-1] > 1e-18 * sum(t) or n < 8:
-            t.append(t[-1] * sp / (tp + n + 1.0))
-            n += 1
-            if n >= n_max:
-                break
-        t = np.array(t)
-        probs = t / math.fsum(t)
-        denom = kummer_1f1(1.0, 2.0 + tp, sp).value
-
-        def evaluate(z: float) -> float:
-            if z == 0.0:
-                return 0.0
-            return z * kummer_1f1(1.0, 2.0 + tp, sp * z).value / denom
-
-        pmf = StationaryPmf(probs, probs.size, 0.0, "wf-closed-theta0zero")
-        pgf = PgfEvaluator(
-            "wf", {"m0": m0, **_params_dict(params)}, evaluate, float(probs[0])
+        tp = t0p + t1p
+        return _product_form(
+            # t_n / t_{n-1} = sigma' / (theta' + n)
+            lambda t, n: t * sp / (tp + (n - 1) + 1.0), math.inf, 1e-18,
+            lambda z: kummer_1f1(1.0, 2.0 + tp, sp * z).value,
+            n_max, "wf-closed-theta0zero", *pgf_head,
         )
-        return pmf, pgf
 
-    i0, i1 = _wf_weight_integrals(sp, t0p, t1p)
-    if i0 <= i1:
-        raise QuadratureFailure("Kingman weight integrals came out non-monotone")
-    p1 = t0p * i1 / ((t1p + 1.0) * (i0 - i1))
-    pref = t0p / (i0 - i1)
-    probs = np.empty(n_max)
-    probs[0] = p1
-    fill_from = None
-    for n in range(2, n_max + 1):
-        q1, g1 = _wf_q(sp, t0p, t1p, n, 1)
-        q2, g2 = _wf_q(sp, t0p, t1p, n, 2)
-        t1 = i1 * q1 / (t1p + 1.0)
-        t2 = i0 * q2 / (t1p + 2.0)
-        gross = (i1 * g1 / (t1p + 1.0) + i0 * g2 / (t1p + 2.0)) * pref
-        err = gross * _Q_EFF_EPS
-        if err > _Q_ERR_CAP:
-            fill_from = n
-            break
-        probs[n - 1] = pref * (t1 - t2)
-    if fill_from is not None:
-        p_fill, _ = _solve_prlm(LambdaMeasure.kingman(m0), params, max(2 * n_max, 128))
-        probs[fill_from - 1 :] = p_fill[fill_from - 1 : n_max]
-    tail = 1.0 - float(probs.sum())
-    pmf = StationaryPmf(
-        _renorm_head(probs, "wf-closed"), n_max, abs(min(tail, 0.0)),
-        "wf-closed", tail_mass=max(tail, 0.0),
-        extras={"formula_valid_to": (fill_from - 1) if fill_from else n_max},
+    form = _TwoWeightForm(
+        alpha=t1p, beta=t0p, c=t0p,
+        log_k=lambda y: -sp * y,
+        log_K=lambda z: sp * z,
+        arg=1.0,
+        q_step=lambda i, m: sp,
+        tail_solve=lambda: _solve_prlm(
+            LambdaMeasure.kingman(m0), params, max(2 * n_max, 128)
+        )[0],
     )
-
-    ratio = i1 / i0
-    pref_const = t0p * i0 / (i0 - i1)
-
-    def evaluate(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z >= 1.0:
-            return 1.0
-        if z <= 0.6:
-            def f(y):
-                out = np.zeros_like(y)
-                pos = y > 0
-                out[pos] = (
-                    (ratio - y[pos])
-                    * np.exp(t1p * np.log(y[pos]) - sp * y[pos])
-                    * np.power(1.0 - y[pos], t0p - 1.0)
-                )
-                return out
-
-            j = adaptive_quad(f, 0.0, z, tol=1e-13)
-        else:
-            def f(y):
-                out = np.zeros_like(y)
-                pos = y > 0
-                out[pos] = (y[pos] - ratio) * np.exp(t1p * np.log(y[pos]) - sp * y[pos])
-                return out
-
-            j = quad_power_endpoints(f, z, 1.0, alpha=0.0, beta=t0p - 1.0, tol=1e-13)
-        logpref = sp * z - t1p * math.log(z) - t0p * math.log1p(-z)
-        return pref_const * j * math.exp(logpref)
-
-    pgf = PgfEvaluator("wf", {"m0": m0, **_params_dict(params)}, evaluate, p1)
-    return pmf, pgf
+    return _two_weight_closed(form, n_max, "wf-closed", *pgf_head)
 
 
 def _params_dict(params: ModelParams) -> dict:
@@ -511,21 +457,12 @@ def wf_factorial_moments(
     """E[(L)_n^down] for n = 0..n_max via the Kingman moment recursion."""
     if pmf is None:
         pmf = wf_closed(m0, params)[0]
-    out = np.empty(n_max + 1)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = wf_mean(m0, params, p1=float(pmf.probs[0]))
-    j = np.arange(1, pmf.truncation_K + 1, dtype=float)
-    for n in range(1, n_max):
-        shifted = np.ones_like(j)
-        for i in range(n):
-            shifted *= j - 1.0 - i
-        e_shift = float(np.dot(shifted, pmf.probs))
-        out[n + 1] = (
-            2.0 * (n + 1) * params.sigma * out[n]
-            - 2.0 * (n + 1) * params.theta1 * e_shift
-        ) / ((n + 1) * m0 + 2.0 * params.theta0)
-    return out
+    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
+    return _factorial_moments(
+        pmf, n_max, wf_mean(m0, params, p1=float(pmf.probs[0])),
+        lambda n, fm, shifted: (2.0 * (n + 1) * sigma * fm - 2.0 * (n + 1) * th1 * shifted)
+        / ((n + 1) * m0 + 2.0 * th0),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -851,6 +788,88 @@ def cauchy_principal_value(
     return (e1 * vals[2] - e2 * vals[1]) / (e1 - e2)
 
 
+def _moran_residual(pgf, measure, prm: MoranParams, z):
+    N, s, u0, u1 = prm.N, prm.s, prm.u0, prm.u1
+    return (
+        z * (1.0 - z) * (1.0 + s * z) * pgf.d(z)
+        + N * (s * z * z - (s + prm.u) * z + u1) * pgf.evaluate(z)
+        - (1.0 + N * u1) * pgf.p1 * z * (1.0 - z)
+        + N * u0 * z * z
+    )
+
+
+def _wf_residual(pgf, measure, p: ModelParams, z):
+    m0 = measure.m0 if measure is not None else pgf.params["m0"]
+    return (
+        0.5 * m0 * z * (1.0 - z) * pgf.d(z)
+        + (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.evaluate(z)
+        - (0.5 * m0 + p.theta1) * pgf.p1 * z * (1.0 - z)
+        + p.theta0 * z * z
+    )
+
+
+def _star_residual(pgf, measure, p: ModelParams, z):
+    m1 = measure.m1 if measure is not None else pgf.params["m1"]
+
+    def h(u):
+        out = np.empty_like(u)
+        for i, ui in enumerate(u):
+            if ui < 1e-12:
+                out[i] = 1.0 - pgf.p1
+            else:
+                out[i] = (ui - pgf.evaluate(ui)) / (ui * (1.0 - ui))
+        return out
+
+    integral = adaptive_quad(h, 0.0, z, tol=1e-11)
+    return (
+        m1 * z * (1.0 - z) * integral
+        + (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.evaluate(z)
+        - p.theta1 * pgf.p1 * z * (1.0 - z)
+        + p.theta0 * z * z
+    )
+
+
+def _crow_kimura_residual(pgf, measure, p: ModelParams, z):
+    return (
+        (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.evaluate(z)
+        - p.theta1 * pgf.p1 * z * (1.0 - z)
+        + p.theta0 * z * z
+    )
+
+
+def _beta31_residual(pgf, measure, p: ModelParams, z):
+    r0 = p.theta1 * pgf.p1
+    r1 = -(3.0 + 2.0 * (p.sigma + p.theta)) * pgf.p1 + 2.0 * p.theta1 * pgf.p2
+    return (
+        (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.d(z)
+        + (2.0 * p.sigma * z - p.sigma - p.theta - 3.0) * pgf.evaluate(z)
+        - r0
+        - r1 * z
+    )
+
+
+def _carleman_residual(pgf, measure, p: ModelParams, x):
+    def rho_vec(t):
+        t = np.atleast_1d(t)
+        return np.array([pgf.evaluate(ti) / ti if ti > 0 else pgf.p1 for ti in t])
+
+    alpha = p.sigma + math.log1p(-x) - math.log(x) - p.theta1 / x + p.theta0 / (1.0 - x)
+    fval = p.theta0 / (1.0 - x) - p.theta1 * pgf.p1 / x
+    pv = cauchy_principal_value(rho_vec, x)
+    return alpha * pgf.evaluate(x) / x - pv - fval
+
+
+# model_tag -> residual(pgf, measure, params, z) of the model's pgf identity
+_RESIDUALS = {
+    "moran": _moran_residual,
+    "wf": _wf_residual,
+    "star": _star_residual,
+    "crow-kimura": _crow_kimura_residual,
+    "beta31": _beta31_residual,
+    "bs": _carleman_residual,
+}
+
+
 def verify_master_equation(
     pgf: PgfEvaluator,
     measure: LambdaMeasure | None,
@@ -859,93 +878,14 @@ def verify_master_equation(
 ) -> float:
     """Max residual of the model's defining pgf identity on a z grid.
 
-    Dispatches on pgf.model_tag: the Moran ODE, the Kingman ODE, the
+    Looks up pgf.model_tag: the Moran ODE, the Kingman ODE, the
     star-shaped integro-differential equation, the zero-measure algebraic
     identity, the beta(3,1) ODE, or the Carleman singular equation of the
     uniform measure (with the principal value by symmetric excision).
     """
-    tag = pgf.model_tag
-    worst = 0.0
-    for z in np.asarray(z_grid, dtype=float):
-        g = pgf.evaluate(z)
-        if tag == "moran":
-            prm: MoranParams = params  # type: ignore[assignment]
-            N, s, u0, u1 = prm.N, prm.s, prm.u0, prm.u1
-            gp = pgf.d(z)
-            res = (
-                z * (1.0 - z) * (1.0 + s * z) * gp
-                + N * (s * z * z - (s + prm.u) * z + u1) * g
-                - (1.0 + N * u1) * pgf.p1 * z * (1.0 - z)
-                + N * u0 * z * z
-            )
-        elif tag == "wf":
-            p: ModelParams = params  # type: ignore[assignment]
-            m0 = measure.m0 if measure is not None else pgf.params["m0"]
-            gp = pgf.d(z)
-            res = (
-                0.5 * m0 * z * (1.0 - z) * gp
-                + (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * g
-                - (0.5 * m0 + p.theta1) * pgf.p1 * z * (1.0 - z)
-                + p.theta0 * z * z
-            )
-        elif tag == "star":
-            p = params  # type: ignore[assignment]
-            m1 = measure.m1 if measure is not None else pgf.params["m1"]
-
-            def h(u):
-                out = np.empty_like(u)
-                for i, ui in enumerate(u):
-                    if ui < 1e-12:
-                        out[i] = 1.0 - pgf.p1
-                    else:
-                        out[i] = (ui - pgf.evaluate(ui)) / (ui * (1.0 - ui))
-                return out
-
-            integral = adaptive_quad(h, 0.0, z, tol=1e-11)
-            res = (
-                m1 * z * (1.0 - z) * integral
-                + (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * g
-                - p.theta1 * pgf.p1 * z * (1.0 - z)
-                + p.theta0 * z * z
-            )
-        elif tag == "crow-kimura":
-            p = params  # type: ignore[assignment]
-            res = (
-                (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * g
-                - p.theta1 * pgf.p1 * z * (1.0 - z)
-                + p.theta0 * z * z
-            )
-        elif tag == "beta31":
-            p = params  # type: ignore[assignment]
-            gp = pgf.d(z)
-            r0 = p.theta1 * pgf.p1
-            r1 = -(3.0 + 2.0 * (p.sigma + p.theta)) * pgf.p1 + 2.0 * p.theta1 * pgf.p2
-            res = (
-                (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * gp
-                + (2.0 * p.sigma * z - p.sigma - p.theta - 3.0) * g
-                - r0
-                - r1 * z
-            )
-        elif tag == "bs":
-            p = params  # type: ignore[assignment]
-            x = z
-            def rho_vec(t):
-                t = np.atleast_1d(t)
-                return np.array(
-                    [pgf.evaluate(ti) / ti if ti > 0 else pgf.p1 for ti in t]
-                )
-
-            alpha = (
-                p.sigma
-                + math.log1p(-x)
-                - math.log(x)
-                - p.theta1 / x
-                + p.theta0 / (1.0 - x)
-            )
-            fval = p.theta0 / (1.0 - x) - p.theta1 * pgf.p1 / x
-            pv = cauchy_principal_value(rho_vec, x)
-            res = alpha * pgf.evaluate(x) / x - pv - fval
-        else:
-            raise DomainError(f"no master equation registered for {tag!r}")
-        worst = max(worst, abs(res))
-    return worst
+    residual = _RESIDUALS.get(pgf.model_tag)
+    if residual is None:
+        raise DomainError(f"no master equation registered for {pgf.model_tag!r}")
+    res = [residual(pgf, measure, params, z) for z in np.asarray(z_grid, dtype=float)]
+    # np.max, unlike the builtin max, passes a NaN residual on
+    return float(np.max(np.abs(res), initial=0.0))

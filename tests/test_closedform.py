@@ -23,7 +23,7 @@ from blockstat.closedform import (
     wf_factorial_moments,
     wf_mean,
 )
-from blockstat.errors import RootOrderViolation
+from blockstat.errors import DomainError, RootOrderViolation
 from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
 from blockstat.recursions import (
     solve_lambda_truncated,
@@ -334,3 +334,73 @@ def test_wf_pgf_limit_at_one():
     eps = 1e-5
     extrap = 2 * pg.evaluate(1 - eps / 2) - pg.evaluate(1 - eps)
     assert abs(extrap - 1.0) < 1e-8
+
+
+def test_wf_theta0_zero_head_reports_cut_mass_as_tail():
+    # sigma' = 100: the conditioned-Poisson mass sits near n = 100, so a
+    # good part of it lies beyond n_max = 120
+    prm = ModelParams(100.0, 0.0, 0.5)
+    pmf, _ = wf_closed(2.0, prm)
+    rec = solve_lambda_truncated(LambdaMeasure.kingman(2.0), prm, tol=1e-12)
+    assert pmf.truncation_K == 120
+    assert np.max(np.abs(pmf.probs - rec.probs[:120])) < 1e-10
+    assert pmf.tail_mass > 0.01
+    assert pmf.tail_mass == pytest.approx(1.0 - pmf.probs.sum(), abs=1e-12)
+
+
+def test_moran_pgf_residual_at_N30():
+    mp = MoranParams(30, 0.7, 0.25, 0.15)
+    _, pg = moran_closed(mp)
+    assert verify_master_equation(pg, None, mp, np.linspace(0.04, 0.92, 20)) <= 1e-9
+
+
+def test_master_equation_unknown_tag():
+    pg = PgfEvaluator("no-such-model", {}, lambda z: z, 1.0)
+    with pytest.raises(DomainError):
+        verify_master_equation(pg, None, ModelParams(1.0), [0.5])
+
+
+def test_master_equation_nan_residual_is_reported():
+    pg = PgfEvaluator("crow-kimura", {}, lambda z: math.nan, 0.5)
+    assert math.isnan(verify_master_equation(pg, None, ModelParams(1.0, 1.0, 0.0), [0.5]))
+
+
+def test_moran_closed_vs_banded_random():
+    rng = np.random.default_rng(515)
+    handed_over = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            mp = MoranParams(
+                int(rng.integers(2, 121)),
+                float(rng.uniform(0.05, 2.5)),
+                float(rng.uniform(0.02, 1.0)),
+                float(rng.uniform(0.0, 1.0)) * (rng.random() > 0.2),
+            )
+            pmf, _ = moran_closed(mp)
+            handed_over += pmf.extras["formula_valid_to"] < pmf.truncation_K
+            assert pmf.sup_distance(solve_moran(mp)) <= 1e-9, mp
+    # both sides of formula_valid_to are exercised
+    assert 0 < handed_over < 200
+
+
+def test_wf_closed_vs_truncated_random():
+    rng = np.random.default_rng(516)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(60):
+            m0 = float(rng.uniform(0.5, 4.0))
+            prm = ModelParams(
+                float(rng.uniform(0.1, 3.0)),
+                float(rng.uniform(0.0, 3.0)) * (rng.random() > 0.15),
+                float(rng.uniform(0.0, 3.0)) * (rng.random() > 0.2),
+            )
+            pmf, _ = wf_closed(m0, prm)
+            rec = solve_lambda_truncated(LambdaMeasure.kingman(m0), prm, tol=1e-12)
+            assert pmf.sup_distance(rec) <= 1e-9, (m0, prm)
+
+
+def test_product_form_overflow_is_typed():
+    # (N-n+1) t_{n-1} overflows a double long before the series ends
+    with pytest.raises(DomainError):
+        moran_closed(MoranParams(100000, 1.0, 0.0, 0.0), n_max=50)
