@@ -552,7 +552,7 @@ def star_closed(
             return 1.0
         return z * (1.0 - (1.0 - z) * f_of_z(z))
 
-    pmf = solve_star(params, m1, K=K, p1=p1)
+    pmf = solve_star(params, m1, K=K)
     pgf = PgfEvaluator("star", {"m1": m1, **_params_dict(params)}, evaluate, p1)
     return pmf, pgf
 

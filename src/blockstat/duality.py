@@ -16,11 +16,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.integrate
-from scipy.special import betaln
 
 from .closedform import PgfEvaluator
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
-from .measures import BetaDensity, LambdaMeasure, ModelParams, UniformScaled, Zero, lambda_rate
+from .measures import LambdaMeasure, ModelParams, merger_row
 from .recursions import StationaryPmf, _double_until_stable
 
 
@@ -44,38 +43,6 @@ class MomentSequence:
                 fh.write(f"{n},{float(wn)!r}\n")
 
 
-def _merger_coefficient(measure: LambdaMeasure, n: int, ell: int) -> float:
-    """binom(n, n-ell+1) * lambda_{n, n-ell+1} with closed special cases."""
-    interior = measure.interior
-    if measure.m1 == 0.0 and isinstance(interior, Zero):
-        # pure Kingman (or zero) measure
-        return measure.m0 * math.comb(n, 2) if ell == n - 1 else 0.0
-    if measure.m0 == 0.0 and measure.m1 == 0.0 and isinstance(interior, UniformScaled):
-        return interior.c * n / ((n - ell) * (n - ell + 1.0))
-    return math.comb(n, n - ell + 1) * lambda_rate(measure, n, n - ell + 1)
-
-
-def _merger_row(measure: LambdaMeasure, n: int) -> np.ndarray:
-    """_merger_coefficient(measure, n, ell) for ell = 1..n-1.
-
-    A Beta(a, b) interior gives binom(n, j) M B(a+j-2, b+n-j) / B(a, b)
-    with j = n-ell+1, evaluated for the whole row in log space; the
-    endpoint atoms add binom(n, 2) m0 at j = 2 and m1 at j = n.
-    """
-    interior = measure.interior
-    if not isinstance(interior, BetaDensity) or n < 2:
-        return np.array([_merger_coefficient(measure, n, ell) for ell in range(1, n)])
-    a, b = interior.a, interior.b
-    j = n + 1.0 - np.arange(1, n)
-    log_binom = -math.log(n + 1.0) - betaln(j + 1.0, n - j + 1.0)
-    row = interior.total_mass * np.exp(
-        log_binom + betaln(a + j - 2.0, b + n - j) - betaln(a, b)
-    )
-    row[-1] += measure.m0 * n * (n - 1) / 2.0
-    row[0] += measure.m1
-    return row
-
-
 def _solve_w_system(measure: LambdaMeasure, params: ModelParams, K: int) -> np.ndarray:
     sigma, th1 = params.sigma, params.theta1
     theta = params.theta
@@ -83,17 +50,15 @@ def _solve_w_system(measure: LambdaMeasure, params: ModelParams, K: int) -> np.n
     rhs = np.zeros(K)
     for n in range(1, K + 1):
         r = n - 1
-        coefs = _merger_row(measure, n)
-        gam = coefs.sum() / n if n > 1 else 0.0
-        A[r, r] = theta + sigma + gam
+        coefs = merger_row(measure, n)
+        A[r, r] = theta + sigma + coefs.sum() / n
         if n >= 2:
             A[r, n - 2] -= th1
         else:
             rhs[r] += th1  # w_0 = 1
         if n < K:
             A[r, n] -= sigma
-        if n > 1:
-            A[r, : n - 1] -= coefs / n
+        A[r, : n - 1] -= coefs / n
     return np.linalg.solve(A, rhs)
 
 

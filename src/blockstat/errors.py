@@ -37,10 +37,6 @@ class NoConvergence(BlockstatError):
     """Truncation doubling hit its cap without stabilising."""
 
 
-class InstabilityDetected(BlockstatError):
-    """A forward recursion left the admissible (positive, monotone) cone."""
-
-
 class NotPositiveRecurrent(BlockstatError):
     """Parameters outside the positive-recurrence regime."""
 

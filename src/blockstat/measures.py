@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import psi, zeta
+from scipy.special import betaln, psi, zeta
 
 from .errors import DomainError, IntegrabilityError, PreconditionViolated
 from .specfun import adaptive_quad, log_beta
@@ -348,6 +348,57 @@ def lambda_rate(measure: LambdaMeasure, k: int, j: int) -> float:
 
         out += adaptive_quad(f, 0.0, 1.0, tol=1e-13)
     return out
+
+
+def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
+    """Rates binom(k, j) lambda_{k,j} of the jumps k -> l for l = 1..k-1.
+
+    j = k-l+1 blocks merge into one.  The binomial enters in log space,
+    -log(k+1) - betaln(j+1, k-j+1), so no row overflows at any k.  A
+    uniform interior gives c k / ((k-l)(k-l+1)), a Beta(a, b) interior
+    M binom(k, j) B(a+j-2, b+k-j) / B(a, b), atoms one table over atoms
+    and l reduced with the masses, and a custom density one vector-valued
+    quadrature whose components are the rates themselves.  The atom at 0
+    adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1 at l = 1.
+    """
+    if k < 2:
+        return np.zeros(0)
+    interior = measure.interior
+    ells = np.arange(1, k)
+    if isinstance(interior, Zero):
+        row = np.zeros(k - 1)
+    elif isinstance(interior, UniformScaled):
+        row = interior.c * k / ((k - ells) * (k - ells + 1.0))
+    else:
+        j = k + 1.0 - ells
+        log_binom = -math.log(k + 1.0) - betaln(j + 1.0, k - j + 1.0)
+        if isinstance(interior, BetaDensity):
+            a, b = interior.a, interior.b
+            row = interior.total_mass * np.exp(
+                log_binom + betaln(a + j - 2.0, b + k - j) - betaln(a, b)
+            )
+        else:
+            def table(x):
+                """binom(k, j) x^(j-2) (1-x)^(k-j), shape (k-1, x.size)."""
+                return np.exp(
+                    log_binom[:, None]
+                    + (j[:, None] - 2.0) * np.log(x)
+                    + (k - j[:, None]) * np.log1p(-x)
+                )
+
+            if isinstance(interior, Atoms):
+                row = table(interior.xs) @ interior.ms
+            else:
+                def integrand(x):
+                    # a node rounded to 1.0 (or a density pole, 0 * inf)
+                    # gives NaN, which adaptive_quad rejects
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        return table(x) * interior.density(x)
+
+                row = adaptive_quad(integrand, 0.0, 1.0, tol=1e-13)
+    row[-1] += measure.m0 * math.comb(k, 2)
+    row[0] += measure.m1
+    return row
 
 
 # ----------------------------------------------------------------------

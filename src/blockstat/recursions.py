@@ -2,7 +2,7 @@
 
 Covers the finite Moran tail recursion (one banded tridiagonal solve),
 a brute-force generator null-space oracle, the truncated general-measure
-system, the star-shaped forward recursion, and the geometric closed form
+system, the star-shaped banded solve, and the geometric closed form
 of the zero-measure (Crow-Kimura) model.
 """
 
@@ -16,10 +16,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from ._dd import dd_add as _dd_add, dd_mul_f as _dd_mul_f, two_sum as _dd_two_sum
 from .errors import (
     DomainError,
-    InstabilityDetected,
     NegativeMass,
     NoConvergence,
     NotPositiveRecurrent,
@@ -341,20 +339,12 @@ def solve_lambda_truncated(
 # ----------------------------------------------------------------------
 
 
-def solve_star(
-    params: ModelParams,
-    m1: float,
-    K: int = 512,
-    p1: float | None = None,
-    forward_only: bool = False,
-) -> StationaryPmf:
+def solve_star(params: ModelParams, m1: float, K: int = 512) -> StationaryPmf:
     """Stationary pmf for the star-shaped coalescent (mass m1 at 1).
 
-    theta1 = 0 has closed tails.  For theta1 > 0 the forward recursion
-    from a_1 = 1 - p_1 is run in double-double arithmetic and monitored;
-    once it leaves the admissible cone (it eventually must, the recursion
-    amplifies the dominant solution) the banded two-sided system with
-    a_K = 0 takes over.
+    theta1 = 0 has closed tails.  For theta1 > 0 the tails solve the
+    two-sided tridiagonal system with a_K = 0; the forward recursion from
+    a_1 = 1 - p_1 amplifies its dominant solution and is not used.
     """
     if params.sigma <= 0:
         raise PreconditionViolated("star-shaped model needs sigma > 0")
@@ -374,42 +364,11 @@ def solve_star(
             extras={"ratio": r},
         )
 
-    if p1 is None:
-        from .closedform import star_p1
-
-        p1 = star_p1(m1, params)
-
-    theta = params.theta
-    # forward attempt, double-double accumulation
-    a_dd = [(1.0, 0.0), _dd_two_sum(1.0, -p1)]
-    for n in range(1, K):
-        # a_{n+1} = ((m1/n + theta + sigma) a_n - sigma a_{n-1}) / theta1
-        t1 = _dd_mul_f(a_dd[n], m1 / n + theta + sigma)
-        t2 = _dd_mul_f(a_dd[n - 1], -sigma)
-        s = _dd_add(t1, t2)
-        nxt = _dd_mul_f(s, 1.0 / th1)
-        a_dd.append(nxt)
-        if nxt[0] < -1e-13 or nxt[0] > a_dd[n][0] + 1e-13:
-            if forward_only:
-                raise InstabilityDetected(
-                    "star forward recursion left the positive decreasing cone"
-                )
-            a = _solve_star_banded(params, m1, K)
-            tag = "star-banded"
-            break
-    else:
-        a = np.array([x[0] for x in a_dd])
-        tag = "star-forward-dd"
-
-    p = a[:-1] - a[1:]
-    p = _clip_negative(p, tag)
-    res = 0.0
-    for n in range(1, K):
-        res = max(
-            res,
-            abs((m1 / n + theta + sigma) * a[n] - sigma * a[n - 1] - th1 * a[n + 1]),
-        )
-    return StationaryPmf(p, K, res, tag, extras={"p1_input": p1})
+    a = _solve_star_banded(params, m1, K)
+    p = _clip_negative(a[:-1] - a[1:], "star-banded")
+    n = np.arange(1, K)
+    res = np.abs((m1 / n + params.theta + sigma) * a[1:K] - sigma * a[: K - 1] - th1 * a[2:])
+    return StationaryPmf(p, K, float(np.max(res, initial=0.0)), "star-banded")
 
 
 def _solve_star_banded(params: ModelParams, m1: float, K: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DomainError, EmptyPath, NonAbsorbing, RateOverflow
-from .measures import LambdaMeasure, ModelParams, MoranParams, lambda_rate
+from .measures import LambdaMeasure, ModelParams, MoranParams, merger_row
 
 DELTA = -1  # cemetery marker of the killed ASG
 RATE_CAP = 1e12
@@ -230,10 +230,7 @@ def lambda_L_rates(
     """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     rates = np.empty(k, dtype=float)
-    for ell in range(1, k):
-        rates[ell - 1] = (
-            math.comb(k, k - ell + 1) * lambda_rate(measure, k, k - ell + 1) + th0
-        )
+    rates[: k - 1] = merger_row(measure, k) + th0
     if k >= 2:
         rates[k - 2] += (k - 1) * th1
     rates[k - 1] = k * sigma
@@ -249,8 +246,7 @@ def killed_asg_rates(
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     targets = list(range(0, k)) + [k + 1, DELTA]
     rates = np.zeros(k + 2, dtype=float)
-    for ell in range(1, k):
-        rates[ell] = math.comb(k, k - ell + 1) * lambda_rate(measure, k, k - ell + 1)
+    rates[1:k] = merger_row(measure, k)
     rates[k - 1] += k * th1  # prune to k-1 (to 0 when k = 1)
     rates[k] = k * sigma
     rates[k + 1] = k * th0
@@ -381,13 +377,3 @@ def occupancy(path: JumpPath, burn_in_fraction: float = 0.2) -> OccupancyEstimat
     # keys in order of first appearance
     weights = {k: by_key[k] for k in dict.fromkeys(tail.tolist())}
     return OccupancyEstimate(weights, total - cutoff, path.n_events)
-
-
-def lambda_L_exit_rate(measure: LambdaMeasure, params: ModelParams, k: int) -> float:
-    """Closed-form total exit rate from state k, for table validation."""
-    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
-    coal = sum(
-        math.comb(k, k - ell + 1) * lambda_rate(measure, k, k - ell + 1)
-        for ell in range(1, k)
-    )
-    return k * sigma + (k - 1) * th1 + (k - 1) * th0 + coal

@@ -72,6 +72,13 @@ def test_simulate_deterministic_artifacts(tmp_path):
     ).read_bytes() == (tmp_path / "b_occupancy.csv").read_bytes()
 
 
+def test_simulate_start_beyond_float_binomials(tmp_path):
+    args = ["simulate", "--model", "uniform", "--sigma", "1", "--theta0", "0.5",
+            "--theta1", "0.5", "--start", "1100", "--events", "1000", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "u")]) == 0
+    assert (tmp_path / "u_path.csv").read_text().splitlines()[1].startswith("1100,")
+
+
 def test_pmf_csv_matches_per_row_format(tmp_path):
     from blockstat.cli import _pmf_csv
     from blockstat.measures import MoranParams

@@ -1,13 +1,14 @@
 """Moment duality: stationary moments, generating function, fixation laws."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from blockstat.closedform import PgfEvaluator, bs_rho
 from blockstat.duality import (
-    _merger_row,
+    _solve_w_system,
     ancestral_type_h,
     ancestral_type_h_from_tails,
     bs_absorption,
@@ -21,7 +22,7 @@ from blockstat.duality import (
     solve_w_moments,
 )
 from blockstat.errors import DomainError, PreconditionViolated
-from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams, lambda_rate
+from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams, lambda_rate, merger_row
 from blockstat.recursions import crow_kimura_geometric
 
 
@@ -196,4 +197,16 @@ def test_beta_merger_rows_match_scalar_rates():
                 math.comb(n, n - ell + 1) * lambda_rate(lam, n, n - ell + 1)
                 for ell in range(1, n)
             ]
-            assert _merger_row(lam, n) == pytest.approx(ref, rel=1e-11, abs=0.0)
+            assert merger_row(lam, n) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_w_system_star_beyond_float_binomials():
+    # binom(2048, 1024) overflows a double; the rows never form it
+    w = _solve_w_system(LambdaMeasure.star(), ModelParams(1.0, 0.5, 0.5), 2048)
+    assert np.all(np.isfinite(w)) and np.all((w > 0.0) & (w <= 1.0))
+
+
+def test_w_system_star_runtime():
+    start = time.perf_counter()
+    _solve_w_system(LambdaMeasure.star(), ModelParams(1.0, 0.5, 0.5), 1024)
+    assert time.perf_counter() - start < 1.0

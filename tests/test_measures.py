@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockstat.errors import DomainError, PreconditionViolated
+from blockstat.errors import DomainError, PreconditionViolated, QuadratureFailure
 from blockstat.measures import (
     Atoms,
     BetaDensity,
@@ -23,6 +23,7 @@ from blockstat.measures import (
     cnk_row,
     is_positive_recurrent,
     lambda_rate,
+    merger_row,
     sigma_lambda,
     tail_bracket,
 )
@@ -290,6 +291,92 @@ def test_beta_sigma_lambda_near_removable_singularities(a, b):
     assert sigma_lambda(LambdaMeasure.beta(a, b, 2.5)) == pytest.approx(
         2.5 * exact, rel=1e-14
     )
+
+
+# ----------------------------------------------------------------------
+# Merger-rate rows binom(k, j) lambda_{k,j}
+# ----------------------------------------------------------------------
+
+
+def _merger_row_mpmath(measure, k):
+    """The row k -> l, l = 1..k-1, at 40 digits.
+
+    Each interior rate binom(k, j) int x^(j-2) (1-x)^(k-j) L0(dx) is built
+    upward in j from j = 2 by its term ratio, which is rational in j.
+    """
+    interior = measure.interior
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        if isinstance(interior, BetaDensity):
+            a, b = mpf(interior.a), mpf(interior.b)
+            first = interior.total_mass * mpmath.binomial(k, 2) * mpmath.fprod(
+                (b + i) / (a + b + i) for i in range(k - 2)
+            )
+            parts = [(first, lambda j: (a + j - 2) / (b + k - j - 1))]
+        elif isinstance(interior, UniformScaled):
+            first = mpf(interior.c) * k / 2
+            parts = [(first, lambda j: (mpf(j) - 1) / (k - j))]
+        else:
+            parts = [
+                (
+                    mpf(m) * mpmath.binomial(k, 2) * (1 - mpf(x)) ** (k - 2),
+                    lambda j, x=mpf(x): x / (1 - x),
+                )
+                for x, m in zip(interior.locations, interior.masses)
+            ]
+        rates = []  # j = 2..k
+        for first, ratio in parts:
+            col = [first]
+            for j in range(2, k):
+                col.append(col[-1] * mpf(k - j) / (j + 1) * ratio(j))
+            rates = col if not rates else [r + c for r, c in zip(rates, col)]
+        rates[0] += measure.m0 * mpmath.binomial(k, 2)
+        rates[-1] += measure.m1
+        return [float(r) for r in reversed(rates)]
+
+
+def test_merger_row_matches_mpmath_oracle():
+    rng = np.random.default_rng(20261018)
+    ks = [2, 3, 17, 130, 1500]
+    measures = [
+        LambdaMeasure.uniform(1.0),
+        LambdaMeasure(m0=0.4, m1=1.3, interior=UniformScaled(2.5)),
+        LambdaMeasure.from_atoms([0.01, 0.3, 0.5, 0.97], [0.2, 1.0, 0.7, 3.0]),
+        LambdaMeasure(m0=2.0, m1=0.5, interior=Atoms((0.2, 0.75), (1.5, 0.1))),
+    ]
+    for _ in range(12):
+        a, b = rng.uniform(0.3, 5.0), rng.uniform(0.3, 6.0)
+        m0, m1 = rng.choice([0.0, rng.uniform(0.1, 3.0)], size=2)
+        measures.append(LambdaMeasure(m0, m1, BetaDensity(a, b, rng.uniform(0.2, 4.0))))
+    for measure in measures:
+        for k in ks + [int(rng.integers(4, 1500))]:
+            got = merger_row(measure, k)
+            exact = np.array(_merger_row_mpmath(measure, k))
+            big = exact >= 1e-300
+            assert got[big] == pytest.approx(exact[big], rel=1e-11, abs=0.0)
+            assert np.all(got[~big] < 1e-290)
+
+
+@pytest.mark.parametrize("a,b", [(1.7, 2.4), (2.5, 1.5), (0.6, 3.0)])
+def test_custom_density_rows_match_beta_rows(a, b):
+    # the quadrature tolerance applies to each rate, not to lambda_{k,j}
+    beta = LambdaMeasure.beta(a, b)
+    custom = LambdaMeasure(interior=CustomDensity(beta.interior.density))
+    for k in (2, 5, 20, 60, 200, 500):
+        assert merger_row(custom, k) == pytest.approx(
+            merger_row(beta, k), rel=1e-10, abs=0.0
+        )
+
+
+def test_custom_density_with_pole_at_one_raises():
+    def density(x):
+        with np.errstate(divide="ignore"):
+            return x**2.5 * (1.0 - x) ** -0.4
+
+    custom = LambdaMeasure(interior=CustomDensity(density))
+    for k in (2, 3, 20):
+        with pytest.raises(QuadratureFailure):
+            merger_row(custom, k)
 
 
 # ----------------------------------------------------------------------

@@ -134,14 +134,6 @@ def test_star_theta1_positive_vs_lambda_solver():
     assert star_pmf.sup_distance(lam_pmf) < 1e-11
 
 
-def test_star_forward_instability_detected():
-    from blockstat.errors import InstabilityDetected
-
-    prm = ModelParams(1.0, 0.5, 0.5)
-    with pytest.raises(InstabilityDetected):
-        solve_star(prm, 1.0, K=256, forward_only=True)
-
-
 def test_kingman_reduction_vs_wf():
     king = LambdaMeasure.kingman(2.0)
     prm = ModelParams(1.0, 0.0, 0.5)

@@ -9,13 +9,12 @@ import scipy.stats
 
 import blockstat.simulate as sim
 from blockstat.errors import DomainError, EmptyPath, NonAbsorbing, RateOverflow
-from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
+from blockstat.measures import LambdaMeasure, ModelParams, MoranParams, lambda_rate
 from blockstat.recursions import solve_moran
 from blockstat.simulate import (
     DELTA,
     JumpPath,
     killed_asg_rates,
-    lambda_L_exit_rate,
     lambda_L_rates,
     moran_L_rates,
     moran_X_rates,
@@ -58,6 +57,16 @@ def test_moran_L_holding_time_mean():
     assert holds_in_2.mean() == pytest.approx(1.0, abs=3 / math.sqrt(holds_in_2.size))
 
 
+def lambda_L_exit_rate(measure: LambdaMeasure, params: ModelParams, k: int) -> float:
+    """Closed-form total exit rate from state k, for table validation."""
+    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
+    coal = sum(
+        math.comb(k, k - ell + 1) * lambda_rate(measure, k, k - ell + 1)
+        for ell in range(1, k)
+    )
+    return k * sigma + (k - 1) * th1 + (k - 1) * th0 + coal
+
+
 def test_lambda_L_exit_rate_identity():
     king = LambdaMeasure.kingman(2.0)
     prm = ModelParams(0.5, 0.0, 0.0)
@@ -68,6 +77,15 @@ def test_lambda_L_exit_rate_identity():
     for k in range(2, 12):
         _, _, total = lambda_L_rates(uni, prm, k)
         assert total == pytest.approx(lambda_L_exit_rate(uni, prm, k), rel=1e-12)
+
+
+def test_lambda_L_starts_beyond_float_binomials():
+    # binom(1100, 550) overflows a double; the rate rows never form it
+    prm = ModelParams(1.0, 0.5, 0.5)
+    path = simulate_lambda_L(LambdaMeasure.uniform(), prm, 1100, 1000, seed=11)
+    assert path.n_events == 1000 and path.states[0] == 1100
+    assert np.all(np.isfinite(path.holding_times))
+    assert 0.0 <= simulate_killed_asg(LambdaMeasure.uniform(), prm, 1100, 3, seed=11) <= 1.0
 
 
 def test_star_coalescence_goes_to_one():
@@ -386,13 +404,13 @@ def test_csv_writers_match_per_row_format(tmp_path):
 
 
 def test_jump_with_u_near_one_picks_last_target():
-    # the pairwise total exceeds the sequential cumsum by 1.4e-14 here, so
+    # the pairwise total exceeds the sequential cumsum by 2.8e-14 here, so
     # u = 1 - 2^-53 would land past the last cumulative rate
     prm = ModelParams(1.0, 0.5, 0.5)
     uniform = LambdaMeasure.uniform()
-    _, cum_raw, total_raw = lambda_L_rates(uniform, prm, 32)
+    _, cum_raw, total_raw = lambda_L_rates(uniform, prm, 56)
     assert total_raw > cum_raw[-1]
-    targets, cum, total = sim._RateTables(lambda k: lambda_L_rates(uniform, prm, k))[32]
+    targets, cum, total = sim._RateTables(lambda k: lambda_L_rates(uniform, prm, k))[56]
     u = 1.0 - 2.0**-53
     assert targets[bisect.bisect_right(cum, u * total)] == targets[-1]
     assert total == total_raw and cum[:-1] == cum_raw[:-1].tolist()
