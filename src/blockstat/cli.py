@@ -279,19 +279,6 @@ def _validate_checks(suite: str):
         )
         add("zero-measure recursion vs geometric (sup)", ck.sup_distance(ck_rec), 1e-10)
 
-        from .specfun import gauss_2f1, gauss_2f1_quadrature, integral_I, integral_I_gauss_form
-
-        add(
-            "2F1 series vs integral form",
-            abs(gauss_2f1(0.7, 1.1, 2.4, 0.5).value - gauss_2f1_quadrature(0.7, 1.1, 2.4, 0.5)),
-            1e-10,
-        )
-        add(
-            "integral family vs 2F1 closed form",
-            abs(integral_I(1.5, 2.5, 1.2, 0.8, 1.0) - integral_I_gauss_form(1.5, 2.5, 1.2, 0.8)),
-            1e-9,
-        )
-
         if suite == "full":
             prm_fp = ModelParams(1.0, 0.2, 0.2)
             rs = geomfix.rho_star(0.3, 0.05, prm_fp)

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.integrate
+from scipy.special import hyp1f1, hyp2f1, lambertw
 
 from .errors import (
     DomainError,
@@ -33,13 +34,7 @@ from .recursions import (
     _solve_three_term,
     solve_star,
 )
-from .specfun import (
-    adaptive_quad,
-    gauss_2f1,
-    kummer_1f1,
-    lambert_w,
-    quad_power_endpoints,
-)
+from .specfun import adaptive_quad, quad_power_endpoints
 
 
 @dataclass
@@ -262,23 +257,38 @@ def _two_weight_closed(
     return pmf, PgfEvaluator(pgf_tag, pgf_params, evaluate, p1)
 
 
+def _power_series(probs: np.ndarray) -> Callable[[float], float]:
+    """The pgf sum_n p_n z^n of a pmf p_1, p_2, ... on [0, 1]."""
+    n = np.arange(1, probs.size + 1)
+
+    def evaluate(z: float) -> float:
+        if z <= 0.0:
+            return 0.0
+        if z >= 1.0:
+            return 1.0
+        return float(np.dot(probs, np.power(z, n)))
+
+    return evaluate
+
+
 def _product_form(
     next_term: Callable[[float, int], float],
     n_terms: float,
     drop: float,
-    series: Callable[[float], float],
+    closed_sum: float,
     n_max: int,
     tag: str,
     pgf_tag: str,
     pgf_params: dict,
 ) -> tuple[StationaryPmf, PgfEvaluator]:
-    """Law p_n = t_n / sum_k t_k with t_1 = 1 and pgf z series(z) / series(1).
+    """Law p_n = t_n / sum_k t_k with t_1 = 1, and its pgf sum_n p_n z^n.
 
     next_term(t, n) gives t_n from t_{n-1}.  Terms are generated up to
     n_terms, or, from the eighth on, until one falls below drop times
     the running sum (drop = 0 keeps every term of a terminating series).
-    The first n_max are kept and the rest is reported as tail_mass; the
-    residual is the distance of the summed terms from series(1).
+    The pgf sums every term; the pmf keeps the first n_max and reports
+    the rest as tail_mass.  The residual is the relative distance of the
+    summed terms from closed_sum, the hypergeometric value of sum_n t_n.
     """
     t = [1.0]
     total = 1.0
@@ -289,18 +299,11 @@ def _product_form(
         raise DomainError(f"{tag}: the product-form series overflows")
     norm = math.fsum(t)
     probs = np.array(t) / norm
-    denom = series(1.0)
-
-    def evaluate(z: float) -> float:
-        if z == 0.0:
-            return 0.0
-        return z * series(z) / denom
-
     pmf = StationaryPmf(
-        probs[:n_max], min(n_max, probs.size), abs(norm - denom) / denom, tag,
+        probs[:n_max], min(n_max, probs.size), abs(norm - closed_sum) / closed_sum, tag,
         tail_mass=float(probs[n_max:].sum()),
     )
-    return pmf, PgfEvaluator(pgf_tag, pgf_params, evaluate, float(probs[0]))
+    return pmf, PgfEvaluator(pgf_tag, pgf_params, _power_series(probs), float(probs[0]))
 
 
 def _factorial_moments(
@@ -341,7 +344,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
         u = params.u
         return _product_form(
             lambda t, n: t * (N - n + 1) * s / (N * u + n), N, 0.0,
-            lambda z: gauss_2f1(1.0, 1.0 - N, N * u + 2.0, -s * z).value,
+            float(hyp2f1(1.0, 1.0 - N, N * u + 2.0, -s)),
             n_max, "moran-closed-u0zero", *pgf_head,
         )
 
@@ -420,7 +423,7 @@ def wf_closed(
         return _product_form(
             # t_n / t_{n-1} = sigma' / (theta' + n)
             lambda t, n: t * sp / (tp + (n - 1) + 1.0), math.inf, 1e-18,
-            lambda z: kummer_1f1(1.0, 2.0 + tp, sp * z).value,
+            float(hyp1f1(1.0, 2.0 + tp, sp)),
             n_max, "wf-closed-theta0zero", *pgf_head,
         )
 
@@ -513,7 +516,7 @@ def star_closed(
         def evaluate(z: float) -> float:
             if z >= 1.0:
                 return 1.0
-            f = gauss_2f1(1.0, 1.0, 1.0 + c, arg_scale * z).value
+            f = float(hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z))
             return 1.0 - (1.0 - z) * f
 
         pgf = PgfEvaluator(
@@ -529,7 +532,7 @@ def star_closed(
         """(z - g(z)/1)/... the rational part f with P(z) f = sigma * integral."""
         if abs(z - xm) < 0.3 * (xp - xm):
             w = (z - xm) / (xp - xm)
-            val = gauss_2f1(2.0, 1.0, e + 2.0, w).value
+            val = float(hyp2f1(2.0, 1.0, e + 2.0, w))
             return d / ((m1 + d) * (xp - xm)) * val
         # grouped positive-base quadrature form
         def integrand(u):
@@ -616,9 +619,9 @@ def bs_rho_special(params: ModelParams) -> float | None:
     if th0 == 0.0 and th1 == 0.0:
         return 1.0 - math.exp(-sigma)
     if th0 == 0.0 and th1 > 0.0:
-        return 1.0 - lambert_w(th1 * math.exp(th1 - sigma)) / th1
+        return 1.0 - float(lambertw(th1 * math.exp(th1 - sigma)).real) / th1
     if th1 == 0.0 and th0 > 0.0:
-        return 1.0 - th0 / lambert_w(th0 * math.exp(th0 + sigma))
+        return 1.0 - th0 / float(lambertw(th0 * math.exp(th0 + sigma)).real)
     return None
 
 
@@ -740,17 +743,8 @@ def beta31_pgf(
         extras={"p2_consistency": consistency},
     )
 
-    n_idx = np.arange(1, probs.size + 1)
-
-    def evaluate(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z >= 1.0:
-            return 1.0
-        return float(np.dot(probs, np.power(z, n_idx)))
-
     pgf = PgfEvaluator(
-        "beta31", _params_dict(params), evaluate, float(p1), p2=float(p2)
+        "beta31", _params_dict(params), _power_series(probs), float(p1), p2=float(p2)
     )
     return pgf, pmf
 

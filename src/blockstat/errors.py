@@ -9,10 +9,6 @@ class DomainError(BlockstatError):
     """Argument outside the mathematically supported domain."""
 
 
-class PoleError(BlockstatError):
-    """A bottom hypergeometric parameter hit a nonpositive integer."""
-
-
 class IntegrabilityError(BlockstatError):
     """A measure density failed its declared integrability."""
 

@@ -374,11 +374,7 @@ def _interior_integral(measure: LambdaMeasure, f: Callable, tol: float = 1e-12) 
         return float(np.sum(interior.ms * f(interior.xs)))
     if isinstance(interior, UniformScaled):
         return interior.c * adaptive_quad(f, 0.0, 1.0, tol=tol, max_panels=8192)
-    if isinstance(interior, BetaDensity):
-        def g(x):
-            return f(x) * interior.density(x)
 
-        return adaptive_quad(g, 0.0, 1.0, tol=tol, max_panels=8192)
     def g(x):
         return f(x) * interior.density(x)
 

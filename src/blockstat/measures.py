@@ -19,9 +19,10 @@ import numpy as np
 from scipy.special import betaln, psi, zeta
 
 from .errors import DomainError, IntegrabilityError, PreconditionViolated
-from .specfun import adaptive_quad, log_beta
+from .specfun import adaptive_quad
 
 ATOM_CAP = 10_000
+ATOM_BLOCK = 256  # atoms per block of a merger_row table
 
 
 def _nonnegative(*values: float) -> bool:
@@ -115,7 +116,7 @@ class BetaDensity:
         return self.total_mass
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        lognorm = math.log(self.total_mass) - log_beta(self.a, self.b)
+        lognorm = math.log(self.total_mass) - betaln(self.a, self.b)
         return np.exp(lognorm + (self.a - 1) * np.log(x) + (self.b - 1) * np.log1p(-x))
 
 
@@ -331,11 +332,11 @@ def lambda_rate(measure: LambdaMeasure, k: int, j: int) -> float:
     if isinstance(interior, Zero):
         pass
     elif isinstance(interior, UniformScaled):
-        out += interior.c * math.exp(log_beta(j - 1, k - j + 1))
+        out += interior.c * math.exp(betaln(j - 1, k - j + 1))
     elif isinstance(interior, BetaDensity):
         a, b = interior.a, interior.b
         out += interior.total_mass * math.exp(
-            log_beta(a + j - 2, b + k - j) - log_beta(a, b)
+            betaln(a + j - 2, b + k - j) - betaln(a, b)
         )
     elif isinstance(interior, Atoms):
         xs, ms = interior.xs, interior.ms
@@ -356,10 +357,11 @@ def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
     j = k-l+1 blocks merge into one.  The binomial enters in log space,
     -log(k+1) - betaln(j+1, k-j+1), so no row overflows at any k.  A
     uniform interior gives c k / ((k-l)(k-l+1)), a Beta(a, b) interior
-    M binom(k, j) B(a+j-2, b+k-j) / B(a, b), atoms one table over atoms
-    and l reduced with the masses, and a custom density one vector-valued
-    quadrature whose components are the rates themselves.  The atom at 0
-    adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1 at l = 1.
+    M binom(k, j) B(a+j-2, b+k-j) / B(a, b), atoms a table over l and
+    each block of atoms reduced with the masses, and a custom density one
+    vector-valued quadrature whose components are the rates themselves.
+    The atom at 0 adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1
+    at l = 1.
     """
     if k < 2:
         return np.zeros(0)
@@ -387,7 +389,13 @@ def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
                 )
 
             if isinstance(interior, Atoms):
-                row = table(interior.xs) @ interior.ms
+                # blocks of atoms bound the table at (k-1) x ATOM_BLOCK
+                xs, ms = interior.xs, interior.ms
+                row = sum(
+                    (table(xs[i : i + ATOM_BLOCK]) @ ms[i : i + ATOM_BLOCK]
+                     for i in range(0, xs.size, ATOM_BLOCK)),
+                    np.zeros(k - 1),
+                )
             else:
                 def integrand(x):
                     # a node rounded to 1.0 (or a density pole, 0 * inf)

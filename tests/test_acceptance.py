@@ -9,8 +9,10 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import betaln, hyp1f1, hyp2f1, lambertw
 
 import blockstat.closedform as cf
 import blockstat.duality as du
@@ -288,60 +290,94 @@ def test_criterion_12_beta31():
     _report(12, "beta(3,1) ODE pmf vs recursion", pmf_ode.sup_distance(rec), 1e-6)
 
 
+def _mp_rel(got: float, want) -> float:
+    return float(abs((mpmath.mpf(got) - want) / want))
+
+
+@mpmath.workdps(40)
 def test_criterion_13_special_function_identities():
+    """The scipy.special values the package reads, the product-form pgfs,
+    and the Euler integrals of 2F1 and 1F1 through quad_power_endpoints,
+    each on the parameter ranges the package uses, against 40-digit mpmath."""
     rng = np.random.default_rng(13)
+    # star_closed, theta1 = 0: 2F1(1, 1; 1+c; x), x < 1
+    cs = np.concatenate([rng.uniform(0.01, 10.0, 60), np.arange(1.0, 11.0)])
+    worst = 0.0
+    for c in cs:
+        for x in np.concatenate([rng.uniform(0.0, 0.999, 4), [0.99, 0.998]]):
+            worst = max(worst, _mp_rel(hyp2f1(1.0, 1.0, 1.0 + c, x), mpmath.hyp2f1(1, 1, 1 + c, x)))
+    _report(13, "scipy 2F1(1,1;1+c;x) vs mpmath (relative)", worst, 1e-9)
+
+    # star_closed, theta1 > 0: 2F1(2, 1; e+2; w), |w| <= 0.35
+    worst = 0.0
+    for _ in range(300):
+        e, w = rng.uniform(0.01, 10.0), rng.uniform(-0.35, 0.35)
+        worst = max(worst, _mp_rel(hyp2f1(2.0, 1.0, e + 2.0, w), mpmath.hyp2f1(2, 1, e + 2, w)))
+    _report(13, "scipy 2F1(2,1;e+2;w) vs mpmath (relative)", worst, 1e-9)
+
+    # bs_rho_special: Lambert W on [1e-8, 1e8]
+    worst = 0.0
+    for x in 10.0 ** rng.uniform(-8.0, 8.0, 300):
+        worst = max(worst, _mp_rel(lambertw(x).real, mpmath.lambertw(x)))
+    _report(13, "scipy Lambert W vs mpmath (relative)", worst, 1e-9)
+
+    # product forms: the closed sums their residuals are measured against,
+    # and the pgf sum_n p_n z^n over all terms against the hypergeometric pgf
+    zs = (0.1, 0.5, 0.9, 0.99)
+    worst_sum = worst_pgf = 0.0
+    for _ in range(150):
+        mp = MoranParams(int(rng.integers(2, 1001)), float(rng.uniform(0.1, 2.0)), 0.0,
+                         float(rng.uniform(0.2, 1.0)))
+        N, s, u = mp.N, mp.s, mp.u
+        pgf = cf.moran_closed(mp, n_max=50)[1]
+        denom = mpmath.hyp2f1(1, 1 - N, N * u + 2, -s)
+        worst_sum = max(worst_sum, _mp_rel(hyp2f1(1.0, 1.0 - N, N * u + 2.0, -s), denom))
+        for z in zs:
+            want = z * mpmath.hyp2f1(1, 1 - N, N * u + 2, -s * z) / denom
+            worst_pgf = max(worst_pgf, float(abs(pgf(z) - want)))
+    _report(13, "scipy Moran terminating 2F1 vs mpmath (relative)", worst_sum, 1e-9)
+    _report(13, "Moran u0 = 0 pgf from its terms vs mpmath", worst_pgf, 1e-9)
+
+    worst_sum = worst_pgf = 0.0
+    for _ in range(100):
+        m0 = float(rng.uniform(0.5, 4.0))
+        prm = ModelParams(float(rng.uniform(0.1, 50.0)), 0.0, float(rng.uniform(0.0, 3.0)))
+        sp, tp = 2.0 * prm.sigma / m0, 2.0 * prm.theta / m0
+        pgf = cf.wf_closed(m0, prm)[1]
+        denom = mpmath.hyp1f1(1, 2 + tp, sp)
+        worst_sum = max(worst_sum, _mp_rel(hyp1f1(1.0, 2.0 + tp, sp), denom))
+        for z in zs:
+            want = z * mpmath.hyp1f1(1, 2 + tp, sp * z) / denom
+            worst_pgf = max(worst_pgf, float(abs(pgf(z) - want)))
+    _report(13, "scipy 1F1(1;2+theta';sigma') vs mpmath (relative)", worst_sum, 1e-9)
+    _report(13, "Kingman theta0 = 0 pgf from its terms vs mpmath", worst_pgf, 1e-9)
+
+    # Euler integrals: endpoint exponents b-1, c-b-1 (2F1) and a-1, c-a-1
+    # (1F1) in (-1, 2), so both the power substitution and the plain
+    # panels of quad_power_endpoints are taken
     worst = 0.0
     for _ in range(100):
         b = rng.uniform(0.1, 3.0)
         c = b + rng.uniform(0.1, 3.0)
         a = rng.uniform(-2.0, 3.0)
         z = rng.uniform(-0.9, 0.9)
-        worst = max(
-            worst,
-            abs(sf.gauss_2f1(a, b, c, z).value - sf.gauss_2f1_quadrature(a, b, c, z)),
+        got = math.exp(-betaln(b, c - b)) * sf.quad_power_endpoints(
+            lambda t: np.power(1.0 - z * t, -a), 0.0, 1.0, alpha=b - 1.0, beta=c - b - 1.0
         )
-    _report(13, "2F1 series vs integral representation", worst, 1e-9)
+        worst = max(worst, float(abs(got - mpmath.hyp2f1(a, b, c, z))))
+    _report(13, "2F1 Euler integral (quad_power_endpoints) vs mpmath", worst, 1e-9)
 
     worst = 0.0
     for _ in range(100):
         a = rng.uniform(0.1, 3.0)
         c = a + rng.uniform(0.1, 3.0)
         z = rng.uniform(-10.0, 10.0)
-        s = sf.kummer_1f1(a, c, z)
-        worst = max(worst, abs(s.value - sf.kummer_1f1_quadrature(a, c, z)) / max(1.0, abs(s.value)))
-    _report(13, "1F1 series vs integral representation", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(100):
-        a = rng.uniform(0.2, 2.0)
-        d = a + rng.uniform(0.2, 2.0)
-        b, cc = rng.uniform(0.1, 1.5, size=2)
-        z, w = rng.uniform(-0.8, 0.8, size=2)
-        worst = max(
-            worst,
-            abs(sf.appell_f1(a, b, cc, d, z, w).value - sf.appell_f1_quadrature(a, b, cc, d, z, w)),
+        got = math.exp(-betaln(a, c - a)) * sf.quad_power_endpoints(
+            lambda t: np.exp(z * t), 0.0, 1.0, alpha=a - 1.0, beta=c - a - 1.0
         )
-    _report(13, "Appell F1 series vs integral representation", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(100):
-        al, be, ga, nu = rng.uniform(0.1, 5.0, size=4)
-        worst = max(
-            worst,
-            abs(sf.integral_I(al, be, ga, nu, 1.0) - sf.integral_I_gauss_form(al, be, ga, nu)),
-        )
-    _report(13, "integral family vs Gauss closed form (z = 1)", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(100):
-        al, be, ga, nu = rng.uniform(0.1, 5.0, size=4)
-        z_cap = nu / math.sqrt(nu * nu + 2 * nu)
-        z = rng.uniform(0.05, 0.95) * min(z_cap, 1.0)
-        worst = max(
-            worst,
-            abs(sf.integral_I(al, be, ga, nu, z) - sf.integral_I_appell_form(al, be, ga, nu, z)),
-        )
-    _report(13, "integral family vs Appell closed form (z in D_nu)", worst, 1e-9)
+        want = mpmath.hyp1f1(a, c, z)
+        worst = max(worst, float(abs(got - want) / max(1, abs(want))))
+    _report(13, "1F1 Euler integral (quad_power_endpoints) vs mpmath", worst, 1e-9)
 
 
 def test_criterion_14_absorption_identities():

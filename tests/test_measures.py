@@ -3,12 +3,14 @@
 import json
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln
 
 from blockstat.errors import DomainError, PreconditionViolated, QuadratureFailure
 from blockstat.measures import (
@@ -355,6 +357,29 @@ def test_merger_row_matches_mpmath_oracle():
             big = exact >= 1e-300
             assert got[big] == pytest.approx(exact[big], rel=1e-11, abs=0.0)
             assert np.all(got[~big] < 1e-290)
+
+
+def test_atom_row_memory_is_bounded():
+    # 2000 atoms at k = 1024: a whole (k-1) x n_atoms table peaks at ~31 MB
+    rng = np.random.default_rng(7)
+    xs = np.sort(rng.uniform(0.001, 0.999, 2000))
+    ms = rng.uniform(0.1, 1.0, 2000)
+    measure = LambdaMeasure.from_atoms(xs, ms)
+    k = 1024
+    tracemalloc.start()
+    try:
+        row = merger_row(measure, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    # reference: the one-table reduction over every atom at once
+    j = k + 1.0 - np.arange(1, k)
+    log_binom = -math.log(k + 1.0) - betaln(j + 1.0, k - j + 1.0)
+    table = np.exp(
+        log_binom[:, None] + (j[:, None] - 2.0) * np.log(xs) + (k - j[:, None]) * np.log1p(-xs)
+    )
+    assert row == pytest.approx(table @ ms, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("a,b", [(1.7, 2.4), (2.5, 1.5), (0.6, 3.0)])

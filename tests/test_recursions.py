@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from blockstat.errors import NotPositiveRecurrent, PreconditionViolated
-from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
+from blockstat.closedform import beta31_pgf, bs_rho, star_closed, wf_closed
+from blockstat.errors import NegativeMass, NotPositiveRecurrent, PreconditionViolated
+from blockstat.measures import LambdaMeasure, ModelParams, MoranParams, is_positive_recurrent
 from blockstat.recursions import (
+    _clip_negative,
     crow_kimura_geometric,
     moran_rate_matrix,
     solve_lambda_truncated,
@@ -113,6 +115,39 @@ def test_lambda_truncated_warns_outside_recurrence():
 def test_lambda_truncated_needs_sigma():
     with pytest.raises(PreconditionViolated):
         solve_lambda_truncated(LambdaMeasure.uniform(), ModelParams(0.0, 1.0, 1.0))
+
+
+_SIGMA_ZERO = ModelParams(0.0, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: wf_closed(2.0, _SIGMA_ZERO), PreconditionViolated,
+                     id="wf_closed-sigma0"),
+        pytest.param(lambda: star_closed(1.0, _SIGMA_ZERO), PreconditionViolated,
+                     id="star_closed-sigma0"),
+        pytest.param(lambda: solve_star(_SIGMA_ZERO, 1.0), PreconditionViolated,
+                     id="solve_star-sigma0"),
+        pytest.param(lambda: beta31_pgf(_SIGMA_ZERO), PreconditionViolated,
+                     id="beta31_pgf-sigma0"),
+        pytest.param(lambda: bs_rho(_SIGMA_ZERO), PreconditionViolated, id="bs_rho-sigma0"),
+        pytest.param(lambda: is_positive_recurrent(LambdaMeasure.uniform(), _SIGMA_ZERO),
+                     PreconditionViolated, id="is_positive_recurrent-sigma0"),
+        pytest.param(lambda: crow_kimura_geometric(ModelParams(1.0, 0.0, 1.0)),
+                     NotPositiveRecurrent, id="zero-measure-theta1-equals-sigma"),
+        pytest.param(lambda: _clip_negative(np.array([0.5, -1e-12, 0.5]), "edge"), None,
+                     id="clip-accepts-tolerance"),
+        pytest.param(lambda: _clip_negative(np.array([0.5, -1.0000001e-12, 0.5]), "edge"),
+                     NegativeMass, id="clip-rejects-below-tolerance"),
+    ],
+)
+def test_boundary_regime_exception_types(call, error):
+    if error is None:
+        call()
+    else:
+        with pytest.raises(error):
+            call()
 
 
 def test_star_closed_tails_theta1_zero():

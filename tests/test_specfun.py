@@ -1,4 +1,10 @@
-"""Special-function kernel: frozen examples and dual-path identities."""
+"""Quadrature kernel, and the special-function values it stands beside.
+
+The package reads its hypergeometric and Lambert-W values from
+scipy.special; the tests below pin those values at frozen examples and
+check them against the Euler integrals evaluated by quad_power_endpoints,
+which keeps the endpoint-singular paths of the kernel covered.
+"""
 
 import math
 
@@ -6,76 +12,63 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betaln, hyp1f1, hyp2f1, lambertw
 
 from blockstat import specfun as sf
-from blockstat.errors import DomainError, PoleError, QuadratureFailure
+from blockstat.closedform import _f32_terminating
+from blockstat.errors import QuadratureFailure
 
 
-def test_rising_factorial_examples():
-    assert sf.rising_factorial(3.7, 0) == 1.0
-    assert sf.rising_factorial(1.0, 4) == 24.0
-    assert sf.rising_factorial(2.0, 3) == 24.0
+def _euler_1f1(a, c, z):
+    """1F1(a; c; z) = int_0^1 t^(a-1) (1-t)^(c-a-1) e^(zt) dt / B(a, c-a)."""
+    return math.exp(-betaln(a, c - a)) * sf.quad_power_endpoints(
+        lambda t: np.exp(z * t), 0.0, 1.0, alpha=a - 1.0, beta=c - a - 1.0
+    )
 
 
-def test_falling_factorial():
-    assert sf.falling_factorial(5.0, 3) == 60.0
-    assert sf.falling_factorial(2.5, 0) == 1.0
+def _euler_f1(a, b, c, d, z, w):
+    """Appell F1(a; b, c; d; z, w) by its one-dimensional Euler integral."""
+    return math.exp(-betaln(a, d - a)) * sf.quad_power_endpoints(
+        lambda t: np.power(1.0 - z * t, -b) * np.power(1.0 - w * t, -c),
+        0.0, 1.0, alpha=a - 1.0, beta=d - a - 1.0, tol=1e-15,
+    )
 
 
-@given(st.floats(-10, 10), st.integers(0, 12))
-@settings(max_examples=60, deadline=None)
-def test_rising_falling_reflection(alpha, n):
-    # (a)_n^up = (-1)^n (-a)_n^down
-    up = sf.rising_factorial(alpha, n)
-    down = sf.falling_factorial(-alpha, n)
-    assert up == pytest.approx((-1) ** n * down, rel=1e-13, abs=1e-300)
+def _euler_2f1(a, b, c, z):
+    """2F1(a, b; c; z) = F1(b; a, 0; c; z, 0)."""
+    return _euler_f1(b, a, 0.0, c, z, 0.0)
 
 
 def test_gauss_2f1_examples():
-    assert sf.gauss_2f1(0.3, -1.2, 2.2, 0.0).value == 1.0
+    assert hyp2f1(0.3, -1.2, 2.2, 0.0) == 1.0
     # finite 3-term sum 1 - 2/3 + 1/6 = 0.5
-    res = sf.gauss_2f1(1, -2, 3, 1)
-    assert res.value == pytest.approx(0.5, abs=1e-15)
-    assert res.tail_bound == 0.0
+    assert hyp2f1(1, -2, 3, 1) == pytest.approx(0.5, abs=1e-15)
     # 2F1(1,1;2;z) = -log(1-z)/z
-    res = sf.gauss_2f1(1, 1, 2, 0.5)
-    assert res.value == pytest.approx(2 * math.log(2), abs=1e-14)
-    assert res.tail_bound < 1e-13
-
-
-def test_gauss_2f1_errors():
-    with pytest.raises(PoleError):
-        sf.gauss_2f1(1.0, 1.0, -2.0, 0.3)
-    with pytest.raises(DomainError):
-        sf.gauss_2f1(0.5, 0.5, 1.5, 1.2)
+    assert hyp2f1(1, 1, 2, 0.5) == pytest.approx(2 * math.log(2), abs=1e-14)
 
 
 def test_kummer_1f1_examples():
-    assert sf.kummer_1f1(0.7, 1.9, 0.0).value == 1.0
-    assert sf.kummer_1f1(1, 1, 1).value == pytest.approx(math.e, rel=1e-15)
-    assert sf.kummer_1f1(1, 2, 1).value == pytest.approx(math.e - 1, rel=1e-15)
-    with pytest.raises(PoleError):
-        sf.kummer_1f1(1.0, 0.0, 1.0)
+    assert hyp1f1(0.7, 1.9, 0.0) == 1.0
+    assert hyp1f1(1, 1, 1) == pytest.approx(math.e, rel=1e-15)
+    assert hyp1f1(1, 2, 1) == pytest.approx(math.e - 1, rel=1e-15)
 
 
 def test_hyper_3f2_examples():
-    assert sf.hyper_3f2(0.3, 0.4, 0.5, 1.2, 1.3, 0.0).value == 1.0
-    res = sf.hyper_3f2(1, 1, -1, 2, 1, 1)
-    assert res.value == pytest.approx(0.5, abs=1e-15)
+    # the terminating 3F2(a1, b, -m; d, 1; z) of the two-weight closed form
+    val, gross = _f32_terminating(1, 1, -1, 2, 1)
+    assert val == pytest.approx(0.5, abs=1e-15)
+    assert gross == pytest.approx(1.5, abs=1e-15)
     # hand sum 1 - 4/3 + 1/2 = 1/6
-    res = sf.hyper_3f2(2, 1, -2, 3, 1, 1)
-    assert res.value == pytest.approx(1 / 6, abs=1e-15)
-    assert res.tail_bound == 0.0
-    with pytest.raises(DomainError):
-        sf.hyper_3f2(0.5, 0.5, 0.5, 1.5, 1.5, 1.0)
+    val, gross = _f32_terminating(2, 1, -2, 3, 1)
+    assert val == pytest.approx(1 / 6, abs=1e-15)
+    assert gross == pytest.approx(1 + 4 / 3 + 1 / 2, abs=1e-15)
 
 
 def test_appell_f1_examples():
-    assert sf.appell_f1(0.5, 0.6, 0.7, 1.8, 0.0, 0.0).value == 1.0
-    # w = 0 collapses the inner sum
-    left = sf.appell_f1(0.5, 0.6, 0.7, 1.8, 0.4, 0.0).value
-    right = sf.gauss_2f1(0.5, 0.6, 1.8, 0.4).value
-    assert left == pytest.approx(right, rel=1e-14)
+    # w = 0 collapses F1 to 2F1(a, b; d; z)
+    assert _euler_f1(0.5, 0.6, 0.7, 1.8, 0.4, 0.0) == pytest.approx(
+        hyp2f1(0.5, 0.6, 1.8, 0.4), rel=1e-14
+    )
     # independent quadrature oracle for F1(1;1,1;3;0.3,0.5): the Euler
     # integral with Gamma(3)/(Gamma(1)Gamma(2)) = 2 and t^(a-1)(1-t)^(d-a-1)
     import scipy.integrate
@@ -84,49 +77,42 @@ def test_appell_f1_examples():
         lambda t: 2.0 * (1 - t) / ((1 - 0.3 * t) * (1 - 0.5 * t)), 0.0, 1.0,
         epsabs=1e-13, epsrel=1e-13,
     )
-    assert sf.appell_f1(1, 1, 1, 3, 0.3, 0.5).value == pytest.approx(oracle, abs=1e-10)
+    assert _euler_f1(1, 1, 1, 3, 0.3, 0.5) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_lambert_w_examples():
-    assert sf.lambert_w(0.0) == 0.0
-    assert sf.lambert_w(math.e) == pytest.approx(1.0, rel=1e-15)
-    assert sf.lambert_w(2 * math.exp(2)) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        sf.lambert_w(-0.1)
+    assert lambertw(0.0).real == 0.0
+    assert lambertw(math.e).real == pytest.approx(1.0, rel=1e-15)
+    assert lambertw(2 * math.exp(2)).real == pytest.approx(2.0, rel=1e-15)
 
 
 @given(st.floats(0, 1e6))
 @settings(max_examples=80, deadline=None)
 def test_lambert_w_defining_identity(x):
-    w = sf.lambert_w(x)
+    w = lambertw(x).real
     assert w * math.exp(w) == pytest.approx(x, rel=1e-13, abs=1e-300)
 
 
 def test_integral_I_examples():
-    # closed antiderivative 2 - y - 2/(1+y) over (0,1): 3/2 - 2 log 2
-    assert sf.integral_I(1, 1, 1, 1, 1.0) == pytest.approx(
-        1.5 - 2 * math.log(2), abs=1e-12
-    )
-    assert sf.integral_I(1, 1, 1, 1, 1e-12) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        sf.integral_I(1, 1, 1, 1, 1.5)
-    with pytest.raises(DomainError):
-        sf.integral_I(-1, 1, 1, 1, 0.5)
+    # the family int_0^z y^alpha (1-y)^beta (y+nu)^(-gamma) dy at alpha =
+    # beta = gamma = nu = 1: antiderivative 2y - y^2/2 - 2 log(1+y), so
+    # 3/2 - 2 log 2 over (0, 1)
+    def f(y):
+        return y * (1.0 - y) / (y + 1.0)
+
+    assert sf.adaptive_quad(f, 0.0, 1.0) == pytest.approx(1.5 - 2 * math.log(2), abs=1e-12)
+    assert sf.adaptive_quad(f, 0.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_integral_I_gauss_form_example():
-    got = sf.integral_I(2, 3, 1.5, 0.7, 1.0)
-    closed = sf.integral_I_gauss_form(2, 3, 1.5, 0.7)
+    # int_0^1 y^al (1-y)^be (y+nu)^-ga dy
+    #   = nu^(1+al-ga) (1+nu)^(-1-al) B(1+al, 1+be) 2F1(2+al+be-ga, 1+al; 2+al+be; 1/(1+nu))
+    al, be, ga, nu = 2.0, 3.0, 1.5, 0.7
+    got = sf.adaptive_quad(lambda y: y**al * (1 - y) ** be * (y + nu) ** -ga, 0.0, 1.0)
+    closed = math.exp(
+        (1 + al - ga) * math.log(nu) - (1 + al) * math.log1p(nu) + betaln(1 + al, 1 + be)
+    ) * hyp2f1(2 + al + be - ga, 1 + al, 2 + al + be, 1 / (1 + nu))
     assert got == pytest.approx(closed, abs=1e-9)
-
-
-def test_series_terminating_tail_bound_zero():
-    for res in (
-        sf.gauss_2f1(2, -5, 3.3, 2.7),
-        sf.hyper_3f2(-3, 1.1, 2.2, 3.3, 4.4, 5.0),
-        sf.appell_f1(1.0, -4, -2.0, 2.2, 3.0, 7.0),
-    ):
-        assert res.tail_bound == 0.0
 
 
 def test_2f1_series_vs_integral_grid():
@@ -136,9 +122,7 @@ def test_2f1_series_vs_integral_grid():
         c = b + rng.uniform(0.1, 3.0)
         a = rng.uniform(-2.0, 3.0)
         z = rng.uniform(-0.9, 0.9)
-        series = sf.gauss_2f1(a, b, c, z).value
-        quad = sf.gauss_2f1_quadrature(a, b, c, z)
-        assert series == pytest.approx(quad, abs=1e-10), (a, b, c, z)
+        assert hyp2f1(a, b, c, z) == pytest.approx(_euler_2f1(a, b, c, z), abs=1e-10), (a, b, c, z)
 
 
 def test_1f1_series_vs_integral_grid():
@@ -147,21 +131,18 @@ def test_1f1_series_vs_integral_grid():
         a = rng.uniform(0.1, 3.0)
         c = a + rng.uniform(0.1, 3.0)
         z = rng.uniform(-10, 10)
-        series = sf.kummer_1f1(a, c, z).value
-        quad = sf.kummer_1f1_quadrature(a, c, z)
-        assert series == pytest.approx(quad, rel=1e-10, abs=1e-10)
+        assert hyp1f1(a, c, z) == pytest.approx(_euler_1f1(a, c, z), rel=1e-10, abs=1e-10)
 
 
 def test_appell_equal_arguments_dual_path():
+    # F1(a; b, c; d; z, z) = 2F1(a, b+c; d; z)
     rng = np.random.default_rng(44)
     for _ in range(25):
         a = rng.uniform(0.2, 2.0)
         d = a + rng.uniform(0.2, 2.0)
         b, cc = rng.uniform(0.1, 1.5, size=2)
         z = rng.uniform(-0.8, 0.8)
-        series = sf.appell_f1(a, b, cc, d, z, z).value
-        quad = sf.appell_f1_quadrature(a, b, cc, d, z, z)
-        assert series == pytest.approx(quad, abs=1e-10)
+        assert _euler_f1(a, b, cc, d, z, z) == pytest.approx(hyp2f1(a, b + cc, d, z), abs=1e-10)
 
 
 def test_quadrature_endpoint_singularities():
