@@ -3,9 +3,9 @@
 A measure is decomposed as m0*delta_0 + m1*delta_1 + interior part, the
 interior being zero, a scaled uniform, a beta density, a finite atom list,
 or a custom density.  Derived quantities: the multiple-merger rates
-lambda_{k,j}, the critical selection strength sigma_Lambda, the
-positive-recurrence test, and the tail coefficients c_{n,k} of the
-stationary pmf recursion.
+lambda_{k,j} and their rows, the critical selection strength
+sigma_Lambda, the positive-recurrence test, and the tail coefficients
+c_{n,k} of the stationary pmf recursion as partial sums of merger rows.
 """
 
 from __future__ import annotations
@@ -354,14 +354,18 @@ def lambda_rate(measure: LambdaMeasure, k: int, j: int) -> float:
 def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
     """Rates binom(k, j) lambda_{k,j} of the jumps k -> l for l = 1..k-1.
 
-    j = k-l+1 blocks merge into one.  The binomial enters in log space,
-    -log(k+1) - betaln(j+1, k-j+1), so no row overflows at any k.  A
-    uniform interior gives c k / ((k-l)(k-l+1)), a Beta(a, b) interior
-    M binom(k, j) B(a+j-2, b+k-j) / B(a, b), atoms a table over l and
-    each block of atoms reduced with the masses, and a custom density one
-    vector-valued quadrature whose components are the rates themselves.
-    The atom at 0 adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1
-    at l = 1.
+    j = k-l+1 blocks merge into one.  A uniform interior gives
+    c k / ((k-l)(k-l+1)).  A Beta(a, b) interior gives
+    M binom(k, j) B(a+j-2, b+k-j) / B(a, b), built from its first rate
+    M B(a+k-2, b) / B(a, b), a product of k-2 ratios in np.longdouble, by
+    the term ratios
+        r_{l+1} / r_l = (k-l+1) (l-1+b) / (l (k-l-2+a))
+    in doubles.  For atoms and custom densities the binomial enters in log
+    space, -log(k+1) - betaln(j+1, k-j+1), so no row overflows at any k:
+    atoms give a table over l with each block of atoms reduced with the
+    masses, a custom density one vector-valued quadrature whose components
+    are the rates themselves.  The atom at 0 adds m0 binom(k, 2) at
+    l = k-1, the atom at 1 adds m1 at l = 1.
     """
     if k < 2:
         return np.zeros(0)
@@ -371,39 +375,46 @@ def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
         row = np.zeros(k - 1)
     elif isinstance(interior, UniformScaled):
         row = interior.c * k / ((k - ells) * (k - ells + 1.0))
+    elif isinstance(interior, BetaDensity):
+        a, b = interior.a, interior.b
+        i = np.arange(k - 2, dtype=np.longdouble)
+        q = np.prod((a + i) / (a + b + i))  # B(a+k-2, b) / B(a, b)
+        first = interior.total_mass * q
+        # integer parts are summed before a or b joins them, else
+        # (a+k) - l - 2 cancels
+        ell = ells[:-1]
+        ratios = (k - ell + 1) * ((ell - 1) + b) / (ell * ((k - ell - 2) + a))
+        # from a first rate this small the row could leave the double range
+        head = first if q < 1e-250 else float(first)
+        row = np.cumprod(np.concatenate(([head], ratios))).astype(float, copy=False)
     else:
         j = k + 1.0 - ells
         log_binom = -math.log(k + 1.0) - betaln(j + 1.0, k - j + 1.0)
-        if isinstance(interior, BetaDensity):
-            a, b = interior.a, interior.b
-            row = interior.total_mass * np.exp(
-                log_binom + betaln(a + j - 2.0, b + k - j) - betaln(a, b)
+
+        def table(x):
+            """binom(k, j) x^(j-2) (1-x)^(k-j), shape (k-1, x.size)."""
+            return np.exp(
+                log_binom[:, None]
+                + (j[:, None] - 2.0) * np.log(x)
+                + (k - j[:, None]) * np.log1p(-x)
+            )
+
+        if isinstance(interior, Atoms):
+            # blocks of atoms bound the table at (k-1) x ATOM_BLOCK
+            xs, ms = interior.xs, interior.ms
+            row = sum(
+                (table(xs[i : i + ATOM_BLOCK]) @ ms[i : i + ATOM_BLOCK]
+                 for i in range(0, xs.size, ATOM_BLOCK)),
+                np.zeros(k - 1),
             )
         else:
-            def table(x):
-                """binom(k, j) x^(j-2) (1-x)^(k-j), shape (k-1, x.size)."""
-                return np.exp(
-                    log_binom[:, None]
-                    + (j[:, None] - 2.0) * np.log(x)
-                    + (k - j[:, None]) * np.log1p(-x)
-                )
+            def integrand(x):
+                # a node rounded to 1.0 (or a density pole, 0 * inf)
+                # gives NaN, which adaptive_quad rejects
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return table(x) * interior.density(x)
 
-            if isinstance(interior, Atoms):
-                # blocks of atoms bound the table at (k-1) x ATOM_BLOCK
-                xs, ms = interior.xs, interior.ms
-                row = sum(
-                    (table(xs[i : i + ATOM_BLOCK]) @ ms[i : i + ATOM_BLOCK]
-                     for i in range(0, xs.size, ATOM_BLOCK)),
-                    np.zeros(k - 1),
-                )
-            else:
-                def integrand(x):
-                    # a node rounded to 1.0 (or a density pole, 0 * inf)
-                    # gives NaN, which adaptive_quad rejects
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        return table(x) * interior.density(x)
-
-                row = adaptive_quad(integrand, 0.0, 1.0, tol=1e-13)
+            row = adaptive_quad(integrand, 0.0, 1.0, tol=1e-13)
     row[-1] += measure.m0 * math.comb(k, 2)
     row[0] += measure.m1
     return row
@@ -503,187 +514,17 @@ def is_positive_recurrent(
 # ----------------------------------------------------------------------
 
 
-def _bracket_small(x: np.ndarray, n: int, k: int) -> np.ndarray:
-    """(1-x)^n * sum_{m > k-n} binom(m+n-1, n-1) x^m for x below 1/2.
-
-    Summed in log space term by term; safe for locations that underflow
-    x^(k-n+1).
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    if x.size == 0:
-        return out
-    m0 = k - n + 1
-    with np.errstate(divide="ignore"):
-        logx = np.log(x)
-    logcoef = (
-        math.lgamma(m0 + n) - math.lgamma(n) - math.lgamma(m0 + 1)
-    )  # log binom(m0+n-1, n-1)
-    logterm = logcoef + m0 * logx
-    acc = np.exp(logterm)
-    m = m0
-    # ratio of consecutive terms: x * (m+n)/(m+1) <= x * cst -> geometric
-    for _ in range(100_000):
-        m += 1
-        logterm = logterm + math.log((m + n - 1.0) / m) + logx
-        term = np.exp(logterm)
-        acc += term
-        ratio = x * (m + n) / (m + 1.0)
-        bound = term * ratio / np.maximum(1.0 - ratio, 1e-6)
-        if np.all(bound <= 1e-18 * (acc + 1e-300)):
-            break
-    return np.exp(n * np.log1p(-x)) * acc
-
-
-def _bracket_large(x: np.ndarray, n: int, k: int) -> np.ndarray:
-    """1 - (1-x)^n * sum_{m=0}^{k-n} binom(m+n-1, n-1) x^m for x >= 1/2."""
-    x = np.asarray(x, dtype=float)
-    term = np.exp(n * np.log1p(-x))  # m = 0 term times (1-x)^n
-    acc = term.copy()
-    for m in range(k - n):
-        term = term * x * (m + n) / (m + 1.0)
-        acc += term
-    return 1.0 - acc
-
-
-def tail_bracket(x: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Stable value of 1 - (1-x)^n sum_{m<=k-n} binom(m+n-1,n-1) x^m on (0,1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 0.5
-    out[small] = _bracket_small(x[small], n, k)
-    out[~small] = _bracket_large(x[~small], n, k)
-    return out
-
-
-def cnk(measure: LambdaMeasure, n: int, k: int, tol: float = 1e-12) -> float:
+def cnk(measure: LambdaMeasure, n: int, k: int) -> float:
     """Coefficient c_{n,k} (k > n >= 1) of the stationary pmf recursion.
 
-    In general
-        c_{n,k} = (1/n) int x^-2 [1 - (1-x)^n sum_{m=0}^{k-n} binom(m+n-1,n-1) x^m] L0(dx),
-    evaluated by quadrature in this complementary form (which keeps the
-    integrand bounded near 0) for custom densities; tol is the absolute
-    quadrature tolerance.  Uniform interiors give c/(k-n), atoms a finite
-    sum, and Beta(a, b) interiors the exact negative-binomial form of
-    _cnk_row_beta, with error contract: relative error <= 1e-12 wherever
-    c_{n,k} >= 1e-2 c_{n,n+1}, and absolute error <= 1e-14 c_{n,n+1}
-    everywhere.  Checked against a 40-digit 3F2 evaluation for a in
-    [0.3, 5], b in [0.3, 6], n <= 64, k <= 1024.
+    n c_{n,k} is the rate at which the interior of the measure takes k
+    blocks to n or fewer, so c_{n,k} = (1/n) sum_{l<=n} r_{k->l} with
+    r_{k->l} the interior part of merger_row(measure, k).  Every term is
+    nonnegative.  For Beta(a, b) interiors the error contract is: relative
+    error <= 1e-12 wherever c_{n,k} >= 1e-2 c_{n,n+1}, and absolute error
+    <= 1e-14 c_{n,n+1} everywhere, checked against a 40-digit 3F2
+    evaluation for a in [0.3, 5], b in [0.3, 6], n <= 64, k <= 1024.
     """
     if not k > n >= 1:
         raise DomainError("cnk needs k > n >= 1")
-    interior = measure.interior
-    if isinstance(interior, Zero):
-        return 0.0
-    if isinstance(interior, UniformScaled):
-        return interior.c / (k - n)
-    if isinstance(interior, BetaDensity):
-        return float(_cnk_row_beta(interior, n, k)[-1])
-    if isinstance(interior, Atoms):
-        xs, ms = interior.xs, interior.ms
-        return float(np.sum(ms * tail_bracket(xs, n, k) / xs**2)) / n
-
-    def f(x):
-        out = np.zeros_like(x)
-        inside = (x > 0) & (x < 1)
-        xx = x[inside]
-        out[inside] = tail_bracket(xx, n, k) / xx**2 * interior.density(xx)
-        return out
-
-    return adaptive_quad(f, 0.0, 1.0, tol=tol, max_panels=8192) / n
-
-
-def cnk_row(measure: LambdaMeasure, n: int, K: int) -> np.ndarray:
-    """Vector (c_{n,n+1}, ..., c_{n,K}); vectorised over k except for custom densities."""
-    interior = measure.interior
-    ks = np.arange(n + 1, K + 1)
-    if isinstance(interior, Zero) or ks.size == 0:
-        return np.zeros(ks.size)
-    if isinstance(interior, UniformScaled):
-        return interior.c / (ks - n)
-    if isinstance(interior, BetaDensity):
-        return _cnk_row_beta(interior, n, K)
-    if isinstance(interior, Atoms):
-        return _cnk_row_atoms(interior.xs, interior.ms, n, K)
-    return np.array([cnk(measure, n, int(k)) for k in ks])
-
-
-def _cnk_row_beta(beta: BetaDensity, n: int, K: int) -> np.ndarray:
-    """Beta(a, b) c_{n,k} for k = n+1..K from the negative-binomial tail.
-
-    With L0 = M x^(a-1) (1-x)^(b-1) / B(a, b) the bracket of cnk expands to
-        c_{n,k} = M/(n B(a,b)) sum_{m > k-n} binom(m+n-1, n-1) B(a+m-2, b+n),
-    so the row starts at the anchor
-        c_{n,n+1} = M/(n B(a,b)) sum_{l<n} (l+1) B(a, b+l),
-    finite for every a > 0, and falls by the increments
-        c_{n,k} - c_{n,k+1} = M/(n B(a,b)) binom(k, n-1) B(a+k-n-1, b+n).
-    Both are built from ratios of consecutive terms, which are rational in
-    a, b, n and k, so one row costs O(K) and no quadrature.  The products
-    and sums run in np.longdouble: with its 64-bit significand (x86-64)
-    c_{n,k} comes out within 2e-16 c_{n,n+1} of the exact value, while
-    plain doubles drift to 1.5e-14 c_{n,n+1} over a thousand steps, which
-    is what platforms whose long double is a double get.  Rounding-only
-    negatives are clamped to 0; the row is nonnegative and non-increasing.
-    """
-    a, b = np.longdouble(beta.a), np.longdouble(beta.b)
-    ls = np.arange(n, dtype=np.longdouble)
-    q = np.cumprod(np.concatenate(([1], (b + ls) / (a + b + ls))))  # B(a, b+l)/B(a, b)
-    anchor = np.dot(ls + 1, q[:n])
-    # ratio of the increments at k = n+t+1 and k = n+t, t = 1..K-n-2
-    t = np.arange(1, K - n - 1, dtype=np.longdouble)
-    steps = (t + (n + 1)) * (t + (a - 1)) / ((t + 2) * (t + (a + b + n - 1)))
-    increments = np.cumprod(np.concatenate(([n * (n + 1) / 2 * q[n]], steps)))
-    row = anchor - np.concatenate(([0], np.cumsum(increments)))[: K - n]
-    return np.maximum(row, 0).astype(float) * (beta.total_mass / n)
-
-
-def _cnk_row_atoms(xs: np.ndarray, ms: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Atom-interior c_{n,k} for k = n+1..K in one sweep.
-
-    Locations >= 1/2 accumulate the complementary partial sums upward in
-    k; smaller ones carry the tail series downward in k (one log-space
-    term per step), so the whole row costs O(K * n_atoms).
-    """
-    ks = np.arange(n + 1, K + 1)
-    out = np.zeros(ks.size)
-    small = xs < 0.5
-    xs_l, ms_l = xs[~small], ms[~small]
-    if xs_l.size:
-        # S accumulates binom(m+n-1, n-1) x^m (1-x)^n upward in m = k-n
-        term = np.exp(n * np.log1p(-xs_l))
-        acc = term.copy()
-        w_l = ms_l / xs_l**2
-        for m in range(1, K - n + 1):
-            term = term * xs_l * (m + n - 1.0) / m
-            acc += term
-            out[m - 1] += float(np.dot(w_l, 1.0 - acc))
-    xs_s, ms_s = xs[small], ms[small]
-    if xs_s.size:
-        # tail S_k = sum_{m > k-n} binom(m+n-1, n-1) x^m, descending in k
-        with np.errstate(divide="ignore"):
-            logx = np.log(xs_s)
-        onemx_n = np.exp(n * np.log1p(-xs_s))
-        w_s = ms_s * onemx_n / xs_s**2
-        m_top = K - n + 1
-        logc = math.lgamma(m_top + n) - math.lgamma(n) - math.lgamma(m_top + 1)
-        logterm = logc + m_top * logx
-        tail = np.exp(logterm)
-        m = m_top
-        for _ in range(200_000):
-            m += 1
-            logterm = logterm + math.log((m + n - 1.0) / m) + logx
-            t = np.exp(logterm)
-            tail += t
-            ratio = xs_s * (m + n) / (m + 1.0)
-            bound = t * ratio / np.maximum(1.0 - ratio, 1e-6)
-            if np.all(bound <= 1e-18 * (tail + 1e-300)):
-                break
-        # now descend: S_{k} = S_{k+1} + term at m = k-n+1
-        logterm = logc + m_top * logx  # term at m = K-n+1 (already inside tail)
-        out[K - n - 1] += float(np.dot(w_s, tail))
-        for k in range(K - 1, n, -1):
-            mm = k - n + 1
-            logterm = logterm - math.log((mm + n) / (mm + 1.0)) - logx
-            tail = tail + np.exp(logterm)
-            out[k - n - 1] += float(np.dot(w_s, tail))
-    return out / n
+    return float(np.sum(merger_row(LambdaMeasure(interior=measure.interior), k)[:n])) / n

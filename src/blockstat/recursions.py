@@ -27,8 +27,8 @@ from .measures import (
     LambdaMeasure,
     ModelParams,
     MoranParams,
-    cnk_row,
     is_positive_recurrent,
+    merger_row,
 )
 
 NEG_CLIP = -1e-12
@@ -247,26 +247,34 @@ def _solve_prlm(
 ) -> tuple[np.ndarray, float]:
     """Backward substitution for the truncated pmf system with p_{K+1..} = 0.
 
-    All recursion coefficients are nonnegative, so the sweep is
-    subtraction-free and the result positive by construction.  Returns
-    the normalised pmf and the largest equation residual
-    |rhs_n - sigma p_{n-1}| met in the sweep, in the same scale.
+    The equation at n balances the flux across the cut n | n+1:
+        sigma p_n = theta1 p_{n+1} + theta0 T_{n+1} + (1/n) sum_{l<=n} D_l,
+    with T_{n+1} = sum_{k>n} p_k and D_l = sum_{k>n} p_k r_{k->l}, where
+    r_{k->l} = merger_row(measure, k)[l-1] includes the atoms at 0 and 1.
+    Both sums take one row p_k r_{k->.} as each p_k is found, so a solve
+    reads K merger rows and holds O(K) numbers.  All terms are
+    nonnegative, so the sweep is subtraction-free and the result positive
+    by construction.  Returns the normalised pmf and the largest equation
+    residual |rhs_n - sigma p_n| met in the sweep, in the same scale.
     """
-    sigma = params.sigma
-    th0, th1 = params.theta0, params.theta1
-    m0, m1 = measure.m0, measure.m1
+    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     p = np.zeros(K)
     p[K - 1] = 1.0
+    tail = 0.0
+    down = np.zeros(K - 1)  # D_l, l = 1..K-1
     res = 0.0
     for n in range(K - 1, 0, -1):
-        row = cnk_row(measure, n, K) + (m1 / n + th0)
-        val = (m0 * (n + 1) / 2.0 + th1) * p[n] + float(np.dot(row, p[n:]))
+        tail += p[n]
+        down[:n] += p[n] * merger_row(measure, n + 1)
+        val = th1 * p[n] + th0 * tail + float(down[:n].sum()) / n
         p[n - 1] = val / sigma
         res = max(res, abs(val - sigma * p[n - 1]))
         if p[n - 1] > 1e250:
             # only ratios matter; rescale the computed block to avoid overflow
             scale = p[n - 1]
             p[n - 1 :] /= scale
+            down /= scale
+            tail /= scale
             res /= scale
     total = p.sum()
     return p / total, res / total

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import betaln
 
 from blockstat.errors import DomainError, PreconditionViolated, QuadratureFailure
+from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
     Atoms,
     BetaDensity,
@@ -22,12 +23,10 @@ from blockstat.measures import (
     MoranParams,
     UniformScaled,
     cnk,
-    cnk_row,
     is_positive_recurrent,
     lambda_rate,
     merger_row,
     sigma_lambda,
-    tail_bracket,
 )
 from blockstat.recursions import solve_lambda_truncated
 
@@ -105,34 +104,48 @@ def test_cnk_uniform_matches_quadrature_path():
         assert cnk(near_uniform, n, k) == pytest.approx(1 / (k - n), abs=1e-10)
 
 
-def test_cnk_row_matches_scalar():
-    lam = LambdaMeasure.from_atoms(
+def _atom_cnk_mpmath(measure, n, k):
+    """c_{n,k} of an atom interior at 40 digits from the binomial tail:
+        (1/n) sum_atoms m x^-2 P(Bin(k, x) > k-n)."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for x, m in zip(measure.interior.locations, measure.interior.masses):
+            x = mpmath.mpf(x)
+            tail = mpmath.fsum(
+                mpmath.binomial(k, j) * x**j * (1 - x) ** (k - j)
+                for j in range(k - n + 1, k + 1)
+            )
+            total += m * tail / x**2
+        return total / n
+
+
+def _validate_fixed_point_measure():
+    """The pushforward measure of `validate --suite full` (about 50 atoms)."""
+    rs = rho_star(0.3, 0.05, ModelParams(1.0, 0.2, 0.2))
+    return pushforward_to_lambda(build_discrete_fixed_point(rs, 0.3, 0.05), rs)
+
+
+def test_atom_cnk_matches_binomial_tail_oracle():
+    six = LambdaMeasure.from_atoms(
         [1e-8, 1e-3, 0.2, 0.49, 0.51, 0.9], [0.05, 0.1, 0.3, 0.2, 0.2, 0.15]
     )
-    for n in (1, 2, 6):
-        row = cnk_row(lam, n, 25)
-        direct = np.array([cnk(lam, n, k) for k in range(n + 1, 26)])
-        assert np.max(np.abs(row - direct)) < 1e-13
+    for lam in (six, _validate_fixed_point_measure()):
+        for n in (1, 2, 6, 40):
+            anchor = float(_atom_cnk_mpmath(lam, n, n + 1))
+            for kk in (n + 1, n + 2, (n + 1 + 1024) // 2, 1024):
+                exact = float(_atom_cnk_mpmath(lam, n, kk))
+                got = cnk(lam, n, kk)
+                assert abs(got - exact) <= 1e-14 * anchor
+                if exact >= 1e-2 * anchor:
+                    assert abs(got / exact - 1.0) <= 1e-12
 
 
 def test_cnk_monotone_and_nonnegative():
     for lam in (LambdaMeasure.uniform(), LambdaMeasure.beta(2.0, 3.0)):
         for n in (1, 4):
-            row = cnk_row(lam, n, 30)
+            row = np.array([cnk(lam, n, k) for k in range(n + 1, 31)])
             assert np.all(row >= 0)
             assert np.all(np.diff(row) <= 1e-15)
-
-
-def test_bracket_integrand_bounded_near_zero():
-    # x^-2 * bracket stays finite as x -> 0 (the bracket is O(x^2) there)
-    for n, k in [(1, 2), (3, 4), (5, 9)]:
-        for x in (1e-4, 1e-6):
-            val = tail_bracket(np.array([x]), n, k)[0] / x**2
-            limit = math.comb(k, n - 1) if k == n + 1 else 0.0
-            # k = n+1 tends to binom(n+1, 2); larger k tends to 0
-            if k == n + 1:
-                assert val == pytest.approx(math.comb(n + 1, 2), rel=5e-4)
-            assert np.isfinite(val)
 
 
 def test_measure_json_round_trip():
@@ -226,12 +239,13 @@ def test_beta_cnk_oracle_is_the_unit_argument_3f2():
     st.integers(1, 64),
     st.integers(1, 1024),
 )
-# summed in plain doubles this row misses the absolute bound (1.5e-14)
+# a row summed in plain doubles from the column increments misses the
+# absolute bound (1.5e-14) here
 @example(a=4.061646490198856, b=1.4233831334711122, mass=1.0, n=47, k=953)
 @settings(max_examples=200, deadline=None)
 def test_beta_cnk_row_matches_3f2_oracle(a, b, mass, n, k):
     k = min(n + k, 1024)
-    row = cnk_row(LambdaMeasure.beta(a, b, mass), n, k)
+    row = np.array([cnk(LambdaMeasure.beta(a, b, mass), n, kk) for kk in range(n + 1, k + 1)])
     anchor = float(_beta_cnk_3f2(a, b, n, n + 1, mass))
     assert np.all(row >= 0.0)
     assert np.all(np.diff(row) <= 0.0)
@@ -345,6 +359,8 @@ def test_merger_row_matches_mpmath_oracle():
         LambdaMeasure(m0=0.4, m1=1.3, interior=UniformScaled(2.5)),
         LambdaMeasure.from_atoms([0.01, 0.3, 0.5, 0.97], [0.2, 1.0, 0.7, 3.0]),
         LambdaMeasure(m0=2.0, m1=0.5, interior=Atoms((0.2, 0.75), (1.5, 0.1))),
+        # at k = 1500 the first rate, 6e-350, is below the double range
+        LambdaMeasure.beta(1.5, 300.0),
     ]
     for _ in range(12):
         a, b = rng.uniform(0.3, 5.0), rng.uniform(0.3, 6.0)
@@ -357,6 +373,8 @@ def test_merger_row_matches_mpmath_oracle():
             big = exact >= 1e-300
             assert got[big] == pytest.approx(exact[big], rel=1e-11, abs=0.0)
             assert np.all(got[~big] < 1e-290)
+            if isinstance(measure.interior, BetaDensity):
+                assert got[big] == pytest.approx(exact[big], rel=5e-13, abs=0.0)
 
 
 def test_atom_row_memory_is_bounded():
@@ -402,6 +420,10 @@ def test_custom_density_with_pole_at_one_raises():
     for k in (2, 3, 20):
         with pytest.raises(QuadratureFailure):
             merger_row(custom, k)
+    with pytest.raises(QuadratureFailure):
+        cnk(custom, 1, 2)
+    with pytest.raises(QuadratureFailure):
+        solve_lambda_truncated(custom, ModelParams(1.0, 0.5, 0.5))
 
 
 # ----------------------------------------------------------------------

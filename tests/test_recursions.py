@@ -1,6 +1,7 @@
 """Linear solvers: Moran shooting/banded, GTH oracle, truncated systems."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 
 from blockstat.closedform import beta31_pgf, bs_rho, star_closed, wf_closed
 from blockstat.errors import NegativeMass, NotPositiveRecurrent, PreconditionViolated
-from blockstat.measures import LambdaMeasure, ModelParams, MoranParams, is_positive_recurrent
+from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
+from blockstat.measures import (
+    CustomDensity,
+    LambdaMeasure,
+    ModelParams,
+    MoranParams,
+    cnk,
+    is_positive_recurrent,
+)
 from blockstat.recursions import (
     _clip_negative,
     crow_kimura_geometric,
@@ -306,12 +315,11 @@ def test_banded_helper_callers_match_loop_assembly():
 
 def _prlm_resweep_residual(measure, params, p):
     """Reference: the residual of a pmf in the truncated equations, re-swept."""
-    from blockstat.measures import cnk_row
-
     K = p.size
     res = 0.0
     for n in range(1, K):
-        row = cnk_row(measure, n, K) + (measure.m1 / n + params.theta0)
+        row = np.array([cnk(measure, n, k) for k in range(n + 1, K + 1)])
+        row += measure.m1 / n + params.theta0
         lhs = (measure.m0 * (n + 1) / 2.0 + params.theta1) * p[n] + float(np.dot(row, p[n:]))
         res = max(res, abs(lhs - params.sigma * p[n - 1]))
     return res
@@ -343,3 +351,47 @@ def test_prlm_sweep_residual_matches_resweep(measure, prm, K):
     expected = max(_prlm_resweep_residual(measure, prm, p_final),
                    abs(p_final.sum() - 1.0), pmf.extras["closure_delta"])
     assert pmf.residual == pytest.approx(expected, rel=1e-12, abs=4 * ulp)
+
+
+def _geometric_distance(pmf, rho):
+    n = np.arange(1, pmf.truncation_K + 1)
+    return float(np.max(np.abs(pmf.probs - (1 - rho) * rho ** (n - 1.0))))
+
+
+def _random_model_params(rng):
+    return ModelParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.5)),
+                       float(rng.uniform(0.05, 0.5)))
+
+
+def test_truncated_matches_geometric_on_random_pushforward_measures():
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            prm = _random_model_params(rng)
+            x0 = float(rng.uniform(0.1, 0.6))
+            m0 = float(rng.uniform(0.05, 0.95)) * prm.sigma * x0 * (1 - x0)
+            rs = rho_star(x0, m0, prm)
+            lam = pushforward_to_lambda(build_discrete_fixed_point(rs, x0, m0), rs)
+            pmf = solve_lambda_truncated(lam, prm)
+            assert _geometric_distance(pmf, rs) < 1e-9, (prm, x0, m0)
+
+
+def test_truncated_matches_geometric_on_random_uniform_params():
+    rng = np.random.default_rng(32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            prm = _random_model_params(rng)
+            pmf = solve_lambda_truncated(LambdaMeasure.uniform(), prm)
+            assert _geometric_distance(pmf, bs_rho(prm)) < 1e-9, prm
+
+
+def test_custom_density_solve_matches_beta31():
+    # 3x^2 through the quadrature rows against the closed Beta(3, 1) rows
+    prm = ModelParams(0.5, 0.5, 0.5)
+    custom = LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2))
+    start = time.perf_counter()
+    pmf = solve_lambda_truncated(custom, prm)
+    assert time.perf_counter() - start < 2.0
+    assert pmf.sup_distance(solve_lambda_truncated(LambdaMeasure.beta31(), prm)) < 1e-12
