@@ -9,9 +9,10 @@ equation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.integrate
@@ -82,6 +83,11 @@ class PgfEvaluator:
 # A = (1+u1+rho0) N.  Kingman, Moran's diffusion limit: alpha = theta1',
 # beta = c = theta0', k(y) = exp(-sigma' y), K(z) = exp(sigma' z), x = 1,
 # rho = sigma'.
+# The q_{n,i} are computed, not summed: both solve the model's cut balance
+#   C_{n+1} q_{n+1} = (S_n + c + C_n) q_n - S_{n-1} q_{n-1},  C_n = n + alpha,
+# from q_{i-1,i} = 0 and q_{i,i} = 1, with the per-block up-rate
+# S_n = (N-n) s (Moran) or sigma' (Kingman).  Both are dominant solutions,
+# so forward stepping is stable.
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,7 @@ class _TwoWeightForm:
     c: float
     log_k: Callable[[np.ndarray], np.ndarray]
     log_K: Callable[[float], float]
-    arg: float
-    q_step: Callable[[int, int], float]  # rho(i, m)
+    branch: Callable[[float], float]  # S_n, the per-block up-rate at n blocks
     tail_solve: Callable[[], np.ndarray]  # stable pmf past formula_valid_to
 
 
@@ -156,44 +161,37 @@ def _weight_integrals(
     return float(i0), float(i1)
 
 
-def _f32_terminating(a1: float, b_top: float, a3: int, b_bot: float, z: float):
-    """Terminating 3F2(a1, b_top, a3; b_bot, 1; z) with its gross term sum.
-
-    a3 is a nonpositive integer; returns (value, sum of |terms|) so callers
-    can bound the cancellation-aware rounding error.
-    """
-    terms = [1.0]
-    t = 1.0
-    for k in range(-a3):
-        t *= (a1 + k) * (b_top + k) * (a3 + k) * z / ((b_bot + k) * (1.0 + k) * (1.0 + k))
-        terms.append(t)
-    return math.fsum(terms), math.fsum(map(abs, terms))
-
-
-def _q(form: _TwoWeightForm, n: int, i: int) -> tuple[float, float]:
-    """Coefficient q_{n,i} of the pmf expansion and its gross term sum."""
-    terms = []
-    gross = []
-    r = 1.0
-    for m in range(n - i + 1):
-        val, big = _f32_terminating(
-            m + 1.0, 1.0 - form.beta, m - n + i, form.alpha + m + i + 1.0, form.arg
-        )
-        terms.append(r * val)
-        gross.append(abs(r) * big)
-        r *= form.q_step(i, m) / (form.alpha + i + 1 + m)
-    return math.fsum(terms), math.fsum(gross)
-
-
 # The alternating combination I1 q_{n,1}/(alpha+1) - I0 q_{n,2}/(alpha+2) is
 # exponentially ill-conditioned in n: the true pmf is the recessive part of
 # the expansion, so its tail demands relative accuracy ~ p_n / q_n of every
-# factor, including the weight integrals.  The formula is therefore used
-# with a running error estimate (effective relative error ~3e-16 of the
-# term scale) and handed over to the model's stable tail solve beyond its
-# trustworthy range.
+# factor.  _Q_EFF_EPS is the relative error that the weight integrals
+# (quadrature tolerance 1e-15) and the double inputs bring to each term;
+# stepping the recurrence in _QDTYPE adds up to about 2n roundings.  The
+# error estimate of p_n is the term scale times their sum, and the formula
+# hands over to the model's stable tail solve at the first n where that
+# estimate exceeds _Q_ERR_CAP or |p_n|.  Where long double is a plain
+# double, the n-scaled part of the estimate is 2048 times larger.
 _Q_EFF_EPS = 1e-15
 _Q_ERR_CAP = 1e-10
+_QDTYPE = np.longdouble
+
+
+def _q_pairs(form: _TwoWeightForm) -> Iterator[tuple[np.floating, np.floating]]:
+    """(q_{n,1}, q_{n,2}) for n = 2, 3, ..., one recurrence step per item."""
+    qdt = _QDTYPE
+    S, c, alpha = form.branch, form.c, form.alpha
+
+    def step(prev, cur, k):
+        """q_{k+1,i} from q_{k-1,i} and q_{k,i}."""
+        k = qdt(k)  # first, so that every sum below is taken in qdt
+        return ((k + alpha + c + S(k)) * cur - S(k - 1) * prev) / (k + 1 + alpha)
+
+    q1_prev, q1 = qdt(1), step(qdt(0), qdt(1), 1)
+    q2_prev, q2 = qdt(0), qdt(1)
+    for n in itertools.count(2):
+        yield q1, q2
+        q1_prev, q1 = q1, step(q1_prev, q1, n)
+        q2_prev, q2 = q2, step(q2_prev, q2, n)
 
 
 def _two_weight_closed(
@@ -209,17 +207,18 @@ def _two_weight_closed(
     p1 = form.c * i1 / (a1 * (i0 - i1))
     pref = form.c / (i0 - i1)
 
+    eps = float(np.finfo(_QDTYPE).eps)
     probs = np.empty(n_max)
     probs[0] = p1
     valid_to = n_max
-    for n in range(2, n_max + 1):
-        q1, g1 = _q(form, n, 1)
-        q2, g2 = _q(form, n, 2)
-        if (i1 * g1 / a1 + i0 * g2 / a2) * pref * _Q_EFF_EPS > _Q_ERR_CAP:
+    for n, (q1, q2) in zip(range(2, n_max + 1), _q_pairs(form)):
+        p = pref * (i1 * q1 / a1 - i0 * q2 / a2)
+        err = pref * (i1 * abs(q1) / a1 + i0 * abs(q2) / a2) * (_Q_EFF_EPS + 2 * n * eps)
+        if err > _Q_ERR_CAP or err > abs(p):
             valid_to = n - 1
             probs[n - 1 :] = form.tail_solve()[n - 1 : n_max]
             break
-        probs[n - 1] = pref * (i1 * q1 / a1 - i0 * q2 / a2)
+        probs[n - 1] = p
     worst = float(probs.min(initial=0.0))
     if worst < -1e-9:
         raise NegativeMass(f"{tag}: closed-form probability {worst}")
@@ -333,7 +332,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     """Explicit stationary law of the Moran block counting chain.
 
     u0 = 0 uses the terminating-2F1 product form; u0 > 0 goes through the
-    weight integrals I_i and the q_{n,i} sums.  n_max truncates the pmf
+    weight integrals I_i and the q_{n,i} recurrence.  n_max truncates the pmf
     (useful for large N, where only the head carries mass).
     """
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
@@ -359,8 +358,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
         alpha=N * u1, beta=N * rho0, c=N * u0,
         log_k=lambda y: -(A + 1.0) * np.log1p(s * y),
         log_K=lambda z: A * math.log1p(s * z),
-        arg=1.0 + s,
-        q_step=lambda i, m: (-N + i - 1 + m) * (-s),
+        branch=lambda n: (N - n) * s,
         tail_solve=tail_solve,
     )
     return _two_weight_closed(form, n_max, "moran-closed", *pgf_head)
@@ -410,8 +408,7 @@ def wf_closed(
 
     theta0 = 0 is the confluent-hypergeometric product form (Poisson
     conditioned positive when theta = 0); theta0 > 0 goes through the
-    exponential weight integrals and terminating 3F2 sums at unit
-    argument.
+    exponential weight integrals and the q_{n,i} recurrence.
     """
     if params.sigma <= 0:
         raise PreconditionViolated("wf_closed needs sigma > 0")
@@ -431,8 +428,7 @@ def wf_closed(
         alpha=t1p, beta=t0p, c=t0p,
         log_k=lambda y: -sp * y,
         log_K=lambda z: sp * z,
-        arg=1.0,
-        q_step=lambda i, m: sp,
+        branch=lambda n: sp,
         tail_solve=lambda: _solve_prlm(
             LambdaMeasure.kingman(m0), params, max(2 * n_max, 128)
         )[0],

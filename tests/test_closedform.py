@@ -1,5 +1,6 @@
 """Closed-form laws, pgf evaluators, moments, and equation verifiers."""
 
+import itertools
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import lambertw
 
+from blockstat import closedform
 from blockstat.closedform import (
     PgfEvaluator,
     beta31_pgf,
@@ -25,7 +27,7 @@ from blockstat.closedform import (
     wf_factorial_moments,
     wf_mean,
 )
-from blockstat.errors import DomainError, RootOrderViolation
+from blockstat.errors import BlockstatError, DomainError, RootOrderViolation
 from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
 from blockstat.recursions import (
     solve_lambda_truncated,
@@ -399,3 +401,143 @@ def test_product_form_overflow_is_typed():
     # (N-n+1) t_{n-1} overflows a double long before the series ends
     with pytest.raises(DomainError):
         moran_closed(MoranParams(100000, 1.0, 0.0, 0.0), n_max=50)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _two_weight_form(call):
+    """The _TwoWeightForm that a closed-form call hands to the shared route."""
+    seen = []
+
+    def capture(form, *args):
+        seen.append(form)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(closedform, "_two_weight_closed", capture)
+        with pytest.raises(_Captured):
+            call()
+    return seen[0]
+
+
+def _q_oracle(alpha, beta, x, rho, n, i):
+    """q_{n,i} as the double sum of terminating 3F2 series, in mpmath."""
+    total, r = mpmath.mpf(0), mpmath.mpf(1)
+    for m in range(n - i + 1):
+        total += r * mpmath.hyp3f2(m + 1, 1 - beta, m - n + i, alpha + m + i + 1, 1, x)
+        r *= rho(i, m) / (alpha + i + 1 + m)
+    return total
+
+
+def _log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def test_q_recurrence_matches_3f2_double_sum():
+    # the closed form steps q_{n,i} by the cut-balance recurrence; its
+    # definition is the 3F2 double sum, evaluated here with 50 digits
+    rng = np.random.default_rng(1201)
+    cases = []  # (form, s, rho(i, m)) of the 3F2 definition, which has x = 1 + s
+    for _ in range(6):
+        m0 = float(rng.uniform(0.3, 4.0))
+        prm = ModelParams(*(_log_uniform(rng, 0.05, 20.0) for _ in range(3)))
+        sp = mpmath.mpf(2 * prm.sigma / m0)
+        cases.append((_two_weight_form(lambda: wf_closed(m0, prm)), 0, lambda i, m, sp=sp: sp))
+    for _ in range(6):
+        N = int(rng.integers(60, 3001))
+        mp = MoranParams(N, *(_log_uniform(rng, 0.01, 2.0) for _ in range(3)))
+        s = mpmath.mpf(mp.s)
+        cases.append((
+            _two_weight_form(lambda: moran_closed(mp)), s,
+            lambda i, m, N=N, s=s: (N - i + 1 - m) * s,
+        ))
+    with mpmath.workdps(50):
+        for form, s, rho in cases:
+            x = 1 + s
+            # beta = c / x holds for both models; taking it from the form's
+            # c leaves only the rounding of the recurrence to compare
+            alpha, beta = mpmath.mpf(form.alpha), mpmath.mpf(form.c) / x
+            for n, pair in enumerate(itertools.islice(closedform._q_pairs(form), 59), start=2):
+                for i, q in zip((1, 2), pair):
+                    num, den = q.as_integer_ratio()
+                    exact = _q_oracle(alpha, beta, x, rho, n, i)
+                    assert abs(mpmath.mpf(num) / den - exact) <= 1e-15 * abs(exact), (form, n, i)
+
+
+def _property_draws():
+    """Seeded (kind, m0 or n_max, params) draws over Kingman and Moran forms."""
+    rng = np.random.default_rng(1202)
+    draws = []
+    for _ in range(200):
+        m0 = float(rng.uniform(0.3, 4.0))
+        draws.append(("wf", m0, ModelParams(*(_log_uniform(rng, 0.05, 20.0) for _ in range(3)))))
+    for _ in range(200):
+        N = int(rng.integers(3, 3001))
+        rates = (_log_uniform(rng, 0.01, 2.0) for _ in range(3))
+        draws.append(("moran", min(N, 200), MoranParams(N, *rates)))
+    for _ in range(50):
+        # diffusion scaling: N s, N u0, N u1 of order one
+        N = int(_log_uniform(rng, 10, 1e5))
+        rates = (_log_uniform(rng, 0.05, 20.0) / N for _ in range(3))
+        draws.append(("moran", min(N, 200), MoranParams(N, *rates)))
+    return draws
+
+
+def _head_distance(kind, arg, prm):
+    """Sup distance of a closed-form head from the stable solver, or None
+    when the closed form refuses with a typed error."""
+    try:
+        if kind == "wf":
+            pmf, _ = wf_closed(arg, prm)
+        else:
+            pmf, _ = moran_closed(prm, n_max=arg)
+    except BlockstatError:
+        return None
+    if kind == "wf":
+        ref = solve_lambda_truncated(LambdaMeasure.kingman(arg), prm, tol=1e-12)
+    else:
+        ref = solve_moran(prm)
+    head = np.zeros(pmf.truncation_K)
+    k = min(pmf.truncation_K, ref.truncation_K)
+    head[:k] = ref.probs[:k]
+    return float(np.max(np.abs(pmf.probs - head)))
+
+
+def _check_draws(draws):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dists = [_head_distance(*draw) for draw in draws]
+    for draw, dist in zip(draws, dists):
+        assert dist is None or dist <= 1e-9, draw
+    # a refusal is allowed, but the route must not refuse wholesale
+    assert dists.count(None) <= len(draws) // 50
+
+
+def test_two_weight_forms_vs_stable_solvers_random():
+    _check_draws(_property_draws())
+
+
+def test_two_weight_forms_in_plain_double(monkeypatch):
+    # platforms whose long double is a plain double step q_{n,i} in float64
+    monkeypatch.setattr(closedform, "_QDTYPE", np.float64)
+    draws = _property_draws()
+    pick = np.random.default_rng(1203).choice(len(draws), 100, replace=False)
+    _check_draws([draws[j] for j in pick])
+
+
+def test_two_weight_form_steps_only_to_the_hand_over():
+    # N = 10^5: the formula hands over early, so the recurrence must not
+    # have run for all N states
+    mp = MoranParams(10**5, 1e-5, 5e-6, 5e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf, _ = moran_closed(mp)
+    assert pmf.extras["formula_valid_to"] < 200
+    assert pmf.sup_distance(solve_moran(mp)) <= 1e-9
+    # n_max = 400 took seconds when each q_{n,i} was a 3F2 double sum
+    prm = ModelParams(1.0, 1.0, 0.5)
+    pmf, _ = wf_closed(2.0, prm, n_max=400)
+    rec = solve_lambda_truncated(LambdaMeasure.kingman(2.0), prm, tol=1e-12)
+    assert pmf.sup_distance(rec) <= 1e-9

@@ -8,6 +8,7 @@ which keeps the endpoint-singular paths of the kernel covered.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.special import betaln, hyp1f1, hyp2f1, lambertw
 
 from blockstat import specfun as sf
-from blockstat.closedform import _f32_terminating
 from blockstat.errors import QuadratureFailure
 
 
@@ -54,14 +54,11 @@ def test_kummer_1f1_examples():
 
 
 def test_hyper_3f2_examples():
-    # the terminating 3F2(a1, b, -m; d, 1; z) of the two-weight closed form
-    val, gross = _f32_terminating(1, 1, -1, 2, 1)
-    assert val == pytest.approx(0.5, abs=1e-15)
-    assert gross == pytest.approx(1.5, abs=1e-15)
+    # the terminating 3F2(a1, b, -m; d, 1; z) that defines q_{n,i} in the
+    # two-weight closed form; its oracle in test_closedform is mpmath.hyp3f2
+    assert float(mpmath.hyp3f2(1, 1, -1, 2, 1, 1)) == pytest.approx(0.5, abs=1e-15)
     # hand sum 1 - 4/3 + 1/2 = 1/6
-    val, gross = _f32_terminating(2, 1, -2, 3, 1)
-    assert val == pytest.approx(1 / 6, abs=1e-15)
-    assert gross == pytest.approx(1 + 4 / 3 + 1 / 2, abs=1e-15)
+    assert float(mpmath.hyp3f2(2, 1, -2, 3, 1, 1)) == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_appell_f1_examples():
