@@ -19,8 +19,8 @@ import scipy.integrate
 
 from .closedform import PgfEvaluator
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
-from .measures import LambdaMeasure, ModelParams, merger_row
-from .recursions import StationaryPmf, _double_until_stable
+from .measures import LambdaMeasure, ModelParams, merger_rows
+from .recursions import StationaryPmf, double_until_stable
 
 
 @dataclass
@@ -43,22 +43,24 @@ class MomentSequence:
                 fh.write(f"{n},{float(wn)!r}\n")
 
 
-def _solve_w_system(measure: LambdaMeasure, params: ModelParams, K: int) -> np.ndarray:
-    sigma, th1 = params.sigma, params.theta1
-    theta = params.theta
+def _solve_w_system(rows: np.ndarray, params: ModelParams) -> np.ndarray:
+    """w_1..w_K from the merger rows of n = 1..K (merger_rows(measure, 1, K)).
+
+    Row n of the lower-Hessenberg system is
+        (theta + sigma + R_n / n) w_n - theta1 w_{n-1} - sigma w_{n+1}
+            - (1/n) sum_{l<n} r_{n->l} w_l = 0,
+    with R_n the total merger rate from n, w_0 = 1 and w_{K+1} = 0.
+    """
+    K = rows.shape[0]
+    n = np.arange(1.0, K + 1)
     A = np.zeros((K, K))
+    A[:, : K - 1] = rows / -n[:, None]
+    flat = A.reshape(-1)  # each diagonal of A is a stride of its flat view
+    flat[:: K + 1] = params.theta + params.sigma + rows.sum(axis=1) / n
+    flat[K :: K + 1] -= params.theta1
+    flat[1 :: K + 1] -= params.sigma
     rhs = np.zeros(K)
-    for n in range(1, K + 1):
-        r = n - 1
-        coefs = merger_row(measure, n)
-        A[r, r] = theta + sigma + coefs.sum() / n
-        if n >= 2:
-            A[r, n - 2] -= th1
-        else:
-            rhs[r] += th1  # w_0 = 1
-        if n < K:
-            A[r, n] -= sigma
-        A[r, : n - 1] -= coefs / n
+    rhs[0] = params.theta1  # w_0 = 1
     return np.linalg.solve(A, rhs)
 
 
@@ -94,10 +96,17 @@ def solve_w_moments(
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("duality moments need theta0 > 0 and theta1 > 0")
-    (w,), K, delta = _double_until_stable(
-        lambda k: (_solve_w_system(measure, params, k),), K, tol, K_cap,
-        head=lambda k: k // 4,
-    )
+    rows = np.zeros((0, 0))
+
+    def solve(k):
+        # the rows of n <= K carry over to 2K; only n > K are built
+        nonlocal rows
+        built = rows.shape[0]
+        rows = np.pad(rows, ((0, k - built), (0, k - 1 - rows.shape[1])))
+        rows[built:] = merger_rows(measure, built + 1, k)
+        return (_solve_w_system(rows, params),)
+
+    (w,), K, delta = double_until_stable(solve, K, tol, K_cap, head=lambda k: k // 4)
     full = np.concatenate([[1.0], w])
     defect = complete_monotonicity_defect(full[: min(14, full.size)])
     return MomentSequence(full, K, delta, defect, extras={"closure_delta": delta})

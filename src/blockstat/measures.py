@@ -22,7 +22,7 @@ from .errors import DomainError, IntegrabilityError, PreconditionViolated
 from .specfun import adaptive_quad
 
 ATOM_CAP = 10_000
-ATOM_BLOCK = 256  # atoms per block of a merger_row table
+BLOCK = 256  # rows per block of merger_rows; atoms per block of an atom row
 
 
 def _nonnegative(*values: float) -> bool:
@@ -351,73 +351,128 @@ def lambda_rate(measure: LambdaMeasure, k: int, j: int) -> float:
     return out
 
 
-def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
-    """Rates binom(k, j) lambda_{k,j} of the jumps k -> l for l = 1..k-1.
+def merger_rows(measure: LambdaMeasure, k_lo: int, k_hi: int) -> np.ndarray:
+    """Merger rows of k = k_lo..k_hi as one zero-padded block.
 
-    j = k-l+1 blocks merge into one.  A uniform interior gives
+    rows[k-k_lo, l-1] is the rate binom(k, j) lambda_{k,j} of the jump
+    k -> l, l = 1..k-1, by which j = k-l+1 blocks merge into one; entries
+    l >= k, and rows k < 2, are zero.  A uniform interior gives
     c k / ((k-l)(k-l+1)).  A Beta(a, b) interior gives
     M binom(k, j) B(a+j-2, b+k-j) / B(a, b), built from its first rate
-    M B(a+k-2, b) / B(a, b), a product of k-2 ratios in np.longdouble, by
-    the term ratios
+    M B(a+k-2, b) / B(a, b), a product of k-2 ratios in np.longdouble
+    (one cumulative product serves every k), by the term ratios
         r_{l+1} / r_l = (k-l+1) (l-1+b) / (l (k-l-2+a))
-    in doubles.  For atoms and custom densities the binomial enters in log
-    space, -log(k+1) - betaln(j+1, k-j+1), so no row overflows at any k:
-    atoms give a table over l with each block of atoms reduced with the
-    masses, a custom density one vector-valued quadrature whose components
-    are the rates themselves.  The atom at 0 adds m0 binom(k, 2) at
-    l = k-1, the atom at 1 adds m1 at l = 1.
+    in doubles.  Both are built BLOCK rows at a time, so temporaries stay
+    O(BLOCK k_hi).  For atoms and custom densities each row is built on
+    its own, with the binomial in log space, -log(k+1) - betaln(j+1,
+    k-j+1), so no row overflows at any k: atoms give a table over l with
+    each block of atoms reduced with the masses, a custom density one
+    vector-valued quadrature whose components are the rates themselves.
+    The atom at 0 adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1
+    at l = 1.
     """
-    if k < 2:
-        return np.zeros(0)
+    rows = np.zeros((k_hi - k_lo + 1, max(k_hi - 1, 0)))
+    start = max(k_lo, 2)
     interior = measure.interior
-    ells = np.arange(1, k)
-    if isinstance(interior, Zero):
-        row = np.zeros(k - 1)
-    elif isinstance(interior, UniformScaled):
-        row = interior.c * k / ((k - ells) * (k - ells + 1.0))
-    elif isinstance(interior, BetaDensity):
-        a, b = interior.a, interior.b
-        i = np.arange(k - 2, dtype=np.longdouble)
-        q = np.prod((a + i) / (a + b + i))  # B(a+k-2, b) / B(a, b)
-        first = interior.total_mass * q
-        # integer parts are summed before a or b joins them, else
-        # (a+k) - l - 2 cancels
-        ell = ells[:-1]
-        ratios = (k - ell + 1) * ((ell - 1) + b) / (ell * ((k - ell - 2) + a))
-        # from a first rate this small the row could leave the double range
-        head = first if q < 1e-250 else float(first)
-        row = np.cumprod(np.concatenate(([head], ratios))).astype(float, copy=False)
-    else:
-        j = k + 1.0 - ells
-        log_binom = -math.log(k + 1.0) - betaln(j + 1.0, k - j + 1.0)
+    if isinstance(interior, (UniformScaled, BetaDensity)):
+        fill = _uniform_rows if isinstance(interior, UniformScaled) else _beta_rows
+        for lo in range(start, k_hi + 1, BLOCK):
+            hi = min(lo + BLOCK - 1, k_hi)
+            fill(interior, lo, hi, rows[lo - k_lo : hi - k_lo + 1, : hi - 1])
+    elif not isinstance(interior, Zero):
+        for k in range(start, k_hi + 1):
+            rows[k - k_lo, : k - 1] = _log_space_row(interior, k)
+    if measure.m0 or measure.m1:
+        # two entries per row: item access is cheaper than a strided
+        # array operation on the one-row blocks the simulators ask for
+        for i, k in enumerate(range(start, k_hi + 1), start - k_lo):
+            rows[i, k - 2] += measure.m0 * math.comb(k, 2)
+            rows[i, 0] += measure.m1
+    return rows
 
-        def table(x):
-            """binom(k, j) x^(j-2) (1-x)^(k-j), shape (k-1, x.size)."""
-            return np.exp(
-                log_binom[:, None]
-                + (j[:, None] - 2.0) * np.log(x)
-                + (k - j[:, None]) * np.log1p(-x)
-            )
 
-        if isinstance(interior, Atoms):
-            # blocks of atoms bound the table at (k-1) x ATOM_BLOCK
-            xs, ms = interior.xs, interior.ms
-            row = sum(
-                (table(xs[i : i + ATOM_BLOCK]) @ ms[i : i + ATOM_BLOCK]
-                 for i in range(0, xs.size, ATOM_BLOCK)),
-                np.zeros(k - 1),
-            )
-        else:
-            def integrand(x):
-                # a node rounded to 1.0 (or a density pole, 0 * inf)
-                # gives NaN, which adaptive_quad rejects
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return table(x) * interior.density(x)
+def _uniform_rows(interior: UniformScaled, k_lo: int, k_hi: int, out: np.ndarray) -> None:
+    # in place on out and d, so a block needs one temporary of its size
+    k = np.arange(float(k_lo), k_hi + 1)[:, None]
+    d = k - np.arange(1.0, k_hi)  # k - l
+    np.add(d, 1.0, out=out)
+    out *= d
+    if k_hi > k_lo:
+        out[d < 1.0] = np.inf  # the padding l >= k of rows k < k_hi
+    np.divide(interior.c * k, out, out=out)
 
-            row = adaptive_quad(integrand, 0.0, 1.0, tol=1e-13)
-    row[-1] += measure.m0 * math.comb(k, 2)
-    row[0] += measure.m1
-    return row
+
+def _beta_rows(interior: BetaDensity, k_lo: int, k_hi: int, out: np.ndarray) -> None:
+    a, b = interior.a, interior.b
+    i = np.arange(k_hi - 2, dtype=np.longdouble)
+    ratio = np.empty(k_hi - 1, dtype=np.longdouble)
+    ratio[0] = 1.0
+    np.divide(a + i, a + b + i, out=ratio[1:])
+    q = np.cumprod(ratio)[k_lo - 2 :]  # B(a+k-2, b) / B(a, b)
+    first = interior.total_mass * q
+    # the term ratios, in place on out and d; integer parts (exact in
+    # doubles) are summed before a or b joins them, else (a+k) - l - 2
+    # cancels
+    ell = np.arange(1.0, k_hi - 1)
+    d = np.arange(float(k_lo), k_hi + 1)[:, None] - ell  # k - l
+    ratios = out[:, 1:]
+    np.add(d, 1.0, out=ratios)
+    ratios *= (ell - 1.0) + b
+    if k_hi > k_lo:
+        # a zero ratio at l = k-1 starts the padding of rows k < k_hi,
+        # and d >= 2 keeps the denominators beyond it positive
+        ratios[np.arange(k_hi - k_lo), np.arange(k_lo - 2, k_hi - 2)] = 0.0
+        np.maximum(d, 2.0, out=d)
+    d -= 2.0
+    d += a
+    d *= ell
+    ratios /= d
+    out[:, 0] = first
+    # from a first rate this small a row could leave the double range, so
+    # its product runs in long double; q falls with k, so the last row
+    # is the first to need it
+    tiny = None
+    if q[-1] < 1e-250:
+        tiny = q < 1e-250
+        small = np.cumprod(np.concatenate((first[tiny, None], ratios[tiny]), axis=1), axis=1)
+    np.cumprod(out, axis=1, out=out)
+    if tiny is not None:
+        out[tiny] = small
+
+
+def _log_space_row(interior: Atoms | CustomDensity, k: int) -> np.ndarray:
+    j = k + 1.0 - np.arange(1, k)
+    log_binom = -math.log(k + 1.0) - betaln(j + 1.0, k - j + 1.0)
+
+    def table(x):
+        """binom(k, j) x^(j-2) (1-x)^(k-j), shape (k-1, x.size)."""
+        return np.exp(
+            log_binom[:, None]
+            + (j[:, None] - 2.0) * np.log(x)
+            + (k - j[:, None]) * np.log1p(-x)
+        )
+
+    if isinstance(interior, Atoms):
+        # blocks of atoms bound the table at (k-1) x BLOCK
+        xs, ms = interior.xs, interior.ms
+        return sum(
+            (table(xs[i : i + BLOCK]) @ ms[i : i + BLOCK]
+             for i in range(0, xs.size, BLOCK)),
+            np.zeros(k - 1),
+        )
+
+    def integrand(x):
+        # a node rounded to 1.0 (or a density pole, 0 * inf)
+        # gives NaN, which adaptive_quad rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return table(x) * interior.density(x)
+
+    return adaptive_quad(integrand, 0.0, 1.0, tol=1e-13)
+
+
+def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
+    """Rates of the jumps k -> l for l = 1..k-1: one row of merger_rows."""
+    return merger_rows(measure, k, k)[0]
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,12 @@ from .errors import (
     PreconditionViolated,
 )
 from .measures import (
+    BLOCK,
     LambdaMeasure,
     ModelParams,
     MoranParams,
     is_positive_recurrent,
-    merger_row,
+    merger_rows,
 )
 
 NEG_CLIP = -1e-12
@@ -250,9 +251,10 @@ def _solve_prlm(
     The equation at n balances the flux across the cut n | n+1:
         sigma p_n = theta1 p_{n+1} + theta0 T_{n+1} + (1/n) sum_{l<=n} D_l,
     with T_{n+1} = sum_{k>n} p_k and D_l = sum_{k>n} p_k r_{k->l}, where
-    r_{k->l} = merger_row(measure, k)[l-1] includes the atoms at 0 and 1.
-    Both sums take one row p_k r_{k->.} as each p_k is found, so a solve
-    reads K merger rows and holds O(K) numbers.  All terms are
+    r_{k->l} is the merger rate of k -> l, atoms at 0 and 1 included.
+    Both sums take one row p_k r_{k->.} as each p_k is found.  The rows
+    are read from merger_rows blocks of BLOCK rows, walking down from
+    k = K, so a solve holds O(BLOCK K) numbers.  All terms are
     nonnegative, so the sweep is subtraction-free and the result positive
     by construction.  Returns the normalised pmf and the largest equation
     residual |rhs_n - sigma p_n| met in the sweep, in the same scale.
@@ -263,9 +265,13 @@ def _solve_prlm(
     tail = 0.0
     down = np.zeros(K - 1)  # D_l, l = 1..K-1
     res = 0.0
+    k_lo = K + 1
     for n in range(K - 1, 0, -1):
+        if n + 1 < k_lo:  # row n + 1 lies below the current block
+            k_lo = max(n + 2 - BLOCK, 2)
+            rows = merger_rows(measure, k_lo, n + 1)
         tail += p[n]
-        down[:n] += p[n] * merger_row(measure, n + 1)
+        down[:n] += p[n] * rows[n + 1 - k_lo, :n]
         val = th1 * p[n] + th0 * tail + float(down[:n].sum()) / n
         p[n - 1] = val / sigma
         res = max(res, abs(val - sigma * p[n - 1]))
@@ -280,7 +286,7 @@ def _solve_prlm(
     return p / total, res / total
 
 
-def _double_until_stable(
+def double_until_stable(
     solve: Callable[[int], tuple],
     K: int,
     tol: float,
@@ -334,7 +340,7 @@ def solve_lambda_truncated(
                 "the truncated solution may not converge",
                 stacklevel=2,
             )
-    (p, res), K, delta = _double_until_stable(
+    (p, res), K, delta = double_until_stable(
         lambda k: _solve_prlm(measure, params, k), K, tol, K_cap, head=lambda k: k
     )
     res = max(res, abs(p.sum() - 1.0), delta)

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import blockstat.duality
 from blockstat.closedform import PgfEvaluator, bs_rho
 from blockstat.duality import (
     _solve_w_system,
@@ -22,7 +23,15 @@ from blockstat.duality import (
     solve_w_moments,
 )
 from blockstat.errors import DomainError, PreconditionViolated
-from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams, lambda_rate, merger_row
+from blockstat.measures import (
+    BetaDensity,
+    CustomDensity,
+    LambdaMeasure,
+    ModelParams,
+    lambda_rate,
+    merger_row,
+    merger_rows,
+)
 from blockstat.recursions import crow_kimura_geometric
 
 
@@ -200,13 +209,28 @@ def test_beta_merger_rows_match_scalar_rates():
             assert merger_row(lam, n) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
+def test_w_moments_build_each_row_once(monkeypatch):
+    # the rows of n <= K carry over when K doubles
+    built = []
+
+    def counting(measure, k_lo, k_hi):
+        built.extend(range(k_lo, k_hi + 1))
+        return merger_rows(measure, k_lo, k_hi)
+
+    monkeypatch.setattr(blockstat.duality, "merger_rows", counting)
+    custom = LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2))
+    w = solve_w_moments(custom, ModelParams(0.5, 0.5, 0.5))
+    assert w.truncation_K > 64
+    assert built == list(range(1, w.truncation_K + 1))
+
+
 def test_w_system_star_beyond_float_binomials():
     # binom(2048, 1024) overflows a double; the rows never form it
-    w = _solve_w_system(LambdaMeasure.star(), ModelParams(1.0, 0.5, 0.5), 2048)
+    w = _solve_w_system(merger_rows(LambdaMeasure.star(), 1, 2048), ModelParams(1.0, 0.5, 0.5))
     assert np.all(np.isfinite(w)) and np.all((w > 0.0) & (w <= 1.0))
 
 
 def test_w_system_star_runtime():
     start = time.perf_counter()
-    _solve_w_system(LambdaMeasure.star(), ModelParams(1.0, 0.5, 0.5), 1024)
+    _solve_w_system(merger_rows(LambdaMeasure.star(), 1, 1024), ModelParams(1.0, 0.5, 0.5))
     assert time.perf_counter() - start < 1.0

@@ -26,6 +26,7 @@ from blockstat.measures import (
     is_positive_recurrent,
     lambda_rate,
     merger_row,
+    merger_rows,
     sigma_lambda,
 )
 from blockstat.recursions import solve_lambda_truncated
@@ -351,6 +352,15 @@ def _merger_row_mpmath(measure, k):
         return [float(r) for r in reversed(rates)]
 
 
+def _assert_matches_oracle(got, measure, k, beta_bound=True):
+    exact = np.array(_merger_row_mpmath(measure, k))
+    big = exact >= 1e-300
+    assert got[big] == pytest.approx(exact[big], rel=1e-11, abs=0.0)
+    assert np.all(got[~big] < 1e-290)
+    if beta_bound and isinstance(measure.interior, BetaDensity):
+        assert got[big] == pytest.approx(exact[big], rel=5e-13, abs=0.0)
+
+
 def test_merger_row_matches_mpmath_oracle():
     rng = np.random.default_rng(20261018)
     ks = [2, 3, 17, 130, 1500]
@@ -368,13 +378,39 @@ def test_merger_row_matches_mpmath_oracle():
         measures.append(LambdaMeasure(m0, m1, BetaDensity(a, b, rng.uniform(0.2, 4.0))))
     for measure in measures:
         for k in ks + [int(rng.integers(4, 1500))]:
-            got = merger_row(measure, k)
-            exact = np.array(_merger_row_mpmath(measure, k))
-            big = exact >= 1e-300
-            assert got[big] == pytest.approx(exact[big], rel=1e-11, abs=0.0)
-            assert np.all(got[~big] < 1e-290)
-            if isinstance(measure.interior, BetaDensity):
-                assert got[big] == pytest.approx(exact[big], rel=5e-13, abs=0.0)
+            _assert_matches_oracle(merger_row(measure, k), measure, k)
+
+    # the same rows read from multi-row blocks: blocks that span several
+    # BLOCK-row chunks, Beta(1.5, 300) whose first rates leave the double
+    # range from k = 625 on (the long-double path), more than BLOCK atoms,
+    # and the atoms at 0 and 1
+    many = LambdaMeasure(
+        m0=0.3, m1=0.8,
+        interior=Atoms(tuple(np.sort(rng.uniform(0.001, 0.999, 300))),
+                       tuple(rng.uniform(0.1, 1.0, 300))),
+    )
+    blocks = [
+        (LambdaMeasure.beta(1.5, 300.0), 2, 1500,
+         [2, 3, 257, 258, 624, 625, 626, 1000, 1500]),
+        (LambdaMeasure(0.4, 1.3, BetaDensity(2.5, 2.45, 1.7)), 1, 600, [2, 3, 4, 300, 599, 600]),
+        (LambdaMeasure.beta(0.4, 0.6), 2, 300, [2, 3, 300]),  # a + b = 1
+        (LambdaMeasure(0.4, 1.3, UniformScaled(2.5)), 1, 600, [2, 3, 257, 258, 600]),
+        (LambdaMeasure(m0=2.0, m1=0.5, interior=Atoms((0.2, 0.75), (1.5, 0.1))), 5, 40, [5, 40]),
+        (many, 20, 60, [20, 60]),
+    ]
+    for measure, k_lo, k_hi, picks in blocks:
+        rows = merger_rows(measure, k_lo, k_hi)
+        assert rows.shape == (k_hi - k_lo + 1, k_hi - 1)
+        for k in picks:
+            assert np.all(rows[k - k_lo, k - 1 :] == 0.0)
+            _assert_matches_oracle(rows[k - k_lo, : k - 1], measure, k)
+    # a custom density: the rates are quadratures, so only the general bound
+    beta = LambdaMeasure(0.7, 0.4, BetaDensity(1.7, 2.4, 1.3))
+    custom = LambdaMeasure(0.7, 0.4, CustomDensity(beta.interior.density))
+    rows = merger_rows(custom, 2, 40)
+    for k in (2, 3, 21, 40):
+        assert np.all(rows[k - 2, k - 1 :] == 0.0)
+        _assert_matches_oracle(rows[k - 2, : k - 1], beta, k, beta_bound=False)
 
 
 def test_atom_row_memory_is_bounded():

@@ -2,25 +2,31 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from blockstat.closedform import beta31_pgf, bs_rho, star_closed, wf_closed
+from blockstat.duality import solve_w_moments
 from blockstat.errors import NegativeMass, NotPositiveRecurrent, PreconditionViolated
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
+    BetaDensity,
     CustomDensity,
     LambdaMeasure,
     ModelParams,
     MoranParams,
     cnk,
     is_positive_recurrent,
+    merger_row,
 )
 from blockstat.recursions import (
     _clip_negative,
+    _solve_prlm,
     crow_kimura_geometric,
+    double_until_stable,
     moran_rate_matrix,
     solve_lambda_truncated,
     solve_moran,
@@ -102,8 +108,6 @@ def test_lambda_truncated_doubling_invariance():
     n = np.arange(1, pmf.truncation_K + 1)
     assert np.max(np.abs(pmf.probs - (1 - rho) * rho ** (n - 1))) < 1e-12
     # the accepted K is invariant under one more doubling at the tol scale
-    from blockstat.recursions import _solve_prlm
-
     p2, _ = _solve_prlm(uni, prm, 2 * pmf.truncation_K)
     assert np.max(np.abs(p2[: pmf.truncation_K] - pmf.probs)) < 1e-10
 
@@ -337,8 +341,6 @@ def _prlm_resweep_residual(measure, params, p):
     ],
 )
 def test_prlm_sweep_residual_matches_resweep(measure, prm, K):
-    from blockstat.recursions import _solve_prlm
-
     p, res = _solve_prlm(measure, prm, K)
     ref = _prlm_resweep_residual(measure, prm, p)
     ulp = np.finfo(float).eps * prm.sigma * float(p.max())
@@ -395,3 +397,94 @@ def test_custom_density_solve_matches_beta31():
     pmf = solve_lambda_truncated(custom, prm)
     assert time.perf_counter() - start < 2.0
     assert pmf.sup_distance(solve_lambda_truncated(LambdaMeasure.beta31(), prm)) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# Block-built merger rows against the row-by-row assembly
+# ----------------------------------------------------------------------
+
+
+def _prlm_row_by_row(measure, prm, K):
+    """The truncated sweep with one merger_row call per state."""
+    sigma, th0, th1 = prm.sigma, prm.theta0, prm.theta1
+    p = np.zeros(K)
+    p[K - 1] = 1.0
+    tail = 0.0
+    down = np.zeros(K - 1)
+    for n in range(K - 1, 0, -1):
+        tail += p[n]
+        down[:n] += p[n] * merger_row(measure, n + 1)
+        p[n - 1] = (th1 * p[n] + th0 * tail + float(down[:n].sum()) / n) / sigma
+        if p[n - 1] > 1e250:
+            scale = p[n - 1]
+            p[n - 1 :] /= scale
+            down /= scale
+            tail /= scale
+    return p / p.sum()
+
+
+def _w_row_by_row(measure, prm, K):
+    """The duality system assembled one merger_row per equation."""
+    A = np.zeros((K, K))
+    rhs = np.zeros(K)
+    for n in range(1, K + 1):
+        r = n - 1
+        coefs = merger_row(measure, n)
+        A[r, r] = prm.theta + prm.sigma + coefs.sum() / n
+        if n >= 2:
+            A[r, n - 2] -= prm.theta1
+        else:
+            rhs[r] += prm.theta1
+        if n < K:
+            A[r, n] -= prm.sigma
+        A[r, : n - 1] -= coefs / n
+    return np.linalg.solve(A, rhs)
+
+
+def test_block_solvers_match_row_by_row_assembly():
+    rng = np.random.default_rng(1313)
+    rs = rho_star(0.3, 0.05, ModelParams(1.0, 0.2, 0.2))
+    measures = [
+        LambdaMeasure.uniform(rng.uniform(0.5, 2.0)),
+        LambdaMeasure.kingman(rng.uniform(0.5, 3.0)),
+        # the fixed-point measure of `validate --suite full`, about 50 atoms
+        pushforward_to_lambda(build_discrete_fixed_point(rs, 0.3, 0.05), rs),
+    ]
+    for _ in range(6):
+        measures.append(LambdaMeasure.beta(*rng.uniform(0.3, 5.0, size=2)))
+    for _ in range(3):
+        m0, m1, a, b = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), *rng.uniform(0.3, 5.0, 2)
+        measures.append(LambdaMeasure(m0, m1, BetaDensity(a, b, rng.uniform(0.5, 2.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in measures:
+            prm = ModelParams(*rng.uniform(0.2, 1.5, size=3))
+            pmf = solve_lambda_truncated(measure, prm, K=16)
+            (ref,), K, _ = double_until_stable(
+                lambda k: (_prlm_row_by_row(measure, prm, k),), 16, 1e-10, 2**14,
+                head=lambda k: k,
+            )
+            assert pmf.truncation_K == K, measure
+            assert pmf.probs == pytest.approx(ref, rel=1e-13, abs=0.0), measure
+            w = solve_w_moments(measure, prm)
+            (ref,), K, _ = double_until_stable(
+                lambda k: (_w_row_by_row(measure, prm, k),), 64, 1e-10, 2**12,
+                head=lambda k: k // 4,
+            )
+            assert w.truncation_K == K, measure
+            assert w.w[1:] == pytest.approx(ref, rel=1e-13, abs=0.0), measure
+
+
+def test_prlm_block_memory_is_bounded():
+    # one full table of the merger rows at K = 4096 takes 128 MB
+    uni, prm = LambdaMeasure.uniform(), ModelParams(0.5, 0.5, 0.5)
+    tracemalloc.start()
+    try:
+        p, res = _solve_prlm(uni, prm, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert res < 1e-14
+    # sixteen blocks of rows, against one merger_row per state
+    assert p == pytest.approx(_prlm_row_by_row(uni, prm, 4096), rel=1e-13, abs=0.0)
