@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -89,6 +90,12 @@ class _BlockRng:
 
     Each block is `block` exponentials followed by `block` uniforms;
     draw i pairs exponential i with uniform i.
+
+    The first block cannot be sized from a path's max_events without
+    changing the stream layout: numpy's ziggurat exponential takes a
+    variable number of 64-bit words, so where the first uniform sits in
+    the stream is known only after all `block` exponentials are drawn.
+    A short path therefore pays for one whole block.
     """
 
     def __init__(self, seed: int, block: int = 1 << 14):
@@ -97,7 +104,7 @@ class _BlockRng:
         self._fill()
 
     def _fill(self) -> None:
-        self._exp = self.rng.exponential(size=self.block)
+        self._exp = self.rng.standard_exponential(size=self.block)
         self._uni = self.rng.random(size=self.block)
         self._i = 0
 
@@ -109,14 +116,18 @@ class _BlockRng:
         return self._exp[i], self._uni[i]
 
     def uniforms(self, exps: list[np.ndarray] | None = None) -> Iterator[float]:
-        """Yield the uniforms of the draws from here on, as Python floats.
+        """Iterate over the uniforms of the draws from here on, as Python floats.
 
         Taking a uniform uses up its draw, exponential included.  When
         `exps` is given, the exponentials are appended to it block by
         block: the first n of np.concatenate(exps) belong to the first n
         uniforms taken.  Uniforms are converted _CHUNK at a time, so a
-        short path does not pay for a whole block; do not mix with draw().
+        short path does not pay for a whole block, and the iterator is a
+        C-level chain over those chunks; do not mix with draw().
         """
+        return chain.from_iterable(self._chunks(exps))
+
+    def _chunks(self, exps: list[np.ndarray] | None) -> Iterator[list[float]]:
         while True:
             if self._i >= self.block:
                 self._fill()
@@ -125,27 +136,30 @@ class _BlockRng:
             while self._i < self.block:
                 i = self._i
                 self._i = min(i + _CHUNK, self.block)
-                yield from self._uni[i : self._i].tolist()
+                yield self._uni[i : self._i].tolist()
 
 
 TableFn = Callable[[int], tuple[np.ndarray, np.ndarray, float]]
 Table = tuple[list[int], list[float], float]
 
 
-class _RateTables(dict):
-    """state -> (targets, cumulative rates, total rate) as Python lists.
+def _rate_tables(
+    table_for: TableFn,
+) -> tuple[dict[int, Table], dict[int, float], Callable[[int], Table]]:
+    """Empty state -> (targets, cumulative rates, total) tables, and visit(state).
 
-    A table is built on the first visit of its state, which is where the
-    exit rate is checked against RATE_CAP; at most STATE_CACHE_CAP states
-    are kept, the others are rebuilt on every visit.
+    Loops read tables[state] and call visit(state) on a KeyError: the
+    interpreter specialises subscripts of an exact dict, not of a dict
+    subclass.  visit builds the table as Python lists, checks the exit
+    rate against RATE_CAP, keeps at most STATE_CACHE_CAP tables (the
+    others are rebuilt on every visit) and records every visited
+    state's total rate in totals.
     """
+    tables: dict[int, Table] = {}
+    totals: dict[int, float] = {}
 
-    def __init__(self, table_for: TableFn):
-        super().__init__()
-        self.table_for = table_for
-
-    def __missing__(self, state: int) -> Table:
-        targets, cum, total = self.table_for(state)
+    def visit(state: int) -> Table:
+        targets, cum, total = table_for(state)
         if total > RATE_CAP:
             raise RateOverflow(f"exit rate {total:.3e} from state {state} exceeds cap")
         cum = cum.tolist()
@@ -154,9 +168,12 @@ class _RateTables(dict):
             # then u * total with u close to 1 would pass the last target
             cum[-1] = max(cum[-1], total)
         entry = (targets.tolist(), cum, total)
-        if len(self) < STATE_CACHE_CAP:
-            self[state] = entry
+        totals[state] = total
+        if len(tables) < STATE_CACHE_CAP:
+            tables[state] = entry
         return entry
+
+    return tables, totals, visit
 
 
 def _run_chain(
@@ -173,26 +190,32 @@ def _run_chain(
     Draw i gives the sojourn exp_i / total and the jump to the first
     target whose cumulative rate exceeds u_i * total.
     """
-    tables = _RateTables(table_for)
+    if max_events < 0:
+        raise DomainError("max_events must be non-negative")
+    tables, totals, visit = _rate_tables(table_for)
     exps: list[np.ndarray] = []
     states: list[int] = []
-    totals: list[float] = []
     state = start
-    for u in _BlockRng(seed).uniforms(exps):
-        targets, cum, total = tables[state]
+    # one draw per recorded state, the last one included: its jump is unused
+    for u in islice(_BlockRng(seed).uniforms(exps), max_events + 1):
+        try:
+            targets, cum, total = tables[state]
+        except KeyError:
+            targets, cum, total = visit(state)
         states.append(state)
         if total == 0.0:
             break
-        totals.append(total)
-        if len(totals) > max_events:
-            break
         state = targets[bisect_right(cum, u * total)]
-    # one draw per visited state; an absorbing last state gets +inf instead
-    n = len(totals)
-    holds = np.concatenate(exps)[: len(states)]
-    holds[:n] /= totals
+    # sojourn i is exp_i / total of states[i]; an absorbing last state gets +inf
+    path_states = np.fromiter(states, np.int64, len(states))
+    lo = min(totals)
+    rate = np.zeros(max(totals) - lo + 1)
+    rate[np.fromiter(totals, np.int64, len(totals)) - lo] = list(totals.values())
+    n = path_states.size - (total == 0.0)
+    holds = np.concatenate(exps)[: path_states.size]
+    holds[:n] /= rate[path_states[:n] - lo]
     holds[n:] = math.inf
-    return JumpPath(np.array(states, dtype=np.int64), holds, seed, tag)
+    return JumpPath(path_states, holds, seed, tag)
 
 
 # ----------------------------------------------------------------------
@@ -329,18 +352,19 @@ def simulate_killed_asg(
         raise DomainError("killed-ASG absorption needs theta0 > 0 and theta1 > 0")
     if start < 1:
         raise DomainError("start must be a positive line count")
-    tables = _RateTables(lambda k: killed_asg_rates(measure, params, k))
-    uniforms = _BlockRng(seed).uniforms()
+    tables, _, visit = _rate_tables(lambda k: killed_asg_rates(measure, params, k))
+    draws = _BlockRng(seed).uniforms()
     absorbed_zero = 0
     for _ in range(n_reps):
         state = start
-        for _step, u in zip(range(max_events_per_rep), uniforms):
-            targets, cum, total = tables[state]
+        for u in islice(draws, max_events_per_rep):
+            try:
+                targets, cum, total = tables[state]
+            except KeyError:
+                targets, cum, total = visit(state)
             state = targets[bisect_right(cum, u * total)]
-            if state == 0:
-                absorbed_zero += 1
-                break
-            if state == DELTA:
+            if state <= 0:  # absorbed at 0, or killed (DELTA)
+                absorbed_zero += state == 0
                 break
         else:
             raise NonAbsorbing(
@@ -357,23 +381,33 @@ def occupancy(path: JumpPath, burn_in_fraction: float = 0.2) -> OccupancyEstimat
     """
     if not 0.0 <= burn_in_fraction < 1.0:
         raise DomainError("burn_in_fraction must lie in [0, 1)")
-    finite = np.isfinite(path.holding_times)
-    if not np.any(finite):
-        raise EmptyPath("path has no finite sojourns")
-    states = path.states[finite]
-    holds = path.holding_times[finite]
+    states, holds = path.states, path.holding_times
+    finite = np.isfinite(holds)
+    if not finite.all():
+        states, holds = states[finite], holds[finite]
+        if not holds.size:
+            raise EmptyPath("path has no finite sojourns")
     total = float(holds.sum())
     if total <= 0.0:
         raise EmptyPath("path carries no simulated time")
     cutoff = burn_in_fraction * total
-    t_seen = np.concatenate([[0.0], np.cumsum(holds)])
-    after = t_seen[1:] > cutoff
-    clipped = t_seen[1:][after] - np.maximum(t_seen[:-1][after], cutoff)
-    tail = states[after]
-    keys = np.unique(tail)
+    ends = np.cumsum(holds)
+    # sojourns j.. end after the cutoff; the sequential cumsum can fall
+    # short of the pairwise total, so there may be none
+    j = int(np.searchsorted(ends, cutoff, side="right"))
+    if j == ends.size:
+        raise EmptyPath("no sojourn ends after the burn-in cutoff")
+    clipped = np.empty(ends.size - j)
+    clipped[0] = ends[j] - max(ends[j - 1] if j else 0.0, cutoff)
+    np.subtract(ends[j + 1 :], ends[j:-1], out=clipped[1:])
+    tail = states[j:]
+    lo = tail.min()
+    idx = tail - lo
     # bincount adds in path order, as a running sum per state would
-    sums = np.bincount(np.searchsorted(keys, tail), weights=clipped)
-    by_key = dict(zip(keys.tolist(), sums.tolist()))
-    # keys in order of first appearance
-    weights = {k: by_key[k] for k in dict.fromkeys(tail.tolist())}
+    sums = np.bincount(idx, weights=clipped)
+    # first position of each state: the last write of a repeated index wins
+    first = np.full(sums.size, idx.size)
+    first[idx[::-1]] = np.arange(idx.size - 1, -1, -1)
+    pos = np.sort(first[first < idx.size])
+    weights = dict(zip(tail[pos].tolist(), sums[idx[pos]].tolist()))
     return OccupancyEstimate(weights, total - cutoff, path.n_events)

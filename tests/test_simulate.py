@@ -1,6 +1,7 @@
 """Simulators: determinism, exact rates, occupancy, absorption frequencies."""
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -207,6 +208,26 @@ def test_occupancy_trivial_cases():
         occupancy(path, 1.0)
 
 
+def test_occupancy_with_no_sojourn_after_cutoff_raises():
+    # the cutoff is taken from the pairwise total, the sojourn ends from the
+    # sequential cumsum, which can fall short of it: then no sojourn is left
+    raised = 0
+    for seed in range(40):
+        path = simulate_lambda_L(_KING, _PRM, 3, 1000, seed)
+        try:
+            occ = occupancy(path, 1.0 - 2.0**-53)
+        except EmptyPath:
+            raised += 1
+        else:
+            assert occ.weights and sum(occ.weights.values()) > 0.0
+    assert raised > 0
+
+
+def test_negative_max_events_is_domain_error():
+    with pytest.raises(DomainError):
+        simulate_moran_L(MoranParams(10, 0.5, 0.1, 0.1), 5, -1, seed=1)
+
+
 def test_occupancy_against_moran_solver():
     mp = MoranParams(10, 0.5, 0.1, 0.1)
     path = simulate_moran_L(mp, 5, 200_000, seed=2024)
@@ -284,6 +305,7 @@ def _ref_occupancy_weights(path, burn_in_fraction):
 
 
 _MORAN = MoranParams(50, 0.5, 0.1, 0.1)
+_MORAN_BIG = MoranParams(10_000, 0.05, 0.5, 0.5)  # drops from near N to small states
 _MORAN_X = MoranParams(10, 0.5, 0.3, 0.3)
 _MORAN_X_ABSORBING = MoranParams(10, 0.5)  # u0 = u1 = 0: absorbs at 0 or N
 _PRM = ModelParams(1.0, 0.5, 0.5)
@@ -306,6 +328,17 @@ _CHAINS = {
         lambda n, sd: simulate_lambda_L(_BETA, _PRM, 3, n, sd),
         lambda k: lambda_L_rates(_BETA, _PRM, k),
         3,
+    ),
+    # large, sparse state labels; the reference reads each table once
+    "lambda-L kingman from 1100": (
+        lambda n, sd: simulate_lambda_L(_KING, _PRM, 1100, n, sd),
+        functools.cache(lambda k: lambda_L_rates(_KING, _PRM, k)),
+        1100,
+    ),
+    "moran-L N=10^4": (
+        lambda n, sd: simulate_moran_L(_MORAN_BIG, 9990, n, sd),
+        functools.cache(lambda k: moran_L_rates(_MORAN_BIG, k)),
+        9990,
     ),
     "moran-X": (
         lambda n, sd: simulate_moran_X(_MORAN_X, 5, n, sd),
@@ -366,6 +399,10 @@ def test_small_state_cache_keeps_paths(monkeypatch):
     monkeypatch.setattr(sim, "STATE_CACHE_CAP", 2)
     path = _CHAINS["moran-L"][0](16385, 3)
     _assert_matches_reference(path, "moran-L", 16385, 3)
+    # most states of this path are rebuilt on every visit, and their
+    # totals still divide the sojourns
+    path = _CHAINS["lambda-L kingman from 1100"][0](16385, 3)
+    _assert_matches_reference(path, "lambda-L kingman from 1100", 16385, 3)
     uni = LambdaMeasure.uniform()
     prm = ModelParams(1.0, 1.0, 1.0)
     assert simulate_killed_asg(uni, prm, 6, 2000, 4) == _ref_killed_asg(uni, prm, 6, 2000, 4)
@@ -410,7 +447,8 @@ def test_jump_with_u_near_one_picks_last_target():
     uniform = LambdaMeasure.uniform()
     _, cum_raw, total_raw = lambda_L_rates(uniform, prm, 56)
     assert total_raw > cum_raw[-1]
-    targets, cum, total = sim._RateTables(lambda k: lambda_L_rates(uniform, prm, k))[56]
+    _, _, visit = sim._rate_tables(lambda k: lambda_L_rates(uniform, prm, k))
+    targets, cum, total = visit(56)
     u = 1.0 - 2.0**-53
     assert targets[bisect.bisect_right(cum, u * total)] == targets[-1]
     assert total == total_raw and cum[:-1] == cum_raw[:-1].tolist()
