@@ -9,6 +9,7 @@ recorded.  Validation failures exit 1; argument/spec errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -388,9 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a build costs more than most commands' parse
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "model", None) in ("moran", "moran-x"):
             if args.N is None or args.s is None:
@@ -398,7 +404,9 @@ def main(argv=None) -> int:
         elif args.command in ("stationary", "simulate", "moments"):
             if args.sigma is None:
                 raise BlockstatError(f"{args.command} needs --sigma")
-        return args.func(args)
+        # by name, so a module-level wrapper installed after the parser was
+        # built (a profiler's, say) sees the call
+        return globals()[args.func.__name__](args)
     except BlockstatError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

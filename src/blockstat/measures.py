@@ -410,23 +410,27 @@ def _beta_rows(interior: BetaDensity, k_lo: int, k_hi: int, out: np.ndarray) -> 
     np.divide(a + i, a + b + i, out=ratio[1:])
     q = np.cumprod(ratio)[k_lo - 2 :]  # B(a+k-2, b) / B(a, b)
     first = interior.total_mass * q
-    # the term ratios, in place on out and d; integer parts (exact in
-    # doubles) are summed before a or b joins them, else (a+k) - l - 2
-    # cancels
-    ell = np.arange(1.0, k_hi - 1)
-    d = np.arange(float(k_lo), k_hi + 1)[:, None] - ell  # k - l
-    ratios = out[:, 1:]
-    np.add(d, 1.0, out=ratios)
-    ratios *= (ell - 1.0) + b
-    if k_hi > k_lo:
-        # a zero ratio at l = k-1 starts the padding of rows k < k_hi,
-        # and d >= 2 keeps the denominators beyond it positive
-        ratios[np.arange(k_hi - k_lo), np.arange(k_lo - 2, k_hi - 2)] = 0.0
-        np.maximum(d, 2.0, out=d)
-    d -= 2.0
-    d += a
-    d *= ell
-    ratios /= d
+    # the term ratios (d+1)((l-1)+b) / (((d-2)+a) l), d = k - l; integer
+    # parts (exact in doubles) are summed before a or b joins them, else
+    # (a+k) - l - 2 cancels.  The d-factors depend on k - l alone, so
+    # they are Hankel views (rows k = k_hi..k_lo) of vectors over
+    # d = k_hi-1, k_hi-2, ...
+    m, w = out.shape[0], k_hi - 2
+    if w:
+        d = np.arange(k_hi - 1.0, k_hi - m - w, -1.0)
+        ell = np.arange(1.0, k_hi - 1)
+        num = d + 1.0
+        if m > 1:
+            # a zero ratio at l = k-1 starts the padding of rows k < k_hi,
+            # and d >= 2 keeps the denominators beyond it positive
+            num[k_hi - 2] = 0.0
+            np.maximum(d, 2.0, out=d)
+        d -= 2.0
+        d += a
+        step = (d.itemsize, d.itemsize)
+        flipped = out[::-1, 1:]
+        np.multiply(np.ndarray((m, w), d.dtype, num, 0, step), (ell - 1.0) + b, out=flipped)
+        flipped /= np.multiply(np.ndarray((m, w), d.dtype, d, 0, step), ell)
     out[:, 0] = first
     # from a first rate this small a row could leave the double range, so
     # its product runs in long double; q falls with k, so the last row
@@ -434,7 +438,7 @@ def _beta_rows(interior: BetaDensity, k_lo: int, k_hi: int, out: np.ndarray) -> 
     tiny = None
     if q[-1] < 1e-250:
         tiny = q < 1e-250
-        small = np.cumprod(np.concatenate((first[tiny, None], ratios[tiny]), axis=1), axis=1)
+        small = np.cumprod(np.concatenate((first[tiny, None], out[tiny, 1:]), axis=1), axis=1)
     np.cumprod(out, axis=1, out=out)
     if tiny is not None:
         out[tiny] = small

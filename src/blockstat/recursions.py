@@ -252,36 +252,54 @@ def _solve_prlm(
         sigma p_n = theta1 p_{n+1} + theta0 T_{n+1} + (1/n) sum_{l<=n} D_l,
     with T_{n+1} = sum_{k>n} p_k and D_l = sum_{k>n} p_k r_{k->l}, where
     r_{k->l} is the merger rate of k -> l, atoms at 0 and 1 included.
-    Both sums take one row p_k r_{k->.} as each p_k is found.  The rows
-    are read from merger_rows blocks of BLOCK rows, walking down from
-    k = K, so a solve holds O(BLOCK K) numbers.  All terms are
-    nonnegative, so the sweep is subtraction-free and the result positive
-    by construction.  Returns the normalised pmf and the largest equation
-    residual |rhs_n - sigma p_n| met in the sweep, in the same scale.
+    The rows are read from merger_rows blocks of at most BLOCK rows
+    k = k_lo..k_hi, walking down from k = K.  Rows above the block enter
+    through their column sums D_l, which one rows.T @ p updates after
+    each block, and a prefix sum of D per block gives sum_{l<=n} D_l.
+    Rows inside the block enter through their cumulative row sums
+    C[k, n] = sum_{l<=n} r_{k->l}, taken once per block over the block's
+    own columns n = k_lo-1..k_hi-1 on top of each row's prefix sum, so
+    each state costs one dot product of at most BLOCK terms and a solve
+    holds O(BLOCK K) numbers.  All terms are nonnegative, so the sweep is
+    subtraction-free and the result positive by construction; p, D and
+    T are rescaled whenever p_n passes 1e250.  Returns the normalised
+    pmf and the largest equation residual |rhs_n - sigma p_n| met in the
+    sweep, in the same scale.
     """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     p = np.zeros(K)
     p[K - 1] = 1.0
     tail = 0.0
-    down = np.zeros(K - 1)  # D_l, l = 1..K-1
+    down = np.zeros(K - 1)  # D_l, l = 1..K-1, from the rows above the block
     res = 0.0
-    k_lo = K + 1
-    for n in range(K - 1, 0, -1):
-        if n + 1 < k_lo:  # row n + 1 lies below the current block
-            k_lo = max(n + 2 - BLOCK, 2)
-            rows = merger_rows(measure, k_lo, n + 1)
-        tail += p[n]
-        down[:n] += p[n] * rows[n + 1 - k_lo, :n]
-        val = th1 * p[n] + th0 * tail + float(down[:n].sum()) / n
-        p[n - 1] = val / sigma
-        res = max(res, abs(val - sigma * p[n - 1]))
-        if p[n - 1] > 1e250:
-            # only ratios matter; rescale the computed block to avoid overflow
-            scale = p[n - 1]
-            p[n - 1 :] /= scale
-            down /= scale
-            tail /= scale
-            res /= scale
+    k_hi, p_n = K, 1.0
+    while k_hi >= 2:
+        k_lo = max(k_hi + 1 - BLOCK, 2)
+        rows = merger_rows(measure, k_lo, k_hi)
+        # cum[i, m] = C[k_lo + m, k_lo - 1 + i]: state n = k_lo - 1 + i
+        # reads row i against p_{k_lo..k_hi}, whose p_k, k <= n, are still 0
+        cum = rows[:, k_lo - 2 :].T.copy()
+        np.cumsum(cum, axis=0, out=cum)
+        cum += rows[:, : k_lo - 2].sum(axis=1)
+        above = np.cumsum(down[: k_hi - 1])[k_lo - 2 :].tolist()  # sum_{l<=n} D_l
+        block = p[k_lo - 1 : k_hi]
+        for n in range(k_hi - 1, k_lo - 2, -1):
+            i = n - k_lo + 1
+            tail += p_n
+            val = th1 * p_n + th0 * tail + (above[i] + cum[i].dot(block)) / n
+            p_n = float(val / sigma)
+            p[n - 1] = p_n
+            res = max(res, abs(val - sigma * p_n))
+            if p_n > 1e250:
+                # only ratios matter; rescale the computed part to avoid overflow
+                p[n - 1 :] /= p_n
+                down /= p_n
+                above = [s / p_n for s in above]
+                tail /= p_n
+                res /= p_n
+                p_n = 1.0
+        down[: k_hi - 1] += rows.T @ block
+        k_hi = k_lo - 1
     total = p.sum()
     return p / total, res / total
 

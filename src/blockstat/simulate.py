@@ -226,19 +226,14 @@ def _run_chain(
 def moran_L_rates(params: MoranParams, i: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Targets and cumulative rates of the Moran block counting chain."""
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
-    targets = []
-    rates = []
-    for j in range(1, i - 1):
-        targets.append(j)
-        rates.append(u0)
+    ends = {}
     if i >= 2:
-        targets.append(i - 1)
-        rates.append(i * (i - 1) / N + (i - 1) * u1 + u0)
+        ends[i - 1] = i * (i - 1) / N + (i - 1) * u1 + u0
     if i < N:
-        targets.append(i + 1)
-        rates.append(i * (N - i) * s / N)
-    t = np.array(targets, dtype=np.int64)
-    r = np.array(rates, dtype=float)
+        ends[i + 1] = i * (N - i) * s / N
+    head = max(i - 2, 0)  # targets 1..i-2, each at rate u0
+    t = np.concatenate((np.arange(1, head + 1), list(ends))).astype(np.int64)
+    r = np.concatenate((np.full(head, u0, dtype=float), list(ends.values())))
     return t, np.cumsum(r), float(r.sum())
 
 

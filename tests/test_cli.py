@@ -183,3 +183,15 @@ def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
     assert code == 2
     assert "error" in json.loads(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_built_once_and_commands_looked_up_per_call(monkeypatch):
+    import blockstat.cli as cli
+
+    assert cli._parser() is cli._parser()
+    assert main(["dual", "--x", "0.3", "--sigma", "1"]) == 0
+    # a wrapper installed after the parser was built is the one called
+    seen = []
+    monkeypatch.setattr(cli, "cmd_dual", lambda args: seen.append(args.x) or 7)
+    assert main(["dual", "--x", "0.3", "--sigma", "1"]) == 7
+    assert seen == [0.3]

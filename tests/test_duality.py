@@ -9,7 +9,7 @@ import pytest
 import blockstat.duality
 from blockstat.closedform import PgfEvaluator, bs_rho
 from blockstat.duality import (
-    _solve_w_system,
+    _extend_w_system,
     ancestral_type_h,
     ancestral_type_h_from_tails,
     bs_absorption,
@@ -226,11 +226,12 @@ def test_w_moments_build_each_row_once(monkeypatch):
 
 def test_w_system_star_beyond_float_binomials():
     # binom(2048, 1024) overflows a double; the rows never form it
-    w = _solve_w_system(merger_rows(LambdaMeasure.star(), 1, 2048), ModelParams(1.0, 0.5, 0.5))
+    w, _ = _extend_w_system(merger_rows(LambdaMeasure.star(), 1, 2048),
+                            ModelParams(1.0, 0.5, 0.5))
     assert np.all(np.isfinite(w)) and np.all((w > 0.0) & (w <= 1.0))
 
 
 def test_w_system_star_runtime():
     start = time.perf_counter()
-    _solve_w_system(merger_rows(LambdaMeasure.star(), 1, 1024), ModelParams(1.0, 0.5, 0.5))
+    _extend_w_system(merger_rows(LambdaMeasure.star(), 1, 1024), ModelParams(1.0, 0.5, 0.5))
     assert time.perf_counter() - start < 1.0

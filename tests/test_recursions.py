@@ -488,3 +488,61 @@ def test_prlm_block_memory_is_bounded():
     assert res < 1e-14
     # sixteen blocks of rows, against one merger_row per state
     assert p == pytest.approx(_prlm_row_by_row(uni, prm, 4096), rel=1e-13, abs=0.0)
+
+
+def test_w_moments_schur_steps_match_dense_row_by_row(monkeypatch):
+    # each doubling solves only its new rows; the whole dense system at
+    # every K is the reference
+    sizes = []
+    dense_solve = np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(a.shape)
+        return dense_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rng = np.random.default_rng(1515)
+    rs = rho_star(0.3, 0.05, ModelParams(1.0, 0.2, 0.2))
+    cases = [
+        (LambdaMeasure(*rng.uniform(0.1, 2.0, 2)), None),
+        (pushforward_to_lambda(build_discrete_fixed_point(rs, 0.3, 0.05), rs), None),
+        (LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2)), ModelParams(0.5, 0.5, 0.5)),
+        # settles at K = 1024
+        (LambdaMeasure.beta(1.5, 2.5), ModelParams(8.0, 0.05, 0.05)),
+    ]
+    for _ in range(3):
+        cases.append((LambdaMeasure.beta(rng.uniform(0.2, 0.95), rng.uniform(0.5, 5.0)), None))
+    for _ in range(2):
+        m0, m1, a, b = *rng.uniform(0.1, 2.0, 2), *rng.uniform(0.3, 5.0, 2)
+        cases.append((LambdaMeasure(m0, m1, BetaDensity(a, b, rng.uniform(0.5, 2.0))), None))
+    Ks = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure, prm in cases:
+            prm = prm or ModelParams(*rng.uniform(0.2, 1.5, size=3))
+            sizes.clear()
+            w = solve_w_moments(measure, prm)
+            K = w.truncation_K
+            Ks.append(K)
+            assert all(m == n <= K // 2 for m, n in sizes), (measure, sizes)
+            (ref,), K_ref, _ = double_until_stable(
+                lambda k: (_w_row_by_row(measure, prm, k),), 64, 1e-10, 2**12,
+                head=lambda k: k // 4,
+            )
+            assert K == K_ref, measure
+            assert w.w[0] == 1.0
+            assert w.w[1:] == pytest.approx(ref, rel=1e-13, abs=0.0), measure
+    assert max(Ks) == 1024
+
+
+def test_w_moments_memory_is_bounded():
+    # the dense solve at K = 1024 held the rows, the matrix and its factors
+    prm = ModelParams(8.0, 0.05, 0.05)
+    tracemalloc.start()
+    try:
+        w = solve_w_moments(LambdaMeasure.beta(1.5, 2.5), prm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.truncation_K == 1024
+    assert peak < 16e6

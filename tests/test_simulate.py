@@ -68,6 +68,34 @@ def lambda_L_exit_rate(measure: LambdaMeasure, params: ModelParams, k: int) -> f
     return k * sigma + (k - 1) * th1 + (k - 1) * th0 + coal
 
 
+def _moran_L_rates_loop(params, i):
+    """Reference: the rate table with one Python append per target."""
+    N, s, u0, u1 = params.N, params.s, params.u0, params.u1
+    targets, rates = [], []
+    for j in range(1, i - 1):
+        targets.append(j)
+        rates.append(u0)
+    if i >= 2:
+        targets.append(i - 1)
+        rates.append(i * (i - 1) / N + (i - 1) * u1 + u0)
+    if i < N:
+        targets.append(i + 1)
+        rates.append(i * (N - i) * s / N)
+    r = np.array(rates, dtype=float)
+    return np.array(targets, dtype=np.int64), np.cumsum(r), float(r.sum())
+
+
+def test_moran_L_rates_bit_identical_to_loop():
+    for params in (MoranParams(2, 1.0), MoranParams(57, 0.4, 0.3, 0.2),
+                   MoranParams(10_000, 0.05, 0.5, 0.5)):
+        N = params.N
+        for i in sorted({1, 2, 3, N - 1, N} | ({9990} if N == 10_000 else set())):
+            got, ref = moran_L_rates(params, i), _moran_L_rates_loop(params, i)
+            assert got[0].dtype == ref[0].dtype and np.array_equal(got[0], ref[0]), i
+            assert got[1].tobytes() == ref[1].tobytes(), i
+            assert got[2] == ref[2], i
+
+
 def test_lambda_L_exit_rate_identity():
     king = LambdaMeasure.kingman(2.0)
     prm = ModelParams(0.5, 0.0, 0.0)
