@@ -9,6 +9,7 @@ recorded.  Validation failures exit 1; argument/spec errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -74,16 +75,11 @@ def cmd_stationary(args) -> int:
     if args.model == "moran":
         mp = MoranParams(args.N, args.s, args.u0, args.u1)
         pmf = recursions.solve_moran(mp)
-        params_rec = {"N": mp.N, "s": mp.s, "u0": mp.u0, "u1": mp.u1}
+        params_rec = dataclasses.asdict(mp)
     else:
         measure = load_measure(args.model)
         prm = _model_params(args)
-        params_rec = {
-            "sigma": prm.sigma,
-            "theta0": prm.theta0,
-            "theta1": prm.theta1,
-            "measure": measure.to_dict(),
-        }
+        params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
         if measure.is_zero():
             p, pmf = recursions.crow_kimura_geometric(prm)
             extras["geometric_p"] = p
@@ -111,14 +107,11 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.model == "moran":
+    if args.model in ("moran", "moran-x"):
         mp = MoranParams(args.N, args.s, args.u0, args.u1)
-        path = simulate.simulate_moran_L(mp, args.start, args.events, args.seed)
-        params_rec = {"N": mp.N, "s": mp.s, "u0": mp.u0, "u1": mp.u1}
-    elif args.model == "moran-x":
-        mp = MoranParams(args.N, args.s, args.u0, args.u1)
-        path = simulate.simulate_moran_X(mp, args.start, args.events, args.seed)
-        params_rec = {"N": mp.N, "s": mp.s, "u0": mp.u0, "u1": mp.u1}
+        sim = simulate.simulate_moran_L if args.model == "moran" else simulate.simulate_moran_X
+        path = sim(mp, args.start, args.events, args.seed)
+        params_rec = dataclasses.asdict(mp)
     else:
         measure = load_measure(args.model)
         prm = _model_params(args)
@@ -127,12 +120,7 @@ def cmd_simulate(args) -> int:
             path = simulate.simulate_lambda_L(
                 measure, prm, args.start, args.events, args.seed
             )
-        params_rec = {
-            "sigma": prm.sigma,
-            "theta0": prm.theta0,
-            "theta1": prm.theta1,
-            "measure": measure.to_dict(),
-        }
+        params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
     out = args.out or "simulate"
     path.to_csv(out + "_path.csv")
     occ = simulate.occupancy(path, args.burn_in)
@@ -161,12 +149,7 @@ def cmd_moments(args) -> int:
     _json_out(
         {
             "command": "moments",
-            "params": {
-                "sigma": prm.sigma,
-                "theta0": prm.theta0,
-                "theta1": prm.theta1,
-                "measure": measure.to_dict(),
-            },
+            "params": {**dataclasses.asdict(prm), "measure": measure.to_dict()},
             "diagnostics": {
                 "K": ms.truncation_K,
                 "residual": ms.residual,

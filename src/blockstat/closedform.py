@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,16 +26,17 @@ from .errors import (
     QuadratureFailure,
     RootOrderViolation,
 )
-from .measures import LambdaMeasure, ModelParams, MoranParams
+from .measures import LambdaMeasure, ModelParams, MoranParams, Zero
 from .recursions import (
     StationaryPmf,
     _clip_negative,
+    _geometric_pmf,
     _solve_moran_banded,
     _solve_prlm,
     _solve_three_term,
     solve_star,
 )
-from .specfun import adaptive_quad, quad_power_endpoints
+from .specfun import adaptive_quad, bracketed_root, quad_power_endpoints
 
 
 @dataclass
@@ -43,8 +44,7 @@ class PgfEvaluator:
     """Probability generating function of a stationary block-count law.
 
     evaluate(z) is defined on [0, 1] with evaluate(0) = 0 and
-    evaluate(1) = 1; derivative is analytic where cheap and None where the
-    verifier should fall back to Richardson differences.
+    evaluate(1) = 1; d(z) is a Richardson-extrapolated central difference.
     """
 
     model_tag: str
@@ -52,14 +52,11 @@ class PgfEvaluator:
     evaluate: Callable[[float], float]
     p1: float
     p2: float | None = None
-    derivative: Callable[[float], float] | None = None
 
     def __call__(self, z: float) -> float:
         return self.evaluate(z)
 
     def d(self, z: float) -> float:
-        if self.derivative is not None:
-            return self.derivative(z)
         h = 1e-5 * (1.0 + abs(z))
         d1 = (self.evaluate(z + h) - self.evaluate(z - h)) / (2 * h)
         d2 = (self.evaluate(z + h / 2) - self.evaluate(z - h / 2)) / h
@@ -138,8 +135,7 @@ def _weight_integrals(
 
     Refining both components on identical panels makes their quadrature
     errors strongly correlated, which is what the ill-conditioned ratio
-    I_1/I_0 needs.  The singularity at y = 1 is removed on (1/2, 1) by
-    the substitution u = (1-y)^(1+beta_split).
+    I_1/I_0 needs.  A singular beta_split < 0 goes to quad_power_endpoints.
     """
     tol = 1e-15
 
@@ -150,14 +146,7 @@ def _weight_integrals(
     if beta_split == 0.0:
         i0, i1 = adaptive_quad(pair, 0.0, 1.0, tol=tol)
     else:
-        q = 1.0 + beta_split
-
-        def right(u):
-            return pair(1.0 - np.power(u, 1.0 / q)) / q
-
-        i0, i1 = adaptive_quad(
-            lambda y: pair(y) * np.power(1.0 - y, beta_split), 0.0, 0.5, tol=0.5 * tol
-        ) + adaptive_quad(right, 0.0, 0.5**q, tol=0.5 * tol)
+        i0, i1 = quad_power_endpoints(pair, 0.0, 1.0, alpha=0.0, beta=beta_split, tol=tol)
     return float(i0), float(i1)
 
 
@@ -251,7 +240,12 @@ def _two_weight_closed(
 
             j = quad_power_endpoints(f, z, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
         log_pref = form.log_K(z) - form.alpha * math.log(z) - form.beta * math.log1p(-z) + scale
-        return pgf_pref * j * math.exp(log_pref)
+        try:
+            return pgf_pref * j * math.exp(log_pref)
+        except OverflowError:
+            raise IllConditioned(
+                f"{tag}: pgf prefactor exp({log_pref:.6g}) at z = {z} leaves the double range"
+            ) from None
 
     return pmf, PgfEvaluator(pgf_tag, pgf_params, evaluate, p1)
 
@@ -337,7 +331,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     """
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
     n_max = N if n_max is None else min(n_max, N)
-    pgf_head = ("moran", {"N": N, "s": s, "u0": u0, "u1": u1})
+    pgf_head = ("moran", asdict(params))
 
     if u0 == 0.0:
         u = params.u
@@ -413,7 +407,7 @@ def wf_closed(
     if params.sigma <= 0:
         raise PreconditionViolated("wf_closed needs sigma > 0")
     sp, t0p, t1p = _wf_primed(m0, params)
-    pgf_head = ("wf", {"m0": m0, **_params_dict(params)})
+    pgf_head = ("wf", {"m0": m0, **asdict(params)})
 
     if t0p == 0.0:
         tp = t0p + t1p
@@ -434,10 +428,6 @@ def wf_closed(
         )[0],
     )
     return _two_weight_closed(form, n_max, "wf-closed", *pgf_head)
-
-
-def _params_dict(params: ModelParams) -> dict:
-    return {"sigma": params.sigma, "theta0": params.theta0, "theta1": params.theta1}
 
 
 def wf_mean(m0: float, params: ModelParams, p1: float | None = None) -> float:
@@ -516,7 +506,7 @@ def star_closed(
             return 1.0 - (1.0 - z) * f
 
         pgf = PgfEvaluator(
-            "star", {"m1": m1, **_params_dict(params)}, evaluate, float(pmf.probs[0])
+            "star", {"m1": m1, **asdict(params)}, evaluate, float(pmf.probs[0])
         )
         return pmf, pgf
 
@@ -552,7 +542,7 @@ def star_closed(
         return z * (1.0 - (1.0 - z) * f_of_z(z))
 
     pmf = solve_star(params, m1, K=K)
-    pgf = PgfEvaluator("star", {"m1": m1, **_params_dict(params)}, evaluate, p1)
+    pgf = PgfEvaluator("star", {"m1": m1, **asdict(params)}, evaluate, p1)
     return pmf, pgf
 
 
@@ -565,7 +555,7 @@ def bs_rho(params: ModelParams) -> float:
     """Geometric parameter for the uniform measure: unique interior root of
     r(x) = (sigma + log(1-x) - theta1 x)(x-1) + theta0 x.
 
-    Safeguarded bisection-Newton; matches the Lambert-W special cases.
+    Matches the Lambert-W special cases.
     """
     if params.sigma <= 0:
         raise PreconditionViolated("bs_rho needs sigma > 0")
@@ -575,38 +565,9 @@ def bs_rho(params: ModelParams) -> float:
         return (sigma + math.log1p(-x) - th1 * x) * (x - 1.0) + th0 * x
 
     def rp(x: float) -> float:
-        return (
-            1.0
-            + th1 * (1.0 - x)
-            + sigma
-            + math.log1p(-x)
-            - th1 * x
-            + th0
-        )
+        return 1.0 + th1 * (1.0 - x) + sigma + math.log1p(-x) - th1 * x + th0
 
-    lo, hi = 1e-15, 1.0 - 1e-15
-    flo = r(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = r(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        dx = r(x) / rp(x)
-        x_new = x - dx
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-        if abs(dx) < 1e-16 * (1.0 + abs(x)):
-            break
-    return x
+    return bracketed_root(r, rp, 1e-15, 1.0 - 1e-15)
 
 
 def bs_rho_special(params: ModelParams) -> float | None:
@@ -624,11 +585,7 @@ def bs_rho_special(params: ModelParams) -> float | None:
 def bs_geometric_pmf(params: ModelParams, K: int | None = None) -> tuple[float, StationaryPmf]:
     """Geometric stationary law Geom(1-rho) of the uniform-measure model."""
     rho = bs_rho(params)
-    if K is None:
-        K = min(2**14, max(16, int(math.log(1e-17) / math.log(rho)) + 1))
-    n = np.arange(1, K + 1)
-    probs = (1.0 - rho) * rho ** (n - 1.0)
-    return rho, StationaryPmf(probs, K, 0.0, "bs-geometric", tail_mass=float(rho**K))
+    return rho, _geometric_pmf(rho, K, "bs-geometric")
 
 
 # ----------------------------------------------------------------------
@@ -740,7 +697,7 @@ def beta31_pgf(
     )
 
     pgf = PgfEvaluator(
-        "beta31", _params_dict(params), _power_series(probs), float(p1), p2=float(p2)
+        "beta31", asdict(params), _power_series(probs), float(p1), p2=float(p2)
     )
     return pgf, pmf
 
@@ -778,52 +735,55 @@ def cauchy_principal_value(
     return (e1 * vals[2] - e2 * vals[1]) / (e1 - e2)
 
 
-def _moran_residual(pgf, measure, prm: MoranParams, z):
-    N, s, u0, u1 = prm.N, prm.s, prm.u0, prm.u1
-    return (
-        z * (1.0 - z) * (1.0 + s * z) * pgf.d(z)
-        + N * (s * z * z - (s + prm.u) * z + u1) * pgf.evaluate(z)
-        - (1.0 + N * u1) * pgf.p1 * z * (1.0 - z)
-        + N * u0 * z * z
-    )
+def _first_order_coefficients(pgf, measure, prm):
+    """(sigma, theta0, theta1, a0, a1, m1, c) of _first_order_residual.
+
+    Lambda = m0 delta_0 + m1 delta_1 (m0, m1 from the measure, or from
+    pgf.params without one) has a0 = m0/2, a1 = 0, c = 1.  The Moran
+    identity is the Kingman one with m0/2 replaced by (1+sz)/N, scaled
+    by N.
+    """
+    if pgf.model_tag == "moran":
+        return prm.s, prm.u0, prm.u1, 1.0 / prm.N, prm.s / prm.N, 0.0, prm.N
+    if measure is None:
+        m0, m1 = pgf.params.get("m0", 0.0), pgf.params.get("m1", 0.0)
+    elif not isinstance(measure.interior, Zero):
+        raise DomainError(
+            f"the {pgf.model_tag!r} pgf identity holds for m0 delta_0 + m1 delta_1 only, "
+            "not for a measure with an interior part"
+        )
+    else:
+        m0, m1 = measure.m0, measure.m1
+    return prm.sigma, prm.theta0, prm.theta1, 0.5 * m0, 0.0, m1, 1.0
 
 
-def _wf_residual(pgf, measure, p: ModelParams, z):
-    m0 = measure.m0 if measure is not None else pgf.params["m0"]
-    return (
-        0.5 * m0 * z * (1.0 - z) * pgf.d(z)
-        + (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.evaluate(z)
-        - (0.5 * m0 + p.theta1) * pgf.p1 * z * (1.0 - z)
-        + p.theta0 * z * z
-    )
+def _first_order_residual(pgf, measure, prm, z):
+    """The once-integrated pgf identity for Lambda = m0 delta_0 + m1 delta_1:
 
+      c [(a0 + a1 z) z(1-z) f' + m1 z(1-z) int_0^z (u - f(u))/(u(1-u)) du
+         + (sigma z^2 - (sigma+theta) z + theta1) f - (a0 + theta1) p1 z(1-z)
+         + theta0 z^2].
 
-def _star_residual(pgf, measure, p: ModelParams, z):
-    m1 = measure.m1 if measure is not None else pgf.params["m1"]
+    Kingman, star-shaped and the zero measure are its m1 = 0, m0 = 0 and
+    m0 = m1 = 0 cases; see _first_order_coefficients for Moran.
+    """
+    sigma, th0, th1, a0, a1, m1, c = _first_order_coefficients(pgf, measure, prm)
+    out = 0.0
+    if a0 != 0.0 or a1 != 0.0:
+        out += (a0 + a1 * z) * z * (1.0 - z) * pgf.d(z)
+    if m1 != 0.0:
+        def h(u):
+            return np.array([
+                1.0 - pgf.p1 if ui < 1e-12 else (ui - pgf.evaluate(ui)) / (ui * (1.0 - ui))
+                for ui in u
+            ])
 
-    def h(u):
-        out = np.empty_like(u)
-        for i, ui in enumerate(u):
-            if ui < 1e-12:
-                out[i] = 1.0 - pgf.p1
-            else:
-                out[i] = (ui - pgf.evaluate(ui)) / (ui * (1.0 - ui))
-        return out
-
-    integral = adaptive_quad(h, 0.0, z, tol=1e-11)
-    return (
-        m1 * z * (1.0 - z) * integral
-        + (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.evaluate(z)
-        - p.theta1 * pgf.p1 * z * (1.0 - z)
-        + p.theta0 * z * z
-    )
-
-
-def _crow_kimura_residual(pgf, measure, p: ModelParams, z):
-    return (
-        (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.evaluate(z)
-        - p.theta1 * pgf.p1 * z * (1.0 - z)
-        + p.theta0 * z * z
+        out += m1 * z * (1.0 - z) * adaptive_quad(h, 0.0, z, tol=1e-11)
+    return c * (
+        out
+        + (sigma * z * z - (sigma + (th0 + th1)) * z + th1) * pgf.evaluate(z)
+        - (a0 + th1) * pgf.p1 * z * (1.0 - z)
+        + th0 * z * z
     )
 
 
@@ -851,10 +811,10 @@ def _carleman_residual(pgf, measure, p: ModelParams, x):
 
 # model_tag -> residual(pgf, measure, params, z) of the model's pgf identity
 _RESIDUALS = {
-    "moran": _moran_residual,
-    "wf": _wf_residual,
-    "star": _star_residual,
-    "crow-kimura": _crow_kimura_residual,
+    "moran": _first_order_residual,
+    "wf": _first_order_residual,
+    "star": _first_order_residual,
+    "crow-kimura": _first_order_residual,
     "beta31": _beta31_residual,
     "bs": _carleman_residual,
 }
@@ -868,10 +828,14 @@ def verify_master_equation(
 ) -> float:
     """Max residual of the model's defining pgf identity on a z grid.
 
-    Looks up pgf.model_tag: the Moran ODE, the Kingman ODE, the
-    star-shaped integro-differential equation, the zero-measure algebraic
-    identity, the beta(3,1) ODE, or the Carleman singular equation of the
-    uniform measure (with the principal value by symmetric excision).
+    Looks up pgf.model_tag.  "moran", "wf", "star" and "crow-kimura"
+    share one once-integrated identity for Lambda = m0 delta_0 + m1 delta_1
+    (_first_order_residual): m0 and m1 come from the measure, or from
+    pgf.params when measure is None, and a measure with an interior part
+    raises DomainError.  Moran is the Kingman case with m0/2 replaced by
+    (1+sz)/N, scaled by N.  "beta31" is the beta(3,1) ODE and "bs" the
+    Carleman singular equation of the uniform measure (with the principal
+    value by symmetric excision).
     """
     residual = _RESIDUALS.get(pgf.model_tag)
     if residual is None:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.integrate
 
-from .closedform import PgfEvaluator
+from .closedform import PgfEvaluator, bs_rho
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .measures import LambdaMeasure, ModelParams, merger_rows
 from .recursions import StationaryPmf, double_until_stable
@@ -148,6 +148,8 @@ def solve_w_moments(
 # Uniform-measure generating function w(s) = sum_{n>=1} w_n s^n
 # ----------------------------------------------------------------------
 
+_N_CIRCLE = 256  # contour points of the Cauchy-integral FFT
+
 
 @dataclass
 class WGeneratingFunction:
@@ -200,20 +202,6 @@ def _bs_n(params: ModelParams, s):
     return params.theta1 * s * s - params.sigma - np.log1p(-s)
 
 
-def bs_s2(params: ModelParams) -> float:
-    """Interior root of theta s - theta1 s^2 - sigma(1-s) - (1-s)log(1-s)."""
-    lo, hi = 1e-14, 1.0 - 1e-14
-    if _bs_h(params, lo) >= 0:
-        raise DomainError("expected h(0+) < 0")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _bs_h(params, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _bs_frobenius(params: ModelParams, s2: float, order: int = 10) -> np.ndarray:
     """Series coefficients of the regular solution at the singular point s2.
 
@@ -245,13 +233,7 @@ def _bs_frobenius(params: ModelParams, s2: float, order: int = 10) -> np.ndarray
     return d
 
 
-def bs_w_generating(
-    params: ModelParams,
-    s_grid=None,
-    n_taylor: int = 12,
-    circle_radius: float = 0.6,
-    n_circle: int = 256,
-) -> WGeneratingFunction:
+def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunction:
     """Moment generating function of the uniform-measure model.
 
     The regular solution is seeded by its series at the interior singular
@@ -264,7 +246,7 @@ def bs_w_generating(
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("the generating function needs theta0, theta1 > 0")
     th1 = params.theta1
-    s2 = bs_s2(params)
+    s2 = bs_rho(params)  # the root of h: bs_rho's r(x) expands to h(x)
     d = _bs_frobenius(params, s2)
     delta = 1e-3 * s2
 
@@ -287,8 +269,8 @@ def bs_w_generating(
         raise QuadratureFailure(f"generating-function march failed: {left.message}")
 
     # choose a contour radius separated from s2 and from zeros of h
-    r = circle_radius
-    for cand in (circle_radius, 0.68, 0.52, 0.74, 0.45):
+    r = 0.6
+    for cand in (0.6, 0.68, 0.52, 0.74, 0.45):
         if abs(cand - s2) > 0.04:
             phis = np.linspace(0.0, 2.0 * np.pi, 181)
             hmag = np.abs(_bs_h(params, cand * np.exp(1j * phis)))
@@ -310,7 +292,7 @@ def bs_w_generating(
         s = r * np.exp(1j * phi)
         return [(_bs_n(params, s) * y[0] + th1 * s * s) / (s * _bs_h(params, s)) * 1j * s]
 
-    phis = np.linspace(0.0, 2.0 * np.pi, n_circle, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, _N_CIRCLE, endpoint=False)
     circ = scipy.integrate.solve_ivp(
         rhs_circ,
         (0.0, 2.0 * np.pi),
@@ -323,17 +305,12 @@ def bs_w_generating(
     if not circ.success:
         raise QuadratureFailure("contour march failed")
     closure = abs(circ.y[0, -1] - w_r)
-    fft = np.fft.fft(circ.y[0, :-1]) / n_circle
+    fft = np.fft.fft(circ.y[0, :-1]) / _N_CIRCLE
     taylor = np.zeros(n_taylor + 1)
     for n in range(1, n_taylor + 1):
         taylor[n] = (fft[n] / r**n).real
 
-    out = WGeneratingFunction(
-        params, s2, taylor, r, closure, left, delta, series
-    )
-    if s_grid is not None:
-        out.values(s_grid)  # validate the grid eagerly
-    return out
+    return WGeneratingFunction(params, s2, taylor, r, closure, left, delta, series)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .measures import (
     UniformScaled,
     Zero,
 )
-from .specfun import adaptive_quad
+from .specfun import adaptive_quad, bracketed_root
 
 
 def phi_big(rho: float, x):
@@ -260,29 +260,12 @@ def rho_star(x0: float, m0_mass: float, params: ModelParams) -> float:
             th1 * z * z - (sigma + theta) * z + sigma
         )
 
-    lo, hi = 0.0, 1.0
-    flo = r(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = r(mid)
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    z = 0.5 * (lo + hi)
-    for _ in range(8):
-        dr = -2.0 * x0 * m0_mass * (1.0 - z * x0) - x0 * (1.0 - x0) * (
+    def dr(z: float) -> float:
+        return -2.0 * x0 * m0_mass * (1.0 - z * x0) - x0 * (1.0 - x0) * (
             2.0 * th1 * z - sigma - theta
         )
-        step = r(z) / dr
-        z_new = z - step
-        if 0.0 < z_new < 1.0:
-            z = z_new
-        if abs(step) < 1e-16:
-            break
-    return z
+
+    return bracketed_root(r, dr, 0.0, 1.0)
 
 
 def pushforward_to_lambda(mu: AtomicMeasure, rho: float) -> LambdaMeasure:
@@ -421,15 +404,14 @@ def check_geometric(
     n_max: int = 30,
     tol: float = 1e-8,
     params: ModelParams | None = None,
-    cg1_n_max: int = 10,
 ) -> GeometricCheck:
     """Test whether the stationary block-count law can be Geom(1-rho).
 
     Verifies the necessary endpoint conditions m0 = m1 = 0, the
     pushforward identities (cg3a) for n = 0..n_max, the scalar balance
     (cg3b) when model parameters are supplied, and (redundantly, the
-    conditions are equivalent) the combined identity (cg1) on a short
-    range.  The dust-free criterion is reported as a diagnostic flag.
+    conditions are equivalent) the combined identity (cg1) for
+    n = 1..10.  The dust-free criterion is reported as a diagnostic flag.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0,1)")
@@ -468,10 +450,10 @@ def check_geometric(
         target = (
             params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
         )
-        cg1 = np.empty(cg1_n_max)
-        for n in range(1, cg1_n_max + 1):
-            val = _interior_integral(measure, lambda x: cg1_integrand(rho, n, x)) / n
-            cg1[n - 1] = abs(val - target)
+        cg1 = np.array([
+            abs(_interior_integral(measure, lambda x: cg1_integrand(rho, n, x)) / n - target)
+            for n in range(1, 11)
+        ])
         if np.max(cg1) > 10.0 * tol:
             reasons.append(f"cg1 residual {np.max(cg1):.3e} exceeds {10 * tol:.1e}")
 

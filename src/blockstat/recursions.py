@@ -338,7 +338,6 @@ def solve_lambda_truncated(
     K: int = 64,
     tol: float = 1e-10,
     K_cap: int = 2**14,
-    check_recurrence: bool = True,
 ) -> StationaryPmf:
     """Stationary pmf of the general block counting chain, truncated at K.
 
@@ -350,14 +349,13 @@ def solve_lambda_truncated(
         raise PreconditionViolated("the truncated system needs sigma > 0")
     if K < 10:
         raise DomainError("truncation level must be at least 10")
-    if check_recurrence:
-        rep = is_positive_recurrent(measure, params)
-        if not rep:
-            warnings.warn(
-                f"positive recurrence not established ({rep.clause}); "
-                "the truncated solution may not converge",
-                stacklevel=2,
-            )
+    rep = is_positive_recurrent(measure, params)
+    if not rep:
+        warnings.warn(
+            f"positive recurrence not established ({rep.clause}); "
+            "the truncated solution may not converge",
+            stacklevel=2,
+        )
     (p, res), K, delta = double_until_stable(
         lambda k: _solve_prlm(measure, params, k), K, tol, K_cap, head=lambda k: k
     )
@@ -437,9 +435,16 @@ def crow_kimura_geometric(
     else:
         disc = (sigma - theta) ** 2 + 4.0 * sigma * th0
         p = (sigma + theta - math.sqrt(disc)) / (2.0 * th1)
+    return p, _geometric_pmf(p, K, "crow-kimura-geometric")
+
+
+def _geometric_pmf(p: float, K: int | None, tag: str) -> StationaryPmf:
+    """Geom(1-p) law P(L = n) = (1-p) p^(n-1), kept to K terms.
+
+    K defaults to the first n where p^n drops below 1e-17, within 16..2^14.
+    """
     if K is None:
         K = 1 if p == 0.0 else min(2**14, max(16, int(math.log(1e-17) / math.log(p)) + 1))
     n = np.arange(1, K + 1)
     probs = (1.0 - p) * p ** (n - 1.0)
-    pmf = StationaryPmf(probs, K, 0.0, "crow-kimura-geometric", tail_mass=float(p**K))
-    return p, pmf
+    return StationaryPmf(probs, K, 0.0, tag, tail_mass=float(p**K))

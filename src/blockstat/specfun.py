@@ -3,8 +3,9 @@ and geometric-law code.
 
 The kernel is a 15-point Gauss-Kronrod panel with globally adaptive
 bisection, for scalar or vector-valued integrands, plus a power-law
-substitution for algebraic endpoint singularities.  Hypergeometric and
-Lambert-W values come from scipy.special.
+substitution for algebraic endpoint singularities, and the bracketed
+bisection-Newton root finder of the geometric parameters.  Hypergeometric
+and Lambert-W values come from scipy.special.
 """
 
 from __future__ import annotations
@@ -140,6 +141,38 @@ def adaptive_quad(
     if vals.ndim == 1:
         return sign * math.fsum(vals)
     return sign * np.array([math.fsum(col) for col in vals.T])
+
+
+def bracketed_root(
+    f: Callable[[float], float], df: Callable[[float], float], lo: float, hi: float
+) -> float:
+    """Root of f in [lo, hi], where f(lo) and f(hi) differ in sign.
+
+    Bisection narrows the bracket to 1e-12; Newton steps then polish the
+    root, and a step that leaves the bracket falls back to its midpoint.
+    """
+    flo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    x = 0.5 * (lo + hi)
+    for _ in range(60):
+        dx = f(x) / df(x)
+        x_new = x - dx
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
+        x = x_new
+        if abs(dx) < 1e-16 * (1.0 + abs(x)):
+            break
+    return x
 
 
 def quad_power_endpoints(

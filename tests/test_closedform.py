@@ -27,7 +27,8 @@ from blockstat.closedform import (
     wf_factorial_moments,
     wf_mean,
 )
-from blockstat.errors import BlockstatError, DomainError, RootOrderViolation
+from blockstat.errors import BlockstatError, DomainError, IllConditioned, RootOrderViolation
+from blockstat.geomfix import rho_star
 from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
 from blockstat.recursions import (
     solve_lambda_truncated,
@@ -258,6 +259,31 @@ def test_bs_rho_defining_equation():
     assert abs(r) < 1e-12
 
 
+def test_bs_rho_and_rho_star_roots_to_a_few_ulp():
+    # |r| within a few units of what rounding in r and the spacing of the
+    # doubles next to the root allow: eps * sum|terms| + |r'| * ulp(root)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2026)
+    for _ in range(600):
+        sg, th0, th1 = (float(v) for v in np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 3)))
+        prm = ModelParams(sg, th0, th1)
+        x = bs_rho(prm)
+        r = (sg + math.log1p(-x) - th1 * x) * (x - 1.0) + th0 * x
+        scale = (sg + abs(math.log1p(-x)) + th1 * x) * (1.0 - x) + th0 * x
+        dr = 1.0 + th1 * (1.0 - x) + sg + math.log1p(-x) - th1 * x + th0
+        assert abs(r) <= 4.0 * (eps * scale + abs(dr) * np.spacing(x)), prm
+
+        x0 = float(rng.uniform(0.01, 0.99))
+        m0 = float(rng.uniform(0.0, 1.0)) * sg * x0 * (1.0 - x0)
+        z = rho_star(x0, m0, prm)
+        assert 0.0 < z < 1.0
+        q = th1 * z * z - (sg + prm.theta) * z + sg
+        r = m0 * (1.0 - z * x0) ** 2 - x0 * (1.0 - x0) * q
+        scale = m0 * (1.0 - z * x0) ** 2 + x0 * (1.0 - x0) * (th1 * z * z + (sg + prm.theta) * z + sg)
+        dr = -2.0 * x0 * m0 * (1.0 - z * x0) - x0 * (1.0 - x0) * (2.0 * th1 * z - sg - prm.theta)
+        assert abs(r) <= 4.0 * (eps * scale + abs(dr) * np.spacing(z)), (x0, m0, prm)
+
+
 def test_beta31_pgf_and_pmf():
     prm = ModelParams(1.0, 0.5, 0.5)
     pgf, pmf = beta31_pgf(prm, K=200)
@@ -349,6 +375,43 @@ def test_moran_pgf_residual_at_N30():
     mp = MoranParams(30, 0.7, 0.25, 0.15)
     _, pg = moran_closed(mp)
     assert verify_master_equation(pg, None, mp, np.linspace(0.04, 0.92, 20)) <= 1e-9
+
+
+def test_master_equation_kingman_plus_star_measure():
+    # the first-order identity carries both atoms; a pmf from the truncated
+    # solve satisfies it, and the same pmf against 10% more mass does not
+    mixed = LambdaMeasure(m0=1.0, m1=0.5)
+    prm = ModelParams(1.0, 0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf = solve_lambda_truncated(mixed, prm, tol=1e-13)
+    pg = PgfEvaluator("wf", {}, closedform._power_series(pmf.probs), float(pmf.probs[0]))
+    zg = np.linspace(0.05, 0.9, 12)
+    res = verify_master_equation(pg, mixed, prm, zg)
+    assert res <= 1e-10
+    pg_params = PgfEvaluator("star", {"m0": 1.0, "m1": 0.5}, pg.evaluate, pg.p1)
+    assert verify_master_equation(pg_params, None, prm, zg) == res
+    assert verify_master_equation(pg, LambdaMeasure(m0=1.1, m1=0.55), prm, zg) >= 1e-4
+
+
+@pytest.mark.parametrize("tag", ["wf", "star", "crow-kimura"])
+def test_master_equation_rejects_interior_measure(tag):
+    pg = PgfEvaluator(tag, {}, lambda z: z, 1.0)
+    with pytest.raises(DomainError):
+        verify_master_equation(pg, LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), [0.5])
+    with pytest.raises(DomainError):
+        verify_master_equation(
+            pg, LambdaMeasure(m0=1.0, interior=LambdaMeasure.beta31().interior),
+            ModelParams(1.0, 0.5, 0.5), [0.5],
+        )
+
+
+def test_moran_pgf_prefactor_overflow_is_ill_conditioned():
+    # at N = 10^4 the prefactor exp(log K(z) - alpha log z - beta log(1-z))
+    # passes the double range by z = 1/2
+    _, pg = moran_closed(MoranParams(10**4, 0.7, 0.25, 0.15), n_max=50)
+    with pytest.raises(IllConditioned):
+        pg.d(0.5)
 
 
 def test_master_equation_unknown_tag():

@@ -13,7 +13,6 @@ from blockstat.duality import (
     ancestral_type_h,
     ancestral_type_h_from_tails,
     bs_absorption,
-    bs_s2,
     bs_w_generating,
     complete_monotonicity_defect,
     geometric_pgf_absorption,
@@ -59,7 +58,8 @@ def test_complete_monotonicity_detector():
 
 def test_bs_s2_is_root():
     prm = ModelParams(1.0, 0.5, 0.5)
-    s2 = bs_s2(prm)
+    s2 = bs_w_generating(prm).s2
+    assert s2 == bs_rho(prm)
     h = (
         prm.theta * s2
         - prm.theta1 * s2**2
