@@ -253,8 +253,8 @@ def _validate_checks(suite: str):
         add("uniform geometric-condition residual", np.max(rep.cg3a_residuals), 1e-8)
 
         prm_star = ModelParams(1.0, 0.4, 0.0)
-        starp, starg = closedform.star_closed(1.0, prm_star, K=400)
-        star_rec = recursions.solve_star(prm_star, 1.0, K=400)
+        starp, _ = closedform.star_closed(1.0, prm_star, K=400)
+        star_rec = recursions.solve_lambda_truncated(LambdaMeasure.star(1.0), prm_star, tol=1e-11)
         add("star closed vs recursion (sup)", starp.sup_distance(star_rec), 1e-12)
 
         p, ck = recursions.crow_kimura_geometric(ModelParams(1.0, 1.0, 0.5))
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_model_params(p, moran=False):
+    def add_model_params(p):
         p.add_argument("--model", required=True, help="measure keyword, JSON file, or 'moran'")
         p.add_argument("--sigma", type=float, default=None)
         p.add_argument("--theta0", type=float, default=0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     QuadratureFailure,
     RootOrderViolation,
 )
-from .measures import LambdaMeasure, ModelParams, MoranParams, Zero
+from .measures import LambdaMeasure, ModelParams, MoranParams
 from .recursions import (
     StationaryPmf,
     _clip_negative,
@@ -45,10 +45,11 @@ class PgfEvaluator:
 
     evaluate(z) is defined on [0, 1] with evaluate(0) = 0 and
     evaluate(1) = 1; d(z) is a Richardson-extrapolated central difference.
+    p1 (and p2, where known) are the head probabilities that the pgf
+    identities take as data.  The pgf does not name its model: the
+    measure and parameters given to verify_master_equation do.
     """
 
-    model_tag: str
-    params: dict
     evaluate: Callable[[float], float]
     p1: float
     p2: float | None = None
@@ -184,7 +185,7 @@ def _q_pairs(form: _TwoWeightForm) -> Iterator[tuple[np.floating, np.floating]]:
 
 
 def _two_weight_closed(
-    form: _TwoWeightForm, n_max: int, tag: str, pgf_tag: str, pgf_params: dict
+    form: _TwoWeightForm, n_max: int, tag: str
 ) -> tuple[StationaryPmf, PgfEvaluator]:
     """Head p_1..p_{n_max} and pgf of a two-weight closed form."""
     w, scale = _scaled_weight(form)
@@ -247,7 +248,7 @@ def _two_weight_closed(
                 f"{tag}: pgf prefactor exp({log_pref:.6g}) at z = {z} leaves the double range"
             ) from None
 
-    return pmf, PgfEvaluator(pgf_tag, pgf_params, evaluate, p1)
+    return pmf, PgfEvaluator(evaluate, p1)
 
 
 def _power_series(probs: np.ndarray) -> Callable[[float], float]:
@@ -271,8 +272,6 @@ def _product_form(
     closed_sum: float,
     n_max: int,
     tag: str,
-    pgf_tag: str,
-    pgf_params: dict,
 ) -> tuple[StationaryPmf, PgfEvaluator]:
     """Law p_n = t_n / sum_k t_k with t_1 = 1, and its pgf sum_n p_n z^n.
 
@@ -296,7 +295,7 @@ def _product_form(
         probs[:n_max], min(n_max, probs.size), abs(norm - closed_sum) / closed_sum, tag,
         tail_mass=float(probs[n_max:].sum()),
     )
-    return pmf, PgfEvaluator(pgf_tag, pgf_params, _power_series(probs), float(probs[0]))
+    return pmf, PgfEvaluator(_power_series(probs), float(probs[0]))
 
 
 def _factorial_moments(
@@ -331,14 +330,13 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     """
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
     n_max = N if n_max is None else min(n_max, N)
-    pgf_head = ("moran", asdict(params))
 
     if u0 == 0.0:
         u = params.u
         return _product_form(
             lambda t, n: t * (N - n + 1) * s / (N * u + n), N, 0.0,
             float(hyp2f1(1.0, 1.0 - N, N * u + 2.0, -s)),
-            n_max, "moran-closed-u0zero", *pgf_head,
+            n_max, "moran-closed-u0zero",
         )
 
     rho0 = u0 / (1.0 + s)
@@ -355,7 +353,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
         branch=lambda n: (N - n) * s,
         tail_solve=tail_solve,
     )
-    return _two_weight_closed(form, n_max, "moran-closed", *pgf_head)
+    return _two_weight_closed(form, n_max, "moran-closed")
 
 
 def moran_mean(params: MoranParams, p1: float | None = None) -> float:
@@ -407,7 +405,6 @@ def wf_closed(
     if params.sigma <= 0:
         raise PreconditionViolated("wf_closed needs sigma > 0")
     sp, t0p, t1p = _wf_primed(m0, params)
-    pgf_head = ("wf", {"m0": m0, **asdict(params)})
 
     if t0p == 0.0:
         tp = t0p + t1p
@@ -415,7 +412,7 @@ def wf_closed(
             # t_n / t_{n-1} = sigma' / (theta' + n)
             lambda t, n: t * sp / (tp + (n - 1) + 1.0), math.inf, 1e-18,
             float(hyp1f1(1.0, 2.0 + tp, sp)),
-            n_max, "wf-closed-theta0zero", *pgf_head,
+            n_max, "wf-closed-theta0zero",
         )
 
     form = _TwoWeightForm(
@@ -427,7 +424,7 @@ def wf_closed(
             LambdaMeasure.kingman(m0), params, max(2 * n_max, 128)
         )[0],
     )
-    return _two_weight_closed(form, n_max, "wf-closed", *pgf_head)
+    return _two_weight_closed(form, n_max, "wf-closed")
 
 
 def wf_mean(m0: float, params: ModelParams, p1: float | None = None) -> float:
@@ -505,10 +502,7 @@ def star_closed(
             f = float(hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z))
             return 1.0 - (1.0 - z) * f
 
-        pgf = PgfEvaluator(
-            "star", {"m1": m1, **asdict(params)}, evaluate, float(pmf.probs[0])
-        )
-        return pmf, pgf
+        return pmf, PgfEvaluator(evaluate, float(pmf.probs[0]))
 
     d, xm, xp = _star_roots(params)
     e = m1 / d
@@ -541,9 +535,7 @@ def star_closed(
             return 1.0
         return z * (1.0 - (1.0 - z) * f_of_z(z))
 
-    pmf = solve_star(params, m1, K=K)
-    pgf = PgfEvaluator("star", {"m1": m1, **asdict(params)}, evaluate, p1)
-    return pmf, pgf
+    return solve_star(params, m1, K=K), PgfEvaluator(evaluate, p1)
 
 
 # ----------------------------------------------------------------------
@@ -672,34 +664,21 @@ def beta31_pgf(
         p2 = math.nan  # recovered from the pmf below
 
     # pmf from the derivative recursion of the ODE at 0:
-    # th1 (n+1) p_{n+1} + (n P'(0) + Q(0)) p_n + sigma (n+1) p_{n-1} = 0, n >= 2
-    Pp0 = -(sigma + theta)
-    Q00 = Q(0.0)
-    if th1 > 0.0:
-        n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
-        tail_probs = _solve_three_term(sigma * (n + 1), n * Pp0 + Q00, th1 * (n + 1), p1)
-        probs = np.concatenate([[p1], tail_probs])
-        if math.isnan(p2):
-            p2 = float(probs[1])
-        consistency = abs(float(probs[1]) - p2)
-    else:
-        # theta1 = 0: the derivative recursion is first order, p_{n-1} -> p_n
-        probs = np.empty(K)
-        probs[0] = p1
-        for n in range(2, K + 1):
-            probs[n - 1] = -sigma * (n + 1) * probs[n - 2] / (n * Pp0 + Q00)
+    # th1 (n+1) p_{n+1} + (n P'(0) + Q(0)) p_n + sigma (n+1) p_{n-1} = 0, n >= 2,
+    # with P'(0) = -(sigma+theta); theta1 = 0 makes it lower bidiagonal
+    n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
+    tail = _solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
+    probs = np.concatenate([[p1], tail])
+    if math.isnan(p2):
         p2 = float(probs[1])
-        consistency = 0.0
-    probs = _clip_negative(np.asarray(probs, dtype=float), "beta31")
+    consistency = abs(float(probs[1]) - p2)
+    probs = _clip_negative(probs, "beta31")
     pmf = StationaryPmf(
         probs, probs.size, consistency, "beta31-ode",
         extras={"p2_consistency": consistency},
     )
 
-    pgf = PgfEvaluator(
-        "beta31", asdict(params), _power_series(probs), float(p1), p2=float(p2)
-    )
-    return pgf, pmf
+    return PgfEvaluator(_power_series(probs), float(p1), p2=float(p2)), pmf
 
 
 # ----------------------------------------------------------------------
@@ -735,26 +714,16 @@ def cauchy_principal_value(
     return (e1 * vals[2] - e2 * vals[1]) / (e1 - e2)
 
 
-def _first_order_coefficients(pgf, measure, prm):
+def _first_order_coefficients(measure, prm):
     """(sigma, theta0, theta1, a0, a1, m1, c) of _first_order_residual.
 
-    Lambda = m0 delta_0 + m1 delta_1 (m0, m1 from the measure, or from
-    pgf.params without one) has a0 = m0/2, a1 = 0, c = 1.  The Moran
-    identity is the Kingman one with m0/2 replaced by (1+sz)/N, scaled
-    by N.
+    Lambda = m0 delta_0 + m1 delta_1 has a0 = m0/2, a1 = 0, c = 1.  The
+    Moran identity is the Kingman one with m0/2 replaced by (1+sz)/N,
+    scaled by N.
     """
-    if pgf.model_tag == "moran":
+    if isinstance(prm, MoranParams):
         return prm.s, prm.u0, prm.u1, 1.0 / prm.N, prm.s / prm.N, 0.0, prm.N
-    if measure is None:
-        m0, m1 = pgf.params.get("m0", 0.0), pgf.params.get("m1", 0.0)
-    elif not isinstance(measure.interior, Zero):
-        raise DomainError(
-            f"the {pgf.model_tag!r} pgf identity holds for m0 delta_0 + m1 delta_1 only, "
-            "not for a measure with an interior part"
-        )
-    else:
-        m0, m1 = measure.m0, measure.m1
-    return prm.sigma, prm.theta0, prm.theta1, 0.5 * m0, 0.0, m1, 1.0
+    return prm.sigma, prm.theta0, prm.theta1, 0.5 * measure.m0, 0.0, measure.m1, 1.0
 
 
 def _first_order_residual(pgf, measure, prm, z):
@@ -767,7 +736,7 @@ def _first_order_residual(pgf, measure, prm, z):
     Kingman, star-shaped and the zero measure are its m1 = 0, m0 = 0 and
     m0 = m1 = 0 cases; see _first_order_coefficients for Moran.
     """
-    sigma, th0, th1, a0, a1, m1, c = _first_order_coefficients(pgf, measure, prm)
+    sigma, th0, th1, a0, a1, m1, c = _first_order_coefficients(measure, prm)
     out = 0.0
     if a0 != 0.0 or a1 != 0.0:
         out += (a0 + a1 * z) * z * (1.0 - z) * pgf.d(z)
@@ -809,37 +778,39 @@ def _carleman_residual(pgf, measure, p: ModelParams, x):
     return alpha * pgf.evaluate(x) / x - pv - fval
 
 
-# model_tag -> residual(pgf, measure, params, z) of the model's pgf identity
-_RESIDUALS = {
-    "moran": _first_order_residual,
-    "wf": _first_order_residual,
-    "star": _first_order_residual,
-    "crow-kimura": _first_order_residual,
-    "beta31": _beta31_residual,
-    "bs": _carleman_residual,
-}
-
-
 def verify_master_equation(
     pgf: PgfEvaluator,
     measure: LambdaMeasure | None,
     params: ModelParams | MoranParams,
     z_grid: np.ndarray,
 ) -> float:
-    """Max residual of the model's defining pgf identity on a z grid.
+    """Max residual of the pgf identity of the model (measure, params) on a z grid.
 
-    Looks up pgf.model_tag.  "moran", "wf", "star" and "crow-kimura"
-    share one once-integrated identity for Lambda = m0 delta_0 + m1 delta_1
-    (_first_order_residual): m0 and m1 come from the measure, or from
-    pgf.params when measure is None, and a measure with an interior part
-    raises DomainError.  Moran is the Kingman case with m0/2 replaced by
-    (1+sz)/N, scaled by N.  "beta31" is the beta(3,1) ODE and "bs" the
-    Carleman singular equation of the uniform measure (with the principal
-    value by symmetric excision).
+    The model picks the identity.  MoranParams without a measure, and
+    ModelParams with Lambda = m0 delta_0 + m1 delta_1 (Kingman, star-shaped,
+    zero and mixed), share one once-integrated identity
+    (_first_order_residual); Moran is the Kingman case with m0/2 replaced
+    by (1+sz)/N, scaled by N.  LambdaMeasure.beta31() has the beta(3,1)
+    ODE and LambdaMeasure.uniform() the Carleman singular equation (with
+    the principal value by symmetric excision).  Any other measure,
+    MoranParams with a measure and ModelParams without one raise
+    DomainError.
     """
-    residual = _RESIDUALS.get(pgf.model_tag)
-    if residual is None:
-        raise DomainError(f"no master equation registered for {pgf.model_tag!r}")
+    if isinstance(params, MoranParams) and measure is None:
+        residual = _first_order_residual
+    elif not isinstance(params, ModelParams) or measure is None:
+        raise DomainError("a pgf identity takes MoranParams alone or ModelParams and a measure")
+    elif measure == LambdaMeasure(m0=measure.m0, m1=measure.m1):
+        residual = _first_order_residual
+    elif measure == LambdaMeasure.beta31():
+        residual = _beta31_residual
+    elif measure == LambdaMeasure.uniform():
+        residual = _carleman_residual
+    else:
+        raise DomainError(
+            "a pgf identity is implemented for m0 delta_0 + m1 delta_1, "
+            "beta31() and uniform() only"
+        )
     res = [residual(pgf, measure, params, z) for z in np.asarray(z_grid, dtype=float)]
     # np.max, unlike the builtin max, passes a NaN residual on
     return float(np.max(np.abs(res), initial=0.0))

@@ -18,16 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, PreconditionViolated
-from .measures import (
-    Atoms,
-    BetaDensity,
-    CustomDensity,
-    LambdaMeasure,
-    ModelParams,
-    UniformScaled,
-    Zero,
-)
-from .specfun import adaptive_quad, bracketed_root
+from .measures import Atoms, BetaDensity, LambdaMeasure, ModelParams, UniformScaled, Zero
+from .specfun import bracketed_root
 
 
 def phi_big(rho: float, x):
@@ -348,22 +340,6 @@ def cg1_integrand(rho: float, n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interior_integral(measure: LambdaMeasure, f: Callable, tol: float = 1e-12) -> float:
-    """Integral of f against the interior part of the measure."""
-    interior = measure.interior
-    if isinstance(interior, Zero):
-        return 0.0
-    if isinstance(interior, Atoms):
-        return float(np.sum(interior.ms * f(interior.xs)))
-    if isinstance(interior, UniformScaled):
-        return interior.c * adaptive_quad(f, 0.0, 1.0, tol=tol, max_panels=8192)
-
-    def g(x):
-        return f(x) * interior.density(x)
-
-    return adaptive_quad(g, 0.0, 1.0, tol=tol, max_panels=8192)
-
-
 def _dust_free(measure: LambdaMeasure) -> bool | None:
     """Heuristic flag for int x^-1 Lambda_0(dx) = +inf (dust-free component)."""
     interior = measure.interior
@@ -421,12 +397,12 @@ def check_geometric(
     if measure.m1 > 0.0:
         reasons.append("atom at 1 present (m1 > 0)")
 
+    integrate = measure.interior.integrate
     ns = np.arange(0, n_max + 1)
     cg3a = np.empty(ns.size)
     for n in ns:
-        lhs = _interior_integral(measure, lambda x: np.exp(n * np.log1p(-x)))
-        rhs = (1.0 - rho) * _interior_integral(
-            measure,
+        lhs = integrate(lambda x: np.exp(n * np.log1p(-x)))
+        rhs = (1.0 - rho) * integrate(
             lambda x: np.exp(
                 n * (np.log1p(-x) - np.log1p(-rho * x)) - 2.0 * np.log1p(-rho * x)
             ),
@@ -437,7 +413,7 @@ def check_geometric(
 
     cg3b = math.nan
     if params is not None:
-        lhs = _interior_integral(measure, lambda x: 1.0 / (1.0 - rho * x))
+        lhs = integrate(lambda x: 1.0 / (1.0 - rho * x))
         rhs = (
             params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
         ) / (rho * (1.0 - rho))
@@ -451,7 +427,7 @@ def check_geometric(
             params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
         )
         cg1 = np.array([
-            abs(_interior_integral(measure, lambda x: cg1_integrand(rho, n, x)) / n - target)
+            abs(integrate(lambda x: cg1_integrand(rho, n, x)) / n - target)
             for n in range(1, 11)
         ])
         if np.max(cg1) > 10.0 * tol:

@@ -22,7 +22,8 @@ from .errors import DomainError, IntegrabilityError, PreconditionViolated
 from .specfun import adaptive_quad
 
 ATOM_CAP = 10_000
-BLOCK = 256  # rows per block of merger_rows; atoms per block of an atom row
+BLOCK = 256  # rows per block of merger_rows; atoms per block of Atoms.integrate
+MAX_PANELS = 8192  # quadrature panel cap of the interior integrals
 
 
 def _nonnegative(*values: float) -> bool:
@@ -84,9 +85,18 @@ class MoranParams:
 # ----------------------------------------------------------------------
 
 
+# Each kind has integrate(f, tol): the integral of f against it over (0,1),
+# to absolute tolerance tol.  f maps a grid of shape (n,) to shape (n,),
+# or to (m, n) for m integrands at once, as in adaptive_quad.
+Integrand = Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class Zero:
     def mass(self) -> float:
+        return 0.0
+
+    def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
         return 0.0
 
 
@@ -100,6 +110,9 @@ class UniformScaled:
 
     def mass(self) -> float:
         return self.c
+
+    def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
+        return self.c * adaptive_quad(f, 0.0, 1.0, tol=tol, max_panels=MAX_PANELS)
 
 
 @dataclass(frozen=True)
@@ -118,6 +131,9 @@ class BetaDensity:
     def density(self, x: np.ndarray) -> np.ndarray:
         lognorm = math.log(self.total_mass) - betaln(self.a, self.b)
         return np.exp(lognorm + (self.a - 1) * np.log(x) + (self.b - 1) * np.log1p(-x))
+
+    def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
+        return _density_integral(f, self.density, tol)
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,14 @@ class Atoms:
     def ms(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
 
+    def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
+        # blocks of atoms bound a vector-valued f's table at (m, BLOCK)
+        xs, ms = self.xs, self.ms
+        return sum(
+            (f(xs[i : i + BLOCK]) @ ms[i : i + BLOCK] for i in range(0, xs.size, BLOCK)),
+            0.0,
+        )
+
 
 @dataclass(frozen=True)
 class CustomDensity:
@@ -164,8 +188,21 @@ class CustomDensity:
     def mass(self) -> float:
         return _dyadic_integral(lambda x: self.density(x))
 
+    def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
+        return _density_integral(f, self.density, tol)
+
 
 InteriorPart = Zero | UniformScaled | BetaDensity | Atoms | CustomDensity
+
+
+def _density_integral(f: Integrand, density: Integrand, tol: float) -> float | np.ndarray:
+    def integrand(x):
+        # a node rounded to 1.0 (or a density pole, 0 * inf)
+        # gives NaN, which adaptive_quad rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return f(x) * density(x)
+
+    return adaptive_quad(integrand, 0.0, 1.0, tol=tol, max_panels=MAX_PANELS)
 
 
 def _dyadic_integral(f: Callable[[np.ndarray], np.ndarray], cap: float = 1e12) -> float:
@@ -329,25 +366,17 @@ def lambda_rate(measure: LambdaMeasure, k: int, j: int) -> float:
     if j == k:
         out += measure.m1
     interior = measure.interior
-    if isinstance(interior, Zero):
-        pass
-    elif isinstance(interior, UniformScaled):
+    if isinstance(interior, UniformScaled):
         out += interior.c * math.exp(betaln(j - 1, k - j + 1))
     elif isinstance(interior, BetaDensity):
         a, b = interior.a, interior.b
         out += interior.total_mass * math.exp(
             betaln(a + j - 2, b + k - j) - betaln(a, b)
         )
-    elif isinstance(interior, Atoms):
-        xs, ms = interior.xs, interior.ms
-        with np.errstate(divide="ignore"):
-            logterm = (j - 2) * np.log(xs) + (k - j) * np.log1p(-xs)
-        out += float(np.sum(ms * np.exp(logterm)))
     else:
-        def f(x):
-            return np.power(x, j - 2) * np.power(1.0 - x, k - j) * interior.density(x)
-
-        out += adaptive_quad(f, 0.0, 1.0, tol=1e-13)
+        out += interior.integrate(
+            lambda x: np.power(x, j - 2) * np.power(1.0 - x, k - j), tol=1e-13
+        )
     return out
 
 
@@ -367,7 +396,7 @@ def merger_rows(measure: LambdaMeasure, k_lo: int, k_hi: int) -> np.ndarray:
     its own, with the binomial in log space, -log(k+1) - betaln(j+1,
     k-j+1), so no row overflows at any k: atoms give a table over l with
     each block of atoms reduced with the masses, a custom density one
-    vector-valued quadrature whose components are the rates themselves.
+    vector-valued integral whose components are the rates themselves.
     The atom at 0 adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1
     at l = 1.
     """
@@ -456,22 +485,7 @@ def _log_space_row(interior: Atoms | CustomDensity, k: int) -> np.ndarray:
             + (k - j[:, None]) * np.log1p(-x)
         )
 
-    if isinstance(interior, Atoms):
-        # blocks of atoms bound the table at (k-1) x BLOCK
-        xs, ms = interior.xs, interior.ms
-        return sum(
-            (table(xs[i : i + BLOCK]) @ ms[i : i + BLOCK]
-             for i in range(0, xs.size, BLOCK)),
-            np.zeros(k - 1),
-        )
-
-    def integrand(x):
-        # a node rounded to 1.0 (or a density pole, 0 * inf)
-        # gives NaN, which adaptive_quad rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return table(x) * interior.density(x)
-
-    return adaptive_quad(integrand, 0.0, 1.0, tol=1e-13)
+    return interior.integrate(table, tol=1e-13)
 
 
 def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
@@ -519,14 +533,13 @@ def sigma_lambda(measure: LambdaMeasure) -> float:
         else:
             xd = (x * float(psi(x + 1.0) - psi(b)) - 1.0) / p
         return mass * (a + b - 1.0) / (a - 1.0) * xd
-    if isinstance(interior, Atoms):
-        xs, ms = interior.xs, interior.ms
-        return float(np.sum(-np.log1p(-xs) * ms / xs**2))
 
     def f(x):
-        return -np.log1p(-x) / x**2 * interior.density(x)
+        return -np.log1p(-x) / x**2
 
-    return _dyadic_integral(f)
+    if isinstance(interior, Atoms):
+        return float(interior.integrate(f))
+    return _dyadic_integral(lambda x: f(x) * interior.density(x))
 
 
 @dataclass(frozen=True)

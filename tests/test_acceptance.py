@@ -141,7 +141,7 @@ def test_criterion_05_bolthausen_sznitman_geometry():
 def test_criterion_06_star_shaped():
     prm0 = ModelParams(1.0, 0.4, 0.0)
     closed0, _ = cf.star_closed(1.0, prm0, K=600)
-    rec0 = rc.solve_star(prm0, 1.0, K=600)
+    rec0 = rc.solve_lambda_truncated(LambdaMeasure.star(1.0), prm0, tol=1e-11)
     _report(6, "star theta1 = 0 closed vs recursion", closed0.sup_distance(rec0), 1e-12)
 
     prm = ModelParams(1.0, 0.5, 0.5)
@@ -274,7 +274,7 @@ def test_criterion_11_master_equation_residuals():
 
     prm_b = ModelParams(1.0, 0.5, 0.5)
     rho, _ = cf.bs_geometric_pmf(prm_b)
-    pg_b = cf.PgfEvaluator("bs", {}, lambda z: (1 - rho) * z / (1 - rho * z), 1 - rho)
+    pg_b = cf.PgfEvaluator(lambda z: (1 - rho) * z / (1 - rho * z), 1 - rho)
     _report(
         11, "Carleman singular-equation residual",
         cf.verify_master_equation(pg_b, LambdaMeasure.uniform(), prm_b, zg), 1e-6,

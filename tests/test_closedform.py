@@ -34,7 +34,6 @@ from blockstat.recursions import (
     solve_lambda_truncated,
     solve_moran,
     solve_moran_nullspace,
-    solve_star,
 )
 
 
@@ -191,10 +190,10 @@ def test_star_closed_theta1_zero():
     # p1 = (0 + 1)/(1 + 0 + 1) = 1/2 at theta0 = 0, m1 = 1, sigma = 1
     pmf, pgf = star_closed(1.0, ModelParams(1.0, 0.0, 0.0), K=300)
     assert pgf.p1 == pytest.approx(0.5, abs=1e-14)
-    rec = solve_star(ModelParams(1.0, 0.0, 0.0), 1.0, K=300)
-    assert pmf.sup_distance(rec) < 1e-14
-    zs = np.linspace(0.05, 0.95, 8)
+    # the exact law is p_n = 1/(n(n+1)); its 1/n tail defeats every truncated route
     n = np.arange(1, pmf.truncation_K + 1)
+    assert np.max(np.abs(pmf.probs - 1.0 / (n * (n + 1.0)))) < 1e-14
+    zs = np.linspace(0.05, 0.95, 8)
     for z in zs:
         assert pgf.evaluate(z) == pytest.approx(
             float(np.dot(pmf.probs, z**n)) + pmf.tail_mass * 0, abs=2e-4
@@ -323,16 +322,14 @@ def test_master_equation_residuals():
 
     prm_ck = ModelParams(1.0, 1.0, 0.0)
     p, _ = crow_kimura_geometric(prm_ck)
-    ck_pgf = PgfEvaluator(
-        "crow-kimura", {}, lambda z: (1 - p) * z / (1 - p * z), 1 - p
-    )
+    ck_pgf = PgfEvaluator(lambda z: (1 - p) * z / (1 - p * z), 1 - p)
     assert verify_master_equation(ck_pgf, LambdaMeasure.crow_kimura(), prm_ck, zg) < 1e-10
 
 
 def test_carleman_residual_and_pv():
     prm = ModelParams(1.0, 0.5, 0.5)
     rho, _ = bs_geometric_pmf(prm)
-    pgf = PgfEvaluator("bs", {}, lambda z: (1 - rho) * z / (1 - rho * z), 1 - rho)
+    pgf = PgfEvaluator(lambda z: (1 - rho) * z / (1 - rho * z), 1 - rho)
     zg = np.linspace(0.1, 0.9, 9)
     assert verify_master_equation(pgf, LambdaMeasure.uniform(), prm, zg) < 1e-7
     # principal value against the closed log identity
@@ -385,20 +382,16 @@ def test_master_equation_kingman_plus_star_measure():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pmf = solve_lambda_truncated(mixed, prm, tol=1e-13)
-    pg = PgfEvaluator("wf", {}, closedform._power_series(pmf.probs), float(pmf.probs[0]))
+    pg = PgfEvaluator(closedform._power_series(pmf.probs), float(pmf.probs[0]))
     zg = np.linspace(0.05, 0.9, 12)
-    res = verify_master_equation(pg, mixed, prm, zg)
-    assert res <= 1e-10
-    pg_params = PgfEvaluator("star", {"m0": 1.0, "m1": 0.5}, pg.evaluate, pg.p1)
-    assert verify_master_equation(pg_params, None, prm, zg) == res
+    assert verify_master_equation(pg, mixed, prm, zg) <= 1e-10
     assert verify_master_equation(pg, LambdaMeasure(m0=1.1, m1=0.55), prm, zg) >= 1e-4
 
 
-@pytest.mark.parametrize("tag", ["wf", "star", "crow-kimura"])
-def test_master_equation_rejects_interior_measure(tag):
-    pg = PgfEvaluator(tag, {}, lambda z: z, 1.0)
+def test_master_equation_rejects_interior_measure():
+    pg = PgfEvaluator(lambda z: z, 1.0)
     with pytest.raises(DomainError):
-        verify_master_equation(pg, LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), [0.5])
+        verify_master_equation(pg, LambdaMeasure.uniform(2.0), ModelParams(1.0, 0.5, 0.5), [0.5])
     with pytest.raises(DomainError):
         verify_master_equation(
             pg, LambdaMeasure(m0=1.0, interior=LambdaMeasure.beta31().interior),
@@ -414,15 +407,28 @@ def test_moran_pgf_prefactor_overflow_is_ill_conditioned():
         pg.d(0.5)
 
 
-def test_master_equation_unknown_tag():
-    pg = PgfEvaluator("no-such-model", {}, lambda z: z, 1.0)
-    with pytest.raises(DomainError):
-        verify_master_equation(pg, None, ModelParams(1.0), [0.5])
+def test_master_equation_identity_follows_the_measure():
+    # the beta(3,1) pgf satisfies its own ODE and no other model's identity
+    prm = ModelParams(1.0, 0.5, 0.5)
+    pg, _ = beta31_pgf(prm, K=400)
+    zg = np.linspace(0.1, 0.9, 9)
+    assert verify_master_equation(pg, LambdaMeasure.beta31(), prm, zg) <= 1e-10
+    assert verify_master_equation(pg, LambdaMeasure.uniform(), prm, zg) >= 1e-3
+    assert verify_master_equation(pg, LambdaMeasure.kingman(), prm, zg) >= 1e-3
+    for measure, params in [
+        (LambdaMeasure.beta31(2.0), prm),
+        (LambdaMeasure.beta(2.0, 2.0), prm),
+        (None, prm),
+        (LambdaMeasure.kingman(), MoranParams(12, 0.7, 0.25, 0.15)),
+    ]:
+        with pytest.raises(DomainError):
+            verify_master_equation(pg, measure, params, zg)
 
 
 def test_master_equation_nan_residual_is_reported():
-    pg = PgfEvaluator("crow-kimura", {}, lambda z: math.nan, 0.5)
-    assert math.isnan(verify_master_equation(pg, None, ModelParams(1.0, 1.0, 0.0), [0.5]))
+    pg = PgfEvaluator(lambda z: math.nan, 0.5)
+    prm = ModelParams(1.0, 1.0, 0.0)
+    assert math.isnan(verify_master_equation(pg, LambdaMeasure.crow_kimura(), prm, [0.5]))
 
 
 def test_moran_closed_vs_banded_random():

@@ -156,7 +156,7 @@ def test_ancestral_type_dual_paths():
     # Crow-Kimura sigma = 1, theta0 = 1, theta1 = 0: p = 1/2 geometric
     prm = ModelParams(1.0, 1.0, 0.0)
     p, pmf = crow_kimura_geometric(prm)
-    pgf = PgfEvaluator("crow-kimura", {}, lambda z: (1 - p) * z / (1 - p * z), 1 - p)
+    pgf = PgfEvaluator(lambda z: (1 - p) * z / (1 - p * z), 1 - p)
     assert ancestral_type_h(pgf, 1.0) == pytest.approx(1.0, abs=1e-14)
     assert ancestral_type_h(pgf, 0.0) == pytest.approx(0.0, abs=1e-14)
     for x in np.linspace(0.05, 0.95, 10):

@@ -15,6 +15,7 @@ from scipy.special import betaln
 from blockstat.errors import DomainError, PreconditionViolated, QuadratureFailure
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
+    BLOCK,
     Atoms,
     BetaDensity,
     CustomDensity,
@@ -22,6 +23,7 @@ from blockstat.measures import (
     ModelParams,
     MoranParams,
     UniformScaled,
+    Zero,
     cnk,
     is_positive_recurrent,
     lambda_rate,
@@ -61,6 +63,58 @@ def test_lambda_rate_uniform_beta():
 def test_lambda_rate_domain():
     with pytest.raises(DomainError):
         lambda_rate(LambdaMeasure.uniform(), 3, 1)
+
+
+# int x^p (1-x)^q for (p, q) in 0..3 x 0..3, as one vector-valued integrand
+_PQ = np.array([(p, q) for p in range(4) for q in range(4)], dtype=float)
+
+
+def _moments(x):
+    return np.power(x, _PQ[:, :1]) * np.power(1.0 - x, _PQ[:, 1:])
+
+
+def test_integrate_beta_and_uniform_against_closed_moments():
+    rng = np.random.default_rng(2024)
+    p, q = _PQ.T
+    for _ in range(6):
+        a, b = rng.uniform(1.0, 5.0, 2)
+        mass = rng.uniform(0.2, 3.0)
+        got = BetaDensity(a, b, mass).integrate(_moments, tol=1e-13)
+        exact = mass * np.exp(betaln(a + p, b + q) - betaln(a, b))
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-13)
+    c = rng.uniform(0.2, 3.0)
+    powers = UniformScaled(c).integrate(lambda x: np.power(x, np.arange(6.0)[:, None]))
+    assert powers == pytest.approx(c / np.arange(1.0, 7.0), rel=1e-13)
+    assert Zero().integrate(_moments) == 0.0
+
+
+def test_integrate_atoms_sums_every_block():
+    rng = np.random.default_rng(2025)
+    n = 3 * BLOCK + 17
+    atoms = Atoms(tuple(np.sort(rng.uniform(0.0, 1.0, n))), tuple(rng.uniform(0.1, 1.0, n)))
+    for p in range(4):
+        exact = math.fsum(atoms.ms * atoms.xs**p)
+        assert atoms.integrate(lambda x: x**p) == pytest.approx(exact, rel=1e-13)
+
+
+def test_integrate_custom_density_matches_beta31():
+    custom = CustomDensity(lambda x: 3.0 * x**2)
+    got = custom.integrate(_moments, tol=1e-13)
+    assert got == pytest.approx(BetaDensity(3.0, 1.0).integrate(_moments, tol=1e-13), abs=1e-13)
+
+
+def test_integrate_vector_valued_equals_stacked_scalar_calls():
+    rng = np.random.default_rng(2026)
+    xs = np.sort(rng.uniform(0.0, 1.0, BLOCK + 5))
+    kinds = [
+        UniformScaled(1.3),
+        BetaDensity(1.7, 2.4, 0.8),
+        Atoms(tuple(xs), tuple(rng.uniform(0.1, 1.0, xs.size))),
+        CustomDensity(lambda x: 3.0 * x**2),
+    ]
+    for kind in kinds:
+        stacked = [kind.integrate(lambda x, i=i: _moments(x)[i], tol=1e-13) for i in range(len(_PQ))]
+        assert kind.integrate(_moments, tol=1e-13) == pytest.approx(stacked, rel=1e-13, abs=1e-13)
 
 
 def test_sigma_lambda_cases():
