@@ -276,6 +276,17 @@ def _validate_checks(suite: str):
                 1e-6,
             )
 
+            beta22 = LambdaMeasure.beta(2.0, 2.0)
+            beta_rec = recursions.solve_lambda_truncated(beta22, prm_bs, tol=1e-11)
+            for name, measure, pmf, params in [
+                ("uniform", uni, bs, prm_bs),
+                ("beta(2,2)", beta22, beta_rec, prm_bs),
+                ("fixed-point atoms", lam_fp, pmf_fp, prm_fp),
+            ]:
+                pgf = closedform.PgfEvaluator.of_probs(pmf.probs)
+                residual = closedform.verify_master_equation(pgf, measure, params, zg)
+                add(f"{name} pgf identity residual", residual, 1e-10)
+
             path = simulate.simulate_moran_L(MoranParams(10, 0.5, 0.1, 0.1), 5, 10**5, seed=11)
             occ = simulate.occupancy(path, 0.2)
             add(

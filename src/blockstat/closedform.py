@@ -2,9 +2,10 @@
 
 Implements the explicit Moran, Wright-Fisher (Kingman), star-shaped and
 beta(3,1) solutions, the geometric-parameter root for the uniform
-(Bolthausen-Sznitman) measure, and residual verifiers that plug a
-probability generating function back into its defining integro-differential
-equation.
+(Bolthausen-Sznitman) measure, and the residual of the pgf identity: a
+once-integrated form for Moran and Lambda = m0 delta_0 + m1 delta_1, and
+the paper's integro-differential equation, read from the measure, for
+every Lambda with an interior part.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     QuadratureFailure,
     RootOrderViolation,
 )
-from .measures import LambdaMeasure, ModelParams, MoranParams
+from .measures import LambdaMeasure, ModelParams, MoranParams, Zero
 from .recursions import (
     StationaryPmf,
     _clip_negative,
@@ -45,14 +46,32 @@ class PgfEvaluator:
 
     evaluate(z) is defined on [0, 1] with evaluate(0) = 0 and
     evaluate(1) = 1; d(z) is a Richardson-extrapolated central difference.
-    p1 (and p2, where known) are the head probabilities that the pgf
-    identities take as data.  The pgf does not name its model: the
+    p1 is the head probability that the first-order identity takes as
+    data.  probs, where known, are the coefficients p_1, p_2, ... of the
+    pgf as a power series (of_probs builds such a pgf); the identity of a
+    measure with an interior part reads f, f' and the Taylor coefficients
+    it needs off them exactly.  The pgf does not name its model: the
     measure and parameters given to verify_master_equation do.
     """
 
     evaluate: Callable[[float], float]
     p1: float
-    p2: float | None = None
+    probs: np.ndarray | None = None
+
+    @classmethod
+    def of_probs(cls, probs: np.ndarray, p1: float | None = None) -> "PgfEvaluator":
+        """The power series sum_n p_n z^n of a pmf p_1, p_2, ...; p1 defaults to probs[0]."""
+        probs = np.asarray(probs, dtype=float)
+        n = np.arange(1, probs.size + 1)
+
+        def evaluate(z: float) -> float:
+            if z <= 0.0:
+                return 0.0
+            if z >= 1.0:
+                return 1.0
+            return float(np.dot(probs, np.power(z, n)))
+
+        return cls(evaluate, float(probs[0]) if p1 is None else p1, probs)
 
     def __call__(self, z: float) -> float:
         return self.evaluate(z)
@@ -241,28 +260,14 @@ def _two_weight_closed(
 
             j = quad_power_endpoints(f, z, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
         log_pref = form.log_K(z) - form.alpha * math.log(z) - form.beta * math.log1p(-z) + scale
-        try:
-            return pgf_pref * j * math.exp(log_pref)
-        except OverflowError:
-            raise IllConditioned(
-                f"{tag}: pgf prefactor exp({log_pref:.6g}) at z = {z} leaves the double range"
-            ) from None
+        # a large prefactor times the cancelling integral loses its digits;
+        # past exp's range the product is inf (NaN where j = 0)
+        value = pgf_pref * j * (math.exp(log_pref) if log_pref < 709.0 else math.inf)
+        if not -1e-9 <= value <= 1.0 + 1e-9:
+            raise IllConditioned(f"{tag}: pgf value {value:.6g} at z = {z} lies outside [0, 1]")
+        return value
 
     return pmf, PgfEvaluator(evaluate, p1)
-
-
-def _power_series(probs: np.ndarray) -> Callable[[float], float]:
-    """The pgf sum_n p_n z^n of a pmf p_1, p_2, ... on [0, 1]."""
-    n = np.arange(1, probs.size + 1)
-
-    def evaluate(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z >= 1.0:
-            return 1.0
-        return float(np.dot(probs, np.power(z, n)))
-
-    return evaluate
 
 
 def _product_form(
@@ -295,7 +300,7 @@ def _product_form(
         probs[:n_max], min(n_max, probs.size), abs(norm - closed_sum) / closed_sum, tag,
         tail_mass=float(probs[n_max:].sum()),
     )
-    return pmf, PgfEvaluator(_power_series(probs), float(probs[0]))
+    return pmf, PgfEvaluator.of_probs(probs)
 
 
 def _factorial_moments(
@@ -661,7 +666,7 @@ def beta31_pgf(
     else:
         # theta1 = 0: the p2 load vanishes and g(0) = 0 holds by construction
         p1 = 1.0 / g_at_1[0]
-        p2 = math.nan  # recovered from the pmf below
+        p2 = math.nan  # no second boundary condition, so nothing to check p2 against
 
     # pmf from the derivative recursion of the ODE at 0:
     # th1 (n+1) p_{n+1} + (n P'(0) + Q(0)) p_n + sigma (n+1) p_{n-1} = 0, n >= 2,
@@ -669,49 +674,19 @@ def beta31_pgf(
     n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
     tail = _solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
     probs = np.concatenate([[p1], tail])
-    if math.isnan(p2):
-        p2 = float(probs[1])
-    consistency = abs(float(probs[1]) - p2)
+    consistency = 0.0 if math.isnan(p2) else abs(float(probs[1]) - p2)
     probs = _clip_negative(probs, "beta31")
     pmf = StationaryPmf(
         probs, probs.size, consistency, "beta31-ode",
         extras={"p2_consistency": consistency},
     )
 
-    return PgfEvaluator(_power_series(probs), float(p1), p2=float(p2)), pmf
+    return PgfEvaluator.of_probs(probs, p1=float(p1)), pmf
 
 
 # ----------------------------------------------------------------------
-# Master-equation / Carleman residual verification
+# Master-equation residual verification
 # ----------------------------------------------------------------------
-
-
-def cauchy_principal_value(
-    f: Callable[[np.ndarray], np.ndarray], x: float, lo: float = 0.0, hi: float = 1.0
-) -> float:
-    """PV integral of f(t)/(t-x) over (lo, hi) by symmetric excision.
-
-    Excision radii 1e-2, 1e-3, 1e-4 with two-point Richardson on the
-    smaller pair (the excision error is linear in the radius at leading
-    order).
-    """
-    if not lo < x < hi:
-        raise DomainError("principal-value point must be interior")
-
-    def excised(eps: float) -> float:
-        def g(t):
-            return f(t) / (t - x)
-
-        left = adaptive_quad(g, lo, x - eps, tol=1e-12)
-        right = adaptive_quad(g, x + eps, hi, tol=1e-12)
-        return left + right
-
-    radii = [1e-2, 1e-3, 1e-4]
-    max_eps = 0.5 * min(x - lo, hi - x)
-    radii = [min(e, 0.5 * max_eps) for e in radii]
-    vals = [excised(e) for e in radii]
-    e1, e2 = radii[1], radii[2]
-    return (e1 * vals[2] - e2 * vals[1]) / (e1 - e2)
 
 
 def _first_order_coefficients(measure, prm):
@@ -756,26 +731,59 @@ def _first_order_residual(pgf, measure, prm, z):
     )
 
 
-def _beta31_residual(pgf, measure, p: ModelParams, z):
-    r0 = p.theta1 * pgf.p1
-    r1 = -(3.0 + 2.0 * (p.sigma + p.theta)) * pgf.p1 + 2.0 * p.theta1 * pgf.p2
+# Below r = _TAYLOR_R the bracket of the Lambda_0 term cancels to O(r^2),
+# so it is summed as its Taylor series in r, terms r^0..r^(_TAYLOR_TERMS-1)
+# of bracket / r^2; the first omitted term is below 0.03^8 = 6.6e-13 times
+# t_k c_k(z).
+_TAYLOR_R = 0.03
+_TAYLOR_TERMS = 8
+
+
+def _lambda_residual(pgf, measure, p: ModelParams, z: np.ndarray) -> np.ndarray:
+    """The paper's pgf identity for Lambda = m0 delta_0 + m1 delta_1 + Lambda_0,
+    at every z of the grid at once:
+
+      sigma z(z-1) f' + theta1 (1-z)(f' - f/z) + theta0 [(z-f)/(1-z) - z f' + f]
+        + (m0/2) z(1-z) f'' + m1 (z - f)
+        + int Lambda_0(dr) r^-2 [z f((1-r)z + r) + (1-z) f((1-r)z) - f(z)].
+
+    f is the power series of pgf.probs.  t_k = f^(k)(z)/k! comes off its
+    coefficients exactly; below _TAYLOR_R the bracket is
+    sum_{k>=2} t_k c_k(z) r^k with c_k(z) = z(1-z)^k + (1-z)(-z)^k (the
+    k = 0 and k = 1 terms cancel).  The r-integral is one vector-valued
+    measure.interior.integrate call over the whole grid.
+    """
+    P = np.polynomial.polynomial
+    coef = np.trim_zeros(np.concatenate(([0.0], pgf.probs)), "b")
+    t = np.array([
+        P.polyval(z, P.polyder(coef, k)) / math.factorial(k) for k in range(_TAYLOR_TERMS + 2)
+    ])
+    f, df, d2f = t[0], t[1], 2.0 * t[2]
+    k = np.arange(2, _TAYLOR_TERMS + 2)[:, None]
+    series = t[2:] * (z * (1.0 - z) ** k + (1.0 - z) * (-z) ** k)
+    zc, fc = z[:, None], f[:, None]
+
+    def bracket(r):
+        """bracket / r^2, shape (z.size, r.size)."""
+        out = np.empty((z.size, r.size))
+        small = r < _TAYLOR_R
+        out[:, small] = P.polyval(r[small], series)
+        rb = r[~small]
+        out[:, ~small] = (
+            zc * P.polyval((1.0 - rb) * zc + rb, coef)
+            + (1.0 - zc) * P.polyval((1.0 - rb) * zc, coef)
+            - fc
+        ) / rb**2
+        return out
+
     return (
-        (p.sigma * z * z - (p.sigma + p.theta) * z + p.theta1) * pgf.d(z)
-        + (2.0 * p.sigma * z - p.sigma - p.theta - 3.0) * pgf.evaluate(z)
-        - r0
-        - r1 * z
+        p.sigma * z * (z - 1.0) * df
+        + p.theta1 * (1.0 - z) * (df - f / z)
+        + p.theta0 * ((z - f) / (1.0 - z) - z * df + f)
+        + 0.5 * measure.m0 * z * (1.0 - z) * d2f
+        + measure.m1 * (z - f)
+        + measure.interior.integrate(bracket, tol=1e-11)
     )
-
-
-def _carleman_residual(pgf, measure, p: ModelParams, x):
-    def rho_vec(t):
-        t = np.atleast_1d(t)
-        return np.array([pgf.evaluate(ti) / ti if ti > 0 else pgf.p1 for ti in t])
-
-    alpha = p.sigma + math.log1p(-x) - math.log(x) - p.theta1 / x + p.theta0 / (1.0 - x)
-    fval = p.theta0 / (1.0 - x) - p.theta1 * pgf.p1 / x
-    pv = cauchy_principal_value(rho_vec, x)
-    return alpha * pgf.evaluate(x) / x - pv - fval
 
 
 def verify_master_equation(
@@ -784,33 +792,29 @@ def verify_master_equation(
     params: ModelParams | MoranParams,
     z_grid: np.ndarray,
 ) -> float:
-    """Max residual of the pgf identity of the model (measure, params) on a z grid.
+    """Max residual of the pgf identity of the model (measure, params) on a z grid in (0, 1).
 
-    The model picks the identity.  MoranParams without a measure, and
-    ModelParams with Lambda = m0 delta_0 + m1 delta_1 (Kingman, star-shaped,
-    zero and mixed), share one once-integrated identity
-    (_first_order_residual); Moran is the Kingman case with m0/2 replaced
-    by (1+sz)/N, scaled by N.  LambdaMeasure.beta31() has the beta(3,1)
-    ODE and LambdaMeasure.uniform() the Carleman singular equation (with
-    the principal value by symmetric excision).  Any other measure,
-    MoranParams with a measure and ModelParams without one raise
-    DomainError.
+    The model picks the identity by its structure.  MoranParams without a
+    measure, and ModelParams with Lambda = m0 delta_0 + m1 delta_1
+    (Kingman, star-shaped, zero and mixed), share one once-integrated
+    identity (_first_order_residual); Moran is the Kingman case with m0/2
+    replaced by (1+sz)/N, scaled by N.  A measure with an interior part
+    goes to the paper's identity (_lambda_residual), which reads the pgf's
+    coefficients; a pgf without them raises DomainError, as do
+    MoranParams with a measure and ModelParams without one.
     """
-    if isinstance(params, MoranParams) and measure is None:
-        residual = _first_order_residual
-    elif not isinstance(params, ModelParams) or measure is None:
+    z = np.asarray(z_grid, dtype=float)
+    if not (isinstance(params, MoranParams) and measure is None
+            or isinstance(params, ModelParams) and measure is not None):
         raise DomainError("a pgf identity takes MoranParams alone or ModelParams and a measure")
-    elif measure == LambdaMeasure(m0=measure.m0, m1=measure.m1):
-        residual = _first_order_residual
-    elif measure == LambdaMeasure.beta31():
-        residual = _beta31_residual
-    elif measure == LambdaMeasure.uniform():
-        residual = _carleman_residual
-    else:
+    if measure is None or isinstance(measure.interior, Zero):
+        res = [_first_order_residual(pgf, measure, params, zi) for zi in z]
+    elif pgf.probs is None:
         raise DomainError(
-            "a pgf identity is implemented for m0 delta_0 + m1 delta_1, "
-            "beta31() and uniform() only"
+            "the pgf identity of a measure with an interior part needs the pgf's "
+            "coefficients (PgfEvaluator.of_probs)"
         )
-    res = [residual(pgf, measure, params, z) for z in np.asarray(z_grid, dtype=float)]
+    else:
+        res = _lambda_residual(pgf, measure, params, z) if z.size else []
     # np.max, unlike the builtin max, passes a NaN residual on
     return float(np.max(np.abs(res), initial=0.0))

@@ -397,17 +397,14 @@ def check_geometric(
     if measure.m1 > 0.0:
         reasons.append("atom at 1 present (m1 > 0)")
 
+    # each condition is one vector-valued integral over its stacked n
     integrate = measure.interior.integrate
-    ns = np.arange(0, n_max + 1)
-    cg3a = np.empty(ns.size)
-    for n in ns:
-        lhs = integrate(lambda x: np.exp(n * np.log1p(-x)))
-        rhs = (1.0 - rho) * integrate(
-            lambda x: np.exp(
-                n * (np.log1p(-x) - np.log1p(-rho * x)) - 2.0 * np.log1p(-rho * x)
-            ),
-        )
-        cg3a[n] = abs(lhs - rhs)
+    ns = np.arange(0, n_max + 1)[:, None]
+    lhs = integrate(lambda x: np.exp(ns * np.log1p(-x)))
+    rhs = (1.0 - rho) * integrate(
+        lambda x: np.exp(ns * (np.log1p(-x) - np.log1p(-rho * x)) - 2.0 * np.log1p(-rho * x)),
+    )
+    cg3a = np.abs(lhs - rhs) + np.zeros(ns.size)  # a Zero interior integrates to a scalar 0
     if np.max(cg3a) > tol:
         reasons.append(f"cg3a residual {np.max(cg3a):.3e} exceeds {tol:.1e}")
 
@@ -426,10 +423,10 @@ def check_geometric(
         target = (
             params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
         )
-        cg1 = np.array([
-            abs(integrate(lambda x: cg1_integrand(rho, n, x)) / n - target)
-            for n in range(1, 11)
-        ])
+        n1 = np.arange(1, 11)
+        cg1 = np.abs(
+            integrate(lambda x: np.stack([cg1_integrand(rho, n, x) for n in n1])) / n1 - target
+        )
         if np.max(cg1) > 10.0 * tol:
             reasons.append(f"cg1 residual {np.max(cg1):.3e} exceeds {10 * tol:.1e}")
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betaln, psi, zeta
 
 from .errors import DomainError, IntegrabilityError, PreconditionViolated
-from .specfun import adaptive_quad
+from .specfun import adaptive_quad, quad_power_endpoints
 
 ATOM_CAP = 10_000
 BLOCK = 256  # rows per block of merger_rows; atoms per block of Atoms.integrate
@@ -133,7 +133,10 @@ class BetaDensity:
         return np.exp(lognorm + (self.a - 1) * np.log(x) + (self.b - 1) * np.log1p(-x))
 
     def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
-        return _density_integral(f, self.density, tol)
+        # the endpoint powers x^(a-1) (1-x)^(b-1) go to quad_power_endpoints,
+        # which substitutes a singular one (a < 1 or b < 1) away
+        norm = self.total_mass * math.exp(-betaln(self.a, self.b))
+        return norm * quad_power_endpoints(f, 0.0, 1.0, self.a - 1.0, self.b - 1.0, tol=tol / norm)
 
 
 @dataclass(frozen=True)
@@ -189,20 +192,16 @@ class CustomDensity:
         return _dyadic_integral(lambda x: self.density(x))
 
     def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
-        return _density_integral(f, self.density, tol)
+        def integrand(x):
+            # a node rounded to 1.0 (or a density pole, 0 * inf)
+            # gives NaN, which adaptive_quad rejects
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return f(x) * self.density(x)
+
+        return adaptive_quad(integrand, 0.0, 1.0, tol=tol, max_panels=MAX_PANELS)
 
 
 InteriorPart = Zero | UniformScaled | BetaDensity | Atoms | CustomDensity
-
-
-def _density_integral(f: Integrand, density: Integrand, tol: float) -> float | np.ndarray:
-    def integrand(x):
-        # a node rounded to 1.0 (or a density pole, 0 * inf)
-        # gives NaN, which adaptive_quad rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return f(x) * density(x)
-
-    return adaptive_quad(integrand, 0.0, 1.0, tol=tol, max_panels=MAX_PANELS)
 
 
 def _dyadic_integral(f: Callable[[np.ndarray], np.ndarray], cap: float = 1e12) -> float:

@@ -273,10 +273,9 @@ def test_criterion_11_master_equation_residuals():
     )
 
     prm_b = ModelParams(1.0, 0.5, 0.5)
-    rho, _ = cf.bs_geometric_pmf(prm_b)
-    pg_b = cf.PgfEvaluator(lambda z: (1 - rho) * z / (1 - rho * z), 1 - rho)
+    pg_b = cf.PgfEvaluator.of_probs(cf.bs_geometric_pmf(prm_b)[1].probs)
     _report(
-        11, "Carleman singular-equation residual",
+        11, "uniform pgf identity residual",
         cf.verify_master_equation(pg_b, LambdaMeasure.uniform(), prm_b, zg), 1e-6,
     )
 

@@ -16,7 +16,6 @@ from blockstat.closedform import (
     bs_geometric_pmf,
     bs_rho,
     bs_rho_special,
-    cauchy_principal_value,
     moran_closed,
     moran_factorial_moments,
     moran_mean,
@@ -28,8 +27,16 @@ from blockstat.closedform import (
     wf_mean,
 )
 from blockstat.errors import BlockstatError, DomainError, IllConditioned, RootOrderViolation
-from blockstat.geomfix import rho_star
-from blockstat.measures import LambdaMeasure, ModelParams, MoranParams
+from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
+from blockstat.measures import (
+    Atoms,
+    BetaDensity,
+    CustomDensity,
+    LambdaMeasure,
+    ModelParams,
+    MoranParams,
+    UniformScaled,
+)
 from blockstat.recursions import (
     solve_lambda_truncated,
     solve_moran,
@@ -288,7 +295,8 @@ def test_beta31_pgf_and_pmf():
     pgf, pmf = beta31_pgf(prm, K=200)
     assert pgf.evaluate(0.0) == 0.0
     assert pgf.evaluate(1.0) == 1.0
-    assert 0 <= pgf.p1 and 0 <= pgf.p2 and pgf.p1 + pgf.p2 <= 1
+    p2 = float(pmf.probs[1])
+    assert 0 <= pgf.p1 and 0 <= p2 and pgf.p1 + p2 <= 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-11)
@@ -326,19 +334,12 @@ def test_master_equation_residuals():
     assert verify_master_equation(ck_pgf, LambdaMeasure.crow_kimura(), prm_ck, zg) < 1e-10
 
 
-def test_carleman_residual_and_pv():
+def test_uniform_geometric_pgf_identity():
+    # the geometric law of the uniform measure satisfies the paper's identity
     prm = ModelParams(1.0, 0.5, 0.5)
-    rho, _ = bs_geometric_pmf(prm)
-    pgf = PgfEvaluator(lambda z: (1 - rho) * z / (1 - rho * z), 1 - rho)
+    pgf = PgfEvaluator.of_probs(bs_geometric_pmf(prm)[1].probs)
     zg = np.linspace(0.1, 0.9, 9)
     assert verify_master_equation(pgf, LambdaMeasure.uniform(), prm, zg) < 1e-7
-    # principal value against the closed log identity
-    x = 0.41
-    pv = cauchy_principal_value(lambda t: (1 - rho) / (1 - rho * t), x)
-    exact = (1 - rho) / (1 - rho * x) * (
-        math.log1p(-x) - math.log(x) - math.log1p(-rho)
-    )
-    assert pv == pytest.approx(exact, abs=1e-9)
 
 
 def test_bs_geometric_pmf_vs_solver():
@@ -382,13 +383,14 @@ def test_master_equation_kingman_plus_star_measure():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pmf = solve_lambda_truncated(mixed, prm, tol=1e-13)
-    pg = PgfEvaluator(closedform._power_series(pmf.probs), float(pmf.probs[0]))
+    pg = PgfEvaluator.of_probs(pmf.probs)
     zg = np.linspace(0.05, 0.9, 12)
     assert verify_master_equation(pg, mixed, prm, zg) <= 1e-10
     assert verify_master_equation(pg, LambdaMeasure(m0=1.1, m1=0.55), prm, zg) >= 1e-4
 
 
 def test_master_equation_rejects_interior_measure():
+    # a measure with an interior part needs the pgf's coefficients
     pg = PgfEvaluator(lambda z: z, 1.0)
     with pytest.raises(DomainError):
         verify_master_equation(pg, LambdaMeasure.uniform(2.0), ModelParams(1.0, 0.5, 0.5), [0.5])
@@ -399,30 +401,73 @@ def test_master_equation_rejects_interior_measure():
         )
 
 
-def test_moran_pgf_prefactor_overflow_is_ill_conditioned():
-    # at N = 10^4 the prefactor exp(log K(z) - alpha log z - beta log(1-z))
-    # passes the double range by z = 1/2
-    _, pg = moran_closed(MoranParams(10**4, 0.7, 0.25, 0.15), n_max=50)
+@pytest.mark.parametrize("N, z", [(10**4, 0.5), (10**4, 0.2), (10**4, 0.3), (1000, 0.5)])
+def test_moran_pgf_prefactor_overflow_is_ill_conditioned(N, z):
+    # the prefactor exp(log K(z) - alpha log z - beta log(1-z)) times the
+    # cancelling integral leaves [0, 1] (at N = 10^4, z = 1/2, the double
+    # range): -5.96e54 at N = 1000, z = 1/2, and 2.66e12 at N = 10^4, z = 0.2
+    _, pg = moran_closed(MoranParams(N, 0.7, 0.25, 0.15), n_max=50)
     with pytest.raises(IllConditioned):
-        pg.d(0.5)
+        pg.d(z)
 
 
 def test_master_equation_identity_follows_the_measure():
-    # the beta(3,1) pgf satisfies its own ODE and no other model's identity
+    # the beta(3,1) pgf satisfies the identity of its own measure and no
+    # other model's
     prm = ModelParams(1.0, 0.5, 0.5)
     pg, _ = beta31_pgf(prm, K=400)
     zg = np.linspace(0.1, 0.9, 9)
     assert verify_master_equation(pg, LambdaMeasure.beta31(), prm, zg) <= 1e-10
-    assert verify_master_equation(pg, LambdaMeasure.uniform(), prm, zg) >= 1e-3
-    assert verify_master_equation(pg, LambdaMeasure.kingman(), prm, zg) >= 1e-3
+    for other in [
+        LambdaMeasure.uniform(), LambdaMeasure.kingman(),
+        LambdaMeasure.beta31(2.0), LambdaMeasure.beta(2.0, 2.0),
+    ]:
+        assert verify_master_equation(pg, other, prm, zg) >= 1e-3
     for measure, params in [
-        (LambdaMeasure.beta31(2.0), prm),
-        (LambdaMeasure.beta(2.0, 2.0), prm),
         (None, prm),
         (LambdaMeasure.kingman(), MoranParams(12, 0.7, 0.25, 0.15)),
     ]:
         with pytest.raises(DomainError):
             verify_master_equation(pg, measure, params, zg)
+
+
+def _mass_times(measure, c):
+    """The measure with every part's mass multiplied by c."""
+    inner = measure.interior
+    if isinstance(inner, BetaDensity):
+        inner = BetaDensity(inner.a, inner.b, c * inner.total_mass)
+    elif isinstance(inner, UniformScaled):
+        inner = UniformScaled(c * inner.c)
+    elif isinstance(inner, Atoms):
+        inner = Atoms(inner.locations, tuple(c * m for m in inner.masses))
+    else:
+        inner = CustomDensity(lambda x, d=inner.density: c * d(x))
+    return LambdaMeasure(c * measure.m0, c * measure.m1, inner)
+
+
+def test_lambda_pgf_identity_random_measures():
+    # the paper's identity holds for truncated pmfs of every interior kind,
+    # and the same pmf against 10% more mass fails it by orders
+    rng = np.random.default_rng(1805)
+    rs = rho_star(0.3, 0.05, ModelParams(1.0, 0.2, 0.2))
+    measures = [LambdaMeasure.beta(*rng.uniform(0.3, 5.0, 2)) for _ in range(12)]
+    measures += [
+        LambdaMeasure.uniform(),
+        LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2)),
+        LambdaMeasure(*rng.uniform(0.2, 1.0, 2), BetaDensity(*rng.uniform(0.3, 5.0, 2))),
+        pushforward_to_lambda(build_discrete_fixed_point(rs, 0.3, 0.05), rs),
+    ]
+    zg = np.linspace(0.05, 0.9, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure in measures:
+            prm = ModelParams(rng.uniform(0.2, 2.0), *rng.uniform(0.2, 1.0, 2))
+            pmf = solve_lambda_truncated(measure, prm, tol=1e-13)
+            pg = PgfEvaluator.of_probs(pmf.probs)
+            assert verify_master_equation(pg, measure, prm, zg) <= 1e-10, (measure, prm)
+            assert verify_master_equation(pg, _mass_times(measure, 1.1), prm, zg) >= 1e-4, (
+                measure, prm,
+            )
 
 
 def test_master_equation_nan_residual_is_reported():

@@ -76,16 +76,27 @@ def _moments(x):
 def test_integrate_beta_and_uniform_against_closed_moments():
     rng = np.random.default_rng(2024)
     p, q = _PQ.T
-    for _ in range(6):
-        a, b = rng.uniform(1.0, 5.0, 2)
+
+    def check_beta(a, b):
         mass = rng.uniform(0.2, 3.0)
         got = BetaDensity(a, b, mass).integrate(_moments, tol=1e-13)
         exact = mass * np.exp(betaln(a + p, b + q) - betaln(a, b))
-        assert got == pytest.approx(exact, rel=1e-12, abs=1e-13)
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-13), (a, b)
+
+    for _ in range(6):
+        check_beta(*rng.uniform(1.0, 5.0, 2))
     c = rng.uniform(0.2, 3.0)
     powers = UniformScaled(c).integrate(lambda x: np.power(x, np.arange(6.0)[:, None]))
     assert powers == pytest.approx(c / np.arange(1.0, 7.0), rel=1e-13)
     assert Zero().integrate(_moments) == 0.0
+    # a or b below 1: the density is singular at that endpoint
+    for i in range(12):
+        a, b = rng.uniform(0.3, 5.0, 2)
+        if i % 2:
+            a = rng.uniform(0.3, 1.0)
+        else:
+            b = rng.uniform(0.3, 1.0)
+        check_beta(a, b)
 
 
 def test_integrate_atoms_sums_every_block():
