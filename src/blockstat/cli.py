@@ -59,11 +59,13 @@ def _json_out(payload: dict, path: str | None) -> None:
 
 
 def _pmf_csv(pmf: recursions.StationaryPmf, path: str) -> None:
-    probs = pmf.probs.astype(float).tolist()
-    a = pmf.tails().tolist()
-    rows = "".join(f"{i + 1},{p!r},{a[i + 1]!r}\n" for i, p in enumerate(probs))
+    K = pmf.truncation_K
+    flat = [0] * (3 * K)
+    flat[::3] = range(1, K + 1)
+    flat[1::3] = pmf.probs.astype(float).tolist()
+    flat[2::3] = pmf.tails()[1:].tolist()
     with open(path, "w") as fh:
-        fh.write("n,p_n,a_n\n" + rows)
+        fh.write("n,p_n,a_n\n" + ("%d,%r,%r\n" * K) % tuple(flat))
 
 
 def _model_params(args) -> ModelParams:

@@ -10,6 +10,7 @@ ancestral-type function h(x) = 1 - g(1-x).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -165,9 +166,26 @@ class WGeneratingFunction:
     taylor: np.ndarray
     circle_radius: float
     circle_closure: float
-    _left_sol: object
     _delta: float
     _series: Callable[[float], float]
+
+    @functools.cached_property
+    def _left_sol(self):
+        """Dense march from s2 - delta down to 1e-9, made on first use:
+        only value() below s2 - delta reads it."""
+        s0 = self.s2 - self._delta
+        left = scipy.integrate.solve_ivp(
+            functools.partial(_bs_w_rhs, self.params),
+            (s0, 1e-9),
+            [self._series(s0)],
+            method="DOP853",
+            rtol=1e-13,
+            atol=1e-16,
+            dense_output=True,
+        )
+        if not left.success:
+            raise QuadratureFailure(f"generating-function march failed: {left.message}")
+        return left
 
     def value(self, s: float) -> float:
         if not 0.0 <= s < self.s2:
@@ -200,6 +218,11 @@ def _bs_h(params: ModelParams, s):
 
 def _bs_n(params: ModelParams, s):
     return params.theta1 * s * s - params.sigma - np.log1p(-s)
+
+
+def _bs_w_rhs(params: ModelParams, s, y):
+    """w' = (n(s) w + theta1 s^2) / (s h(s)) on the real line."""
+    return [(_bs_n(params, s) * y[0] + params.theta1 * s * s) / (s * _bs_h(params, s))]
 
 
 def _bs_frobenius(params: ModelParams, s2: float, order: int = 10) -> np.ndarray:
@@ -241,7 +264,8 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
     so both directions are stable).  Taylor coefficients at 0 come from a
     Cauchy-integral FFT on the complex circle |s| = r: the function is
     analytic in the unit disk, and real-interval extraction would lose
-    the high coefficients to noise amplification.
+    the high coefficients to noise amplification.  The march from s2
+    toward 0 that value() reads is made on its first use.
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("the generating function needs theta0, theta1 > 0")
@@ -252,21 +276,6 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
 
     def series(s: float) -> float:
         return float(np.polyval(d[::-1], s - s2))
-
-    def rhs_real(s, y):
-        return [(_bs_n(params, s) * y[0] + th1 * s * s) / (s * _bs_h(params, s))]
-
-    left = scipy.integrate.solve_ivp(
-        rhs_real,
-        (s2 - delta, 1e-9),
-        [series(s2 - delta)],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-16,
-        dense_output=True,
-    )
-    if not left.success:
-        raise QuadratureFailure(f"generating-function march failed: {left.message}")
 
     # choose a contour radius separated from s2 and from zeros of h
     r = 0.6
@@ -284,7 +293,7 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
         seed = series(s2 - delta)
         seg = (s2 - delta, r)
     radial = scipy.integrate.solve_ivp(
-        rhs_real, seg, [seed], method="DOP853", rtol=1e-13, atol=1e-16
+        functools.partial(_bs_w_rhs, params), seg, [seed], method="DOP853", rtol=1e-13, atol=1e-16
     )
     w_r = complex(radial.y[0, -1])
 
@@ -310,7 +319,7 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
     for n in range(1, n_taylor + 1):
         taylor[n] = (fft[n] / r**n).real
 
-    return WGeneratingFunction(params, s2, taylor, r, closure, left, delta, series)
+    return WGeneratingFunction(params, s2, taylor, r, closure, delta, series)
 
 
 # ----------------------------------------------------------------------

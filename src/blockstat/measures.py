@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import betaln, psi, zeta
@@ -189,7 +189,7 @@ class CustomDensity:
     label: str = "custom"
 
     def mass(self) -> float:
-        return _dyadic_integral(lambda x: self.density(x))
+        return _dyadic_integral(self.density, lambda t: self.density(1.0 - t))
 
     def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
         def integrand(x):
@@ -204,21 +204,23 @@ class CustomDensity:
 InteriorPart = Zero | UniformScaled | BetaDensity | Atoms | CustomDensity
 
 
-def _dyadic_integral(f: Callable[[np.ndarray], np.ndarray], cap: float = 1e12) -> float:
-    """Integral of f over (0,1) by dyadic shells toward both endpoints.
+def _dyadic_integral(f: Integrand, g: Integrand, cap: float = 1e12) -> float:
+    """Integral of f plus that of g over (0, 1/2], by dyadic shells toward 0.
 
-    Returns +inf when partial sums exceed the divergence cap.
+    An integral over (0,1) passes its right half as g(t) = f(1 - t): the
+    endpoint 1 is then approached in t, where doubles still resolve it,
+    while nodes x near 1 round to 1.0.  Returns +inf when partial sums
+    exceed the divergence cap.
     """
-    total = adaptive_quad(f, 0.25, 0.75, tol=1e-13)
-    lo, hi = 0.25, 0.75
+    total = adaptive_quad(f, 0.25, 0.5, tol=1e-13) + adaptive_quad(g, 0.25, 0.5, tol=1e-13)
+    lo = 0.25
     for _ in range(200):
         left = adaptive_quad(f, lo / 2.0, lo, tol=1e-14)
-        right = adaptive_quad(f, hi, 1.0 - (1.0 - hi) / 2.0, tol=1e-14)
+        right = adaptive_quad(g, lo / 2.0, lo, tol=1e-14)
         total += left + right
         if total > cap:
             return math.inf
         lo /= 2.0
-        hi = 1.0 - (1.0 - hi) / 2.0
         if abs(left) + abs(right) < 1e-15 * (1.0 + abs(total)):
             return total
     raise IntegrabilityError("dyadic shell integration did not settle")
@@ -492,6 +494,61 @@ def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
     return merger_rows(measure, k, k)[0]
 
 
+def merger_blocks(measure: LambdaMeasure, k_top: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(k_lo, merger_rows(measure, k_lo, k_hi)) for blocks of at most BLOCK
+    rows, walking down from k_hi = k_top to k_lo = 2.
+
+    Uniform, Beta and zero interiors take their closed block kernels.
+    Atom and custom-density rows, an atom table or a quadrature each when
+    built directly, come from the one direct row k_top by the Pascal
+    recurrence (_pascal_rows), each block from the bottom row of the
+    block above.
+    """
+    carry = None
+    if isinstance(measure.interior, (Atoms, CustomDensity)):
+        carry = merger_row(measure, k_top)
+    k_hi = k_top
+    while k_hi >= 2:
+        k_lo = max(k_hi + 1 - BLOCK, 2)
+        if carry is None:
+            rows = merger_rows(measure, k_lo, k_hi)
+        else:
+            # carry is row k_top, then the bottom row k_hi + 1 of the block above
+            rows = _pascal_rows(carry, k_lo)[: k_hi - k_lo + 1, : k_hi - 1]
+            carry = rows[0, : k_lo - 1].copy()
+        yield k_lo, rows
+        k_hi = k_lo - 1
+
+
+def _pascal_rows(row: np.ndarray, k_lo: int) -> np.ndarray:
+    """merger_rows(measure, k_lo, k) from row = merger_row(measure, k) alone.
+
+    lambda_{k-1,j} = lambda_{k,j} + lambda_{k,j+1} holds for every measure,
+    the atoms at 0 and 1 included, so with r_{k->l} = binom(k, j)
+    lambda_{k,j}, j = k-l+1, the rows step down by
+        r_{k-1->l} = (l r_{k->l+1} + (k-l+1) r_{k->l}) / k,   l = 1..k-2,
+    with two positive weights: the step is subtraction-free and adds a
+    few ulp (about 3u) of relative error to the error of the given row,
+    so a row m steps below k is within about the given row's error plus
+    3u m of the row built directly.  The block is zero-padded like
+    merger_rows, with the given row last.
+    """
+    k = row.size + 1
+    rows = np.zeros((k - k_lo + 1, k - 1))
+    rows[-1] = row
+    ell = np.arange(1.0, k - 1)
+    right = np.arange(float(k), 2.0, -1.0)  # k-l+1 at l = 1..k-2 of row k
+    tmp = np.empty(k - 2)
+    for i in range(k - k_lo, 0, -1):
+        kk = k_lo + i  # rows[i] is row kk, rows[i-1] gets row kk-1
+        src, dst, t = rows[i, : kk - 1], rows[i - 1, : kk - 2], tmp[: kk - 2]
+        np.multiply(ell[: kk - 2], src[1:], out=dst)
+        np.multiply(right[k - kk :], src[:-1], out=t)
+        dst += t
+        dst /= kk
+    return rows
+
+
 # ----------------------------------------------------------------------
 # sigma_Lambda = -int log(1-x) x^-2 Lambda(dx)
 # ----------------------------------------------------------------------
@@ -538,7 +595,11 @@ def sigma_lambda(measure: LambdaMeasure) -> float:
 
     if isinstance(interior, Atoms):
         return float(interior.integrate(f))
-    return _dyadic_integral(lambda x: f(x) * interior.density(x))
+    # -log(1-x) near x = 1 is taken as -log(t) in t = 1 - x
+    return _dyadic_integral(
+        lambda x: f(x) * interior.density(x),
+        lambda t: -np.log(t) / (1.0 - t) ** 2 * interior.density(1.0 - t),
+    )
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,11 @@ from .errors import (
     PreconditionViolated,
 )
 from .measures import (
-    BLOCK,
     LambdaMeasure,
     ModelParams,
     MoranParams,
     is_positive_recurrent,
-    merger_rows,
+    merger_blocks,
 )
 
 NEG_CLIP = -1e-12
@@ -252,8 +251,8 @@ def _solve_prlm(
         sigma p_n = theta1 p_{n+1} + theta0 T_{n+1} + (1/n) sum_{l<=n} D_l,
     with T_{n+1} = sum_{k>n} p_k and D_l = sum_{k>n} p_k r_{k->l}, where
     r_{k->l} is the merger rate of k -> l, atoms at 0 and 1 included.
-    The rows are read from merger_rows blocks of at most BLOCK rows
-    k = k_lo..k_hi, walking down from k = K.  Rows above the block enter
+    The rows are read from merger_blocks, blocks of at most BLOCK rows
+    k = k_lo..k_hi walking down from k = K.  Rows above the block enter
     through their column sums D_l, which one rows.T @ p updates after
     each block, and a prefix sum of D per block gives sum_{l<=n} D_l.
     Rows inside the block enter through their cumulative row sums
@@ -272,10 +271,9 @@ def _solve_prlm(
     tail = 0.0
     down = np.zeros(K - 1)  # D_l, l = 1..K-1, from the rows above the block
     res = 0.0
-    k_hi, p_n = K, 1.0
-    while k_hi >= 2:
-        k_lo = max(k_hi + 1 - BLOCK, 2)
-        rows = merger_rows(measure, k_lo, k_hi)
+    p_n = 1.0
+    for k_lo, rows in merger_blocks(measure, K):
+        k_hi = k_lo + rows.shape[0] - 1
         # cum[i, m] = C[k_lo + m, k_lo - 1 + i]: state n = k_lo - 1 + i
         # reads row i against p_{k_lo..k_hi}, whose p_k, k <= n, are still 0
         cum = rows[:, k_lo - 2 :].T.copy()
@@ -299,7 +297,6 @@ def _solve_prlm(
                 res /= p_n
                 p_n = 1.0
         down[: k_hi - 1] += rows.T @ block
-        k_hi = k_lo - 1
     total = p.sum()
     return p / total, res / total
 

@@ -51,12 +51,12 @@ class JumpPath:
         return self.states.size - 1
 
     def to_csv(self, path: str) -> None:
-        rows = zip(
-            self.states.astype(np.int64).tolist(),
-            self.holding_times.astype(float).tolist(),
-        )
+        # one % format over the interleaved fields: %r is a float's repr
+        flat = [0] * (2 * self.states.size)
+        flat[::2] = self.states.astype(np.int64).tolist()
+        flat[1::2] = self.holding_times.astype(float).tolist()
         with open(path, "w") as fh:
-            fh.write("state,holding_time\n" + "".join(f"{s},{h!r}\n" for s, h in rows))
+            fh.write("state,holding_time\n" + ("%d,%r\n" * self.states.size) % tuple(flat))
 
 
 @dataclass

@@ -27,6 +27,7 @@ from blockstat.measures import (
     cnk,
     is_positive_recurrent,
     lambda_rate,
+    merger_blocks,
     merger_row,
     merger_rows,
     sigma_lambda,
@@ -476,6 +477,40 @@ def test_merger_row_matches_mpmath_oracle():
     for k in (2, 3, 21, 40):
         assert np.all(rows[k - 2, k - 1 :] == 0.0)
         _assert_matches_oracle(rows[k - 2, : k - 1], beta, k, beta_bound=False)
+
+
+def test_merger_blocks_match_mpmath_oracle():
+    # every row below k_top stepped down from the one direct row k_top
+    rng = np.random.default_rng(1024)
+    rs = rho_star(0.3, 0.05, ModelParams(1.0, 0.2, 0.2))
+    beta = LambdaMeasure(0.7, 0.4, BetaDensity(1.7, 2.4, 1.3))
+    many = Atoms(tuple(np.sort(rng.uniform(0.001, 0.999, 300))), tuple(rng.uniform(0.1, 1.0, 300)))
+    four = LambdaMeasure.from_atoms([0.01, 0.3, 0.5, 0.97], [0.2, 1.0, 0.7, 3.0])
+    cases = [
+        (four, four, 1024),
+        (four, four, 8192),  # 7192 steps down to k = 1000
+        (LambdaMeasure(m0=2.0, m1=0.5, interior=Atoms((0.2, 0.75), (1.5, 0.1))), None, 1024),
+        (LambdaMeasure(m0=0.3, m1=0.8, interior=many), None, 1024),  # more than BLOCK atoms
+        # the fixed-point measure of `validate --suite full`
+        (pushforward_to_lambda(build_discrete_fixed_point(rs, 0.3, 0.05), rs), None, 1024),
+        # a custom density against the oracle of its Beta law
+        (LambdaMeasure(0.7, 0.4, CustomDensity(beta.interior.density)), beta, 1024),
+    ]
+    for measure, oracle, k_top in cases:
+        got, k_next = {}, k_top
+        for k_lo, rows in merger_blocks(measure, k_top):
+            assert k_lo + rows.shape[0] - 1 == k_next
+            assert rows.shape[1] == k_next - 1
+            k_next = k_lo - 1
+            for k in {2, 3, 17, 130, 1000} & set(range(k_lo, k_lo + rows.shape[0])):
+                got[k] = rows[k - k_lo]
+        assert k_next == 1
+        for k, row in got.items():
+            assert np.all(row[k - 1 :] == 0.0)
+            _assert_matches_oracle(row[: k - 1], oracle or measure, k, beta_bound=False)
+    # closed kinds come in merger_rows blocks
+    for k_lo, rows in merger_blocks(beta, 600):
+        assert np.array_equal(rows, merger_rows(beta, k_lo, k_lo + rows.shape[0] - 1))
 
 
 def test_atom_row_memory_is_bounded():

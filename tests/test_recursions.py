@@ -21,6 +21,7 @@ from blockstat.measures import (
     cnk,
     is_positive_recurrent,
     merger_row,
+    sigma_lambda,
 )
 from blockstat.recursions import (
     _clip_negative,
@@ -389,6 +390,18 @@ def test_truncated_matches_geometric_on_random_uniform_params():
             assert _geometric_distance(pmf, bs_rho(prm)) < 1e-9, prm
 
 
+def test_custom_density_theta0_zero_matches_beta31():
+    # sigma_Lambda of 3x^2 reaches x = 1 in t = 1 - x, where doubles resolve it
+    custom = LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2))
+    prm = ModelParams(1.0, 0.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigma_lambda(custom) == pytest.approx(sigma_lambda(LambdaMeasure.beta31()), abs=1e-12)
+        assert is_positive_recurrent(custom, prm)
+        pmf = solve_lambda_truncated(custom, prm)
+        assert pmf.sup_distance(solve_lambda_truncated(LambdaMeasure.beta31(), prm)) < 1e-10
+
+
 def test_custom_density_solve_matches_beta31():
     # 3x^2 through the quadrature rows against the closed Beta(3, 1) rows
     prm = ModelParams(0.5, 0.5, 0.5)
@@ -488,6 +501,33 @@ def test_prlm_block_memory_is_bounded():
     assert res < 1e-14
     # sixteen blocks of rows, against one merger_row per state
     assert p == pytest.approx(_prlm_row_by_row(uni, prm, 4096), rel=1e-13, abs=0.0)
+
+
+def test_heavy_tailed_atom_and_custom_solves():
+    # strong selection against weak mutation: tails that settle only at
+    # K >= 256, each sweep reading every row below K by the recurrence
+    rng = np.random.default_rng(2020)
+    tol = 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(6):
+            if i < 4:
+                n = int(rng.integers(5, 80))
+                xs, ms = np.sort(rng.uniform(0.01, 0.99, n)), rng.uniform(0.1, 1.0, n)
+                measure = ref_measure = LambdaMeasure.from_atoms(xs, ms / ms.sum())
+            else:
+                ref_measure = LambdaMeasure.beta(*rng.uniform(1.2, 4.0, 2))
+                measure = LambdaMeasure(interior=CustomDensity(ref_measure.interior.density))
+            prm = ModelParams(rng.uniform(3.0, 5.0), *rng.uniform(0.05, 0.2, 2))
+            pmf = solve_lambda_truncated(measure, prm, tol=tol)
+            K = pmf.truncation_K
+            assert K >= 256, (measure, prm)
+            ref, _ = _solve_prlm(ref_measure, prm, 4 * K)
+            assert np.max(np.abs(ref - np.pad(pmf.probs, (0, 3 * K)))) < tol, (measure, prm)
+            if i < 4:
+                # against one direct merger_row per state, across blocks
+                ref = _prlm_row_by_row(measure, prm, K)
+                assert np.max(np.abs(ref - pmf.probs)) < 1e-12, (measure, prm)
 
 
 def test_w_moments_schur_steps_match_dense_row_by_row(monkeypatch):
