@@ -54,12 +54,13 @@ def _extend_w_system(
             - (1/n) sum_{l<n} r_{n->l} w_l = 0,
     with R_n the total merger rate from n, w_0 = 1 and, at closure k,
     w_{k+1} = 0.  rows holds the merger rows of the new n = k+1..k+m
-    (merger_rows(measure, k+1, k+m)) and is overwritten with the matrix
-    entries -r_{n->l} / n; w = (w_0..w_k) solves the system
-    at closure k and y = (y_0..y_k) the same rows with e_k on the right
-    (y_0 = 0).  The defaults are the closure k = 0 (w_0 = 1), so a call
-    without them builds the whole system.  The old rows meet the new
-    unknowns only through -sigma w_{k+1} in row k, so
+    (merger_rows(measure, k+1, k+m): atom and custom-density rows step
+    down from row k+m) and is overwritten with the matrix entries
+    -r_{n->l} / n; w = (w_0..w_k) solves the system at closure k and
+    y = (y_0..y_k) the same rows with e_k on the right (y_0 = 0).  The
+    defaults are the closure k = 0 (w_0 = 1), so a call without them
+    builds the whole system.  The old rows meet the new unknowns only
+    through -sigma w_{k+1} in row k, so
         w_old = w + sigma w_{k+1} y,
     and with A21 and A22 the new rows' columns 0..k and k+1..k+m, the
     new unknowns solve the m x m Schur complement system
@@ -122,14 +123,15 @@ def solve_w_moments(
     """Stationary moments w_n from the truncated duality system.
 
     Closure w_{K+1} = 0; K doubles until the head (n <= K/4) moves less
-    than tol.  A doubling builds and solves only the new rows K+1..2K
-    (_extend_w_system): the solution at K and its sensitivity to w_{K+1}
-    carry over, so each merger row is built once and the largest matrix
-    factored is K x K at the final 2K.  The step is as stable as the
-    dense solve: every row is strictly diagonally dominant (by theta0),
-    and so is the Schur complement of the new rows.  The closure
-    sensitivity is reported as the residual and a complete-monotonicity
-    spot check as a diagnostic defect.
+    than tol; K < 4 or K > K_cap raise DomainError.  A doubling solves
+    only the new rows K+1..2K (_extend_w_system): the solution at K and
+    its sensitivity to w_{K+1} carry over, so each merger row is built
+    once (atom and custom-density rows by the recurrence from the direct
+    row 2K) and the largest matrix factored is K x K at the final 2K.
+    The step is as stable as the dense solve: every row is strictly
+    diagonally dominant (by theta0), and so is the Schur complement of
+    the new rows.  The closure sensitivity is reported as the residual
+    and a complete-monotonicity spot check as a diagnostic defect.
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("duality moments need theta0 > 0 and theta1 > 0")

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import betaln, psi, zeta
+from scipy.special import betaln, psi, xlog1py, xlogy, zeta
 
 from .errors import DomainError, IntegrabilityError, PreconditionViolated
 from .specfun import adaptive_quad, quad_power_endpoints
 
 ATOM_CAP = 10_000
-BLOCK = 256  # rows per block of merger_rows; atoms per block of Atoms.integrate
+BLOCK = 256  # rows per block of merger_blocks; atoms per block of Atoms.integrate
+MergerBlock = tuple[int, np.ndarray]  # (k_lo, merger rows of k = k_lo..k_hi)
 MAX_PANELS = 8192  # quadrature panel cap of the interior integrals
 
 
@@ -130,7 +131,8 @@ class BetaDensity:
 
     def density(self, x: np.ndarray) -> np.ndarray:
         lognorm = math.log(self.total_mass) - betaln(self.a, self.b)
-        return np.exp(lognorm + (self.a - 1) * np.log(x) + (self.b - 1) * np.log1p(-x))
+        # 0 log(0) = 0 in xlogy and xlog1py: finite or inf at the endpoints, no warning
+        return np.exp(lognorm + xlogy(self.a - 1, x) + xlog1py(self.b - 1, -x))
 
     def integrate(self, f: Integrand, tol: float = 1e-12) -> float | np.ndarray:
         # the endpoint powers x^(a-1) (1-x)^(b-1) go to quad_power_endpoints,
@@ -145,8 +147,7 @@ class Atoms:
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        xs = np.asarray(self.locations, dtype=float)
-        ms = np.asarray(self.masses, dtype=float)
+        xs, ms = self.xs, self.ms
         if xs.size != ms.size:
             raise DomainError("atom locations and masses must align")
         if xs.size > ATOM_CAP:
@@ -386,39 +387,17 @@ def merger_rows(measure: LambdaMeasure, k_lo: int, k_hi: int) -> np.ndarray:
 
     rows[k-k_lo, l-1] is the rate binom(k, j) lambda_{k,j} of the jump
     k -> l, l = 1..k-1, by which j = k-l+1 blocks merge into one; entries
-    l >= k, and rows k < 2, are zero.  A uniform interior gives
-    c k / ((k-l)(k-l+1)).  A Beta(a, b) interior gives
-    M binom(k, j) B(a+j-2, b+k-j) / B(a, b), built from its first rate
-    M B(a+k-2, b) / B(a, b), a product of k-2 ratios in np.longdouble
-    (one cumulative product serves every k), by the term ratios
-        r_{l+1} / r_l = (k-l+1) (l-1+b) / (l (k-l-2+a))
-    in doubles.  Both are built BLOCK rows at a time, so temporaries stay
-    O(BLOCK k_hi).  For atoms and custom densities each row is built on
-    its own, with the binomial in log space, -log(k+1) - betaln(j+1,
-    k-j+1), so no row overflows at any k: atoms give a table over l with
-    each block of atoms reduced with the masses, a custom density one
-    vector-valued integral whose components are the rates themselves.
-    The atom at 0 adds m0 binom(k, 2) at l = k-1, the atom at 1 adds m1
-    at l = 1.
+    l >= k, and rows k < 2, are zero.  The rows are the blocks of
+    merger_blocks(measure, k_hi, k_lo), so atom and custom-density rows
+    step down from the one direct row k_hi.
     """
-    rows = np.zeros((k_hi - k_lo + 1, max(k_hi - 1, 0)))
-    start = max(k_lo, 2)
-    interior = measure.interior
-    if isinstance(interior, (UniformScaled, BetaDensity)):
-        fill = _uniform_rows if isinstance(interior, UniformScaled) else _beta_rows
-        for lo in range(start, k_hi + 1, BLOCK):
-            hi = min(lo + BLOCK - 1, k_hi)
-            fill(interior, lo, hi, rows[lo - k_lo : hi - k_lo + 1, : hi - 1])
-    elif not isinstance(interior, Zero):
-        for k in range(start, k_hi + 1):
-            rows[k - k_lo, : k - 1] = _log_space_row(interior, k)
-    if measure.m0 or measure.m1:
-        # two entries per row: item access is cheaper than a strided
-        # array operation on the one-row blocks the simulators ask for
-        for i, k in enumerate(range(start, k_hi + 1), start - k_lo):
-            rows[i, k - 2] += measure.m0 * math.comb(k, 2)
-            rows[i, 0] += measure.m1
-    return rows
+    rows = None
+    for lo, block in merger_blocks(measure, k_hi, k_lo if k_lo > 2 else 2):
+        if rows is None:  # a first block that spans the range is the table
+            rows = block if lo == k_lo else np.zeros((k_hi - k_lo + 1, k_hi - 1))
+        if rows is not block:
+            rows[lo - k_lo : lo - k_lo + len(block), : block.shape[1]] = block
+    return np.zeros((k_hi - k_lo + 1, max(k_hi - 1, 0))) if rows is None else rows
 
 
 def _uniform_rows(interior: UniformScaled, k_lo: int, k_hi: int, out: np.ndarray) -> None:
@@ -494,30 +473,48 @@ def merger_row(measure: LambdaMeasure, k: int) -> np.ndarray:
     return merger_rows(measure, k, k)[0]
 
 
-def merger_blocks(measure: LambdaMeasure, k_top: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(k_lo, merger_rows(measure, k_lo, k_hi)) for blocks of at most BLOCK
-    rows, walking down from k_hi = k_top to k_lo = 2.
+def merger_blocks(measure: LambdaMeasure, k_top: int, k_bottom: int = 2) -> Iterator[MergerBlock]:
+    """Merger rows in blocks (k_lo, rows of k = k_lo..k_hi) of at most BLOCK
+    rows, zero-padded like merger_rows, from k_top down to k_bottom >= 2.
 
-    Uniform, Beta and zero interiors take their closed block kernels.
-    Atom and custom-density rows, an atom table or a quadrature each when
-    built directly, come from the one direct row k_top by the Pascal
-    recurrence (_pascal_rows), each block from the bottom row of the
-    block above.
+    A uniform interior gives c k / ((k-l)(k-l+1)).  A Beta(a, b) interior
+    gives M binom(k, j) B(a+j-2, b+k-j) / B(a, b): the first rate
+    M B(a+k-2, b) / B(a, b) is a product of k-2 ratios in np.longdouble
+    (one cumulative product serves every k), the others follow by the
+    term ratios r_{l+1} / r_l = (k-l+1) (l-1+b) / (l (k-l-2+a)) in doubles.
+    Atoms and custom densities build the row k_top alone, a one-row block,
+    with the binomial in log space, -log(k+1) - betaln(j+1, k-j+1), so it
+    does not overflow at any k: a table over l reduced with the masses, or
+    one vector-valued integral.  Every lower row steps down from it by the
+    Pascal recurrence (_pascal_rows), each block from the bottom row of
+    the block above.  The atom at 0 adds m0 binom(k, 2) at l = k-1, the
+    atom at 1 adds m1 at l = 1, to each row built directly; the
+    recurrence carries them down.
     """
+    interior = measure.interior
     carry = None
-    if isinstance(measure.interior, (Atoms, CustomDensity)):
-        carry = merger_row(measure, k_top)
-    k_hi = k_top
-    while k_hi >= 2:
-        k_lo = max(k_hi + 1 - BLOCK, 2)
+    if k_top > k_bottom and isinstance(interior, (Atoms, CustomDensity)):
+        carry = merger_row(measure, k_top)  # the one direct row, a block of its own
+    for k_hi in range(k_top, k_bottom - 1, -BLOCK):
+        k_lo = k_bottom if k_hi - k_bottom < BLOCK else k_hi + 1 - BLOCK
         if carry is None:
-            rows = merger_rows(measure, k_lo, k_hi)
+            rows = np.zeros((k_hi - k_lo + 1, k_hi - 1))
+            if isinstance(interior, UniformScaled):
+                _uniform_rows(interior, k_lo, k_hi, rows)
+            elif isinstance(interior, BetaDensity):
+                _beta_rows(interior, k_lo, k_hi, rows)
+            elif not isinstance(interior, Zero):  # atoms or a custom density, k_lo = k_top
+                rows[0] = _log_space_row(interior, k_top)
+            # item access beats a strided array operation on the simulators' one-row blocks
+            for i in range(len(rows) if measure.m0 else 0):
+                rows[i, k_lo + i - 2] += measure.m0 * math.comb(k_lo + i, 2)
+            for i in range(len(rows) if measure.m1 else 0):
+                rows[i, 0] += measure.m1
         else:
             # carry is row k_top, then the bottom row k_hi + 1 of the block above
             rows = _pascal_rows(carry, k_lo)[: k_hi - k_lo + 1, : k_hi - 1]
             carry = rows[0, : k_lo - 1].copy()
         yield k_lo, rows
-        k_hi = k_lo - 1
 
 
 def _pascal_rows(row: np.ndarray, k_lo: int) -> np.ndarray:

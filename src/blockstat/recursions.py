@@ -313,20 +313,20 @@ def double_until_stable(
     solve(K) returns a tuple whose first item is the solution vector; the
     first head(K) entries of the solution at K are compared with those at
     2K.  Returns (result, K, delta) for the first doubling that moves the
-    head by delta < tol in sup norm; raises NoConvergence once K would
-    pass K_cap.
+    head by delta < tol in sup norm; raises DomainError before any solve
+    if head(K) is empty or K > K_cap, and NoConvergence once 2K > K_cap.
     """
+    if head(K) < 1 or K > K_cap:
+        raise DomainError(f"truncation level {K} leaves no head or passes the cap {K_cap}")
     prev = solve(K)
-    while True:
-        h = head(K)
-        K *= 2
-        if K > K_cap:
-            raise NoConvergence(f"truncation cap {K_cap} reached without stabilising")
+    while 2 * K <= K_cap:
+        h, K = head(K), 2 * K
         cur = solve(K)
         delta = float(np.max(np.abs(cur[0][:h] - prev[0][:h])))
         if delta < tol:
             return cur, K, delta
         prev = cur
+    raise NoConvergence(f"truncation cap {K_cap} reached without stabilising")
 
 
 def solve_lambda_truncated(

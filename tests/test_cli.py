@@ -103,6 +103,16 @@ def test_moments_command(tmp_path):
     assert float(lines[1].split(",")[1]) == 1.0
 
 
+def test_moments_bad_truncation_level_is_spec_error(tmp_path, capsys):
+    # K = 0 used to end in an IndexError traceback
+    code = main(
+        ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "1",
+         "--theta1", "1", "--K", "0", "--out", str(tmp_path / "w")]
+    )
+    assert code == 2
+    assert "truncation level" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_geom_check_exit_codes(tmp_path):
     ok = main(
         ["geom-check", "--model", "uniform", "--sigma", "1", "--theta0", "0.5",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import blockstat.duality
+import blockstat.measures
 from blockstat.closedform import PgfEvaluator, bs_rho
 from blockstat.duality import (
     _extend_w_system,
@@ -210,18 +211,43 @@ def test_beta_merger_rows_match_scalar_rates():
 
 
 def test_w_moments_build_each_row_once(monkeypatch):
-    # the rows of n <= K carry over when K doubles
-    built = []
+    # the rows of n <= K carry over when K doubles, and the new rows
+    # K+1..2K step down from the one direct row 2K
+    built, direct = [], []
 
     def counting(measure, k_lo, k_hi):
         built.extend(range(k_lo, k_hi + 1))
         return merger_rows(measure, k_lo, k_hi)
 
+    def counting_direct(interior, k):
+        direct.append(k)
+        return log_space_row(interior, k)
+
+    log_space_row = blockstat.measures._log_space_row
     monkeypatch.setattr(blockstat.duality, "merger_rows", counting)
+    monkeypatch.setattr(blockstat.measures, "_log_space_row", counting_direct)
     custom = LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2))
     w = solve_w_moments(custom, ModelParams(0.5, 0.5, 0.5))
     assert w.truncation_K > 64
     assert built == list(range(1, w.truncation_K + 1))
+    # one per solve: K = 64, 128, ..., truncation_K
+    assert direct == [64 << i for i in range(len(direct))]
+    assert direct[-1] == w.truncation_K
+
+
+@pytest.mark.parametrize("K", [-4, 0, 1, 3])
+def test_w_moments_bad_truncation_level_raises(K):
+    with pytest.raises(DomainError):
+        solve_w_moments(LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), K=K)
+
+
+def test_w_moments_above_cap_raises_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved above the cap")
+
+    monkeypatch.setattr(blockstat.duality, "merger_rows", no_solve)
+    with pytest.raises(DomainError):
+        solve_w_moments(LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), K=65, K_cap=64)
 
 
 def test_w_system_star_beyond_float_binomials():

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -376,6 +377,18 @@ def test_beta_sigma_lambda_near_removable_singularities(a, b):
     )
 
 
+def test_beta_density_at_the_endpoints():
+    # (a-1) log(x) and (b-1) log1p(-x) gave NaN at x = 0 for a = 1 and at
+    # x = 1 for b = 1, and divide-by-zero warnings for other a and b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LambdaMeasure.beta(4.0, 1.0).interior.density(np.array([0.0, 1.0])) == pytest.approx([0.0, 4.0])
+        assert LambdaMeasure.beta(1.0, 3.0).interior.density(np.array([0.0, 1.0])) == pytest.approx([3.0, 0.0])
+        # 4x^3 has sigma_Lambda = 3; its shells in t = 1 - x reach x = 1.0
+        custom = LambdaMeasure(interior=CustomDensity(LambdaMeasure.beta(4.0, 1.0).interior.density))
+        assert sigma_lambda(custom) == pytest.approx(3.0, abs=1e-12)
+
+
 # ----------------------------------------------------------------------
 # Merger-rate rows binom(k, j) lambda_{k,j}
 # ----------------------------------------------------------------------
@@ -463,6 +476,9 @@ def test_merger_row_matches_mpmath_oracle():
         (LambdaMeasure(0.4, 1.3, UniformScaled(2.5)), 1, 600, [2, 3, 257, 258, 600]),
         (LambdaMeasure(m0=2.0, m1=0.5, interior=Atoms((0.2, 0.75), (1.5, 0.1))), 5, 40, [5, 40]),
         (many, 20, 60, [20, 60]),
+        # several BLOCKs stepped down from 1500; 1244 and 1245 straddle a block edge
+        (LambdaMeasure.from_atoms([0.01, 0.3, 0.5, 0.97], [0.2, 1.0, 0.7, 3.0]), 600, 1500,
+         [600, 1244, 1245, 1500]),
     ]
     for measure, k_lo, k_hi, picks in blocks:
         rows = merger_rows(measure, k_lo, k_hi)

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+import blockstat.recursions
 from blockstat.closedform import beta31_pgf, bs_rho, star_closed, wf_closed
 from blockstat.duality import solve_w_moments
-from blockstat.errors import NegativeMass, NotPositiveRecurrent, PreconditionViolated
+from blockstat.errors import DomainError, NegativeMass, NotPositiveRecurrent, PreconditionViolated
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
     BetaDensity,
@@ -129,6 +130,17 @@ def test_lambda_truncated_warns_outside_recurrence():
 def test_lambda_truncated_needs_sigma():
     with pytest.raises(PreconditionViolated):
         solve_lambda_truncated(LambdaMeasure.uniform(), ModelParams(0.0, 1.0, 1.0))
+
+
+def test_lambda_truncated_above_cap_raises_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved above the cap")
+
+    monkeypatch.setattr(blockstat.recursions, "_solve_prlm", no_solve)
+    with pytest.raises(DomainError):
+        solve_lambda_truncated(
+            LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), K=65, K_cap=64
+        )
 
 
 _SIGMA_ZERO = ModelParams(0.0, 0.5, 0.5)
@@ -528,6 +540,34 @@ def test_heavy_tailed_atom_and_custom_solves():
                 # against one direct merger_row per state, across blocks
                 ref = _prlm_row_by_row(measure, prm, K)
                 assert np.max(np.abs(ref - pmf.probs)) < 1e-12, (measure, prm)
+
+
+def test_heavy_tailed_atom_and_custom_w_solves():
+    # the same regime for the duality moments: each doubling's new rows
+    # K+1..2K step down from the one direct row 2K
+    rng = np.random.default_rng(2021)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(6):
+            if i < 4:
+                n = int(rng.integers(5, 80))
+                xs, ms = np.sort(rng.uniform(0.01, 0.99, n)), rng.uniform(0.1, 1.0, n)
+                measure = LambdaMeasure.from_atoms(xs, ms / ms.sum())
+            else:
+                ref_measure = LambdaMeasure.beta(*rng.uniform(1.2, 4.0, 2))
+                measure = LambdaMeasure(interior=CustomDensity(ref_measure.interior.density))
+            prm = ModelParams(rng.uniform(3.0, 5.0), *rng.uniform(0.05, 0.2, 2))
+            w = solve_w_moments(measure, prm)
+            K = w.truncation_K
+            assert K >= 512, (measure, prm)
+            if i < 4:
+                # against one direct merger_row per equation
+                ref = _w_row_by_row(measure, prm, K)
+                assert np.max(np.abs(ref - w.w[1:])) < 1e-12, (measure, prm)
+            else:
+                ref = solve_w_moments(ref_measure, prm)
+                assert ref.truncation_K == K, (measure, prm)
+                assert np.max(np.abs(ref.w - w.w)) < 1e-10, (measure, prm)
 
 
 def test_w_moments_schur_steps_match_dense_row_by_row(monkeypatch):
