@@ -104,7 +104,7 @@ def test_moments_command(tmp_path):
 
 
 def test_moments_bad_truncation_level_is_spec_error(tmp_path, capsys):
-    # K = 0 used to end in an IndexError traceback
+    # K = 0 leaves the compared head K // 4 empty
     code = main(
         ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "1",
          "--theta1", "1", "--K", "0", "--out", str(tmp_path / "w")]

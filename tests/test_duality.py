@@ -214,6 +214,7 @@ def test_w_moments_build_each_row_once(monkeypatch):
     # the rows of n <= K carry over when K doubles, and the new rows
     # K+1..2K step down from the one direct row 2K
     built, direct = [], []
+    log_space_row = blockstat.measures._log_space_row
 
     def counting(measure, k_lo, k_hi):
         built.extend(range(k_lo, k_hi + 1))
@@ -223,7 +224,6 @@ def test_w_moments_build_each_row_once(monkeypatch):
         direct.append(k)
         return log_space_row(interior, k)
 
-    log_space_row = blockstat.measures._log_space_row
     monkeypatch.setattr(blockstat.duality, "merger_rows", counting)
     monkeypatch.setattr(blockstat.measures, "_log_space_row", counting_direct)
     custom = LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2))

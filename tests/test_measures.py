@@ -378,14 +378,15 @@ def test_beta_sigma_lambda_near_removable_singularities(a, b):
 
 
 def test_beta_density_at_the_endpoints():
-    # (a-1) log(x) and (b-1) log1p(-x) gave NaN at x = 0 for a = 1 and at
-    # x = 1 for b = 1, and divide-by-zero warnings for other a and b
+    # 0 log 0 at an endpoint: x = 0 for a = 1, x = 1 for b = 1
+    ends = np.array([0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert LambdaMeasure.beta(4.0, 1.0).interior.density(np.array([0.0, 1.0])) == pytest.approx([0.0, 4.0])
-        assert LambdaMeasure.beta(1.0, 3.0).interior.density(np.array([0.0, 1.0])) == pytest.approx([3.0, 0.0])
+        four = LambdaMeasure.beta(4.0, 1.0).interior.density
+        assert four(ends) == pytest.approx([0.0, 4.0])
+        assert LambdaMeasure.beta(1.0, 3.0).interior.density(ends) == pytest.approx([3.0, 0.0])
         # 4x^3 has sigma_Lambda = 3; its shells in t = 1 - x reach x = 1.0
-        custom = LambdaMeasure(interior=CustomDensity(LambdaMeasure.beta(4.0, 1.0).interior.density))
+        custom = LambdaMeasure(interior=CustomDensity(four))
         assert sigma_lambda(custom) == pytest.approx(3.0, abs=1e-12)
 
 
