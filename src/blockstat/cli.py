@@ -155,6 +155,7 @@ def cmd_moments(args) -> int:
             "diagnostics": {
                 "K": ms.truncation_K,
                 "residual": ms.residual,
+                "closure_bound": ms.extras["closure_bound"],
                 "monotonicity_defect": ms.monotonicity_defect,
             },
             "version": __version__,

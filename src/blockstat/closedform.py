@@ -59,8 +59,8 @@ class PgfEvaluator:
     probs: np.ndarray | None = None
 
     @classmethod
-    def of_probs(cls, probs: np.ndarray, p1: float | None = None) -> "PgfEvaluator":
-        """The power series sum_n p_n z^n of a pmf p_1, p_2, ...; p1 defaults to probs[0]."""
+    def of_probs(cls, probs: np.ndarray) -> "PgfEvaluator":
+        """The power series sum_n p_n z^n of a pmf p_1, p_2, ...."""
         probs = np.asarray(probs, dtype=float)
         n = np.arange(1, probs.size + 1)
 
@@ -71,7 +71,7 @@ class PgfEvaluator:
                 return 1.0
             return float(np.dot(probs, np.power(z, n)))
 
-        return cls(evaluate, float(probs[0]) if p1 is None else p1, probs)
+        return cls(evaluate, float(probs[0]), probs)
 
     def __call__(self, z: float) -> float:
         return self.evaluate(z)
@@ -601,7 +601,8 @@ def beta31_pgf(
     solutions analytic at the interior root of P are propagated from a
     series start; the boundary conditions g(0) = 0, g(1) = 1 give a 2x2
     system for (p1, p2); the pmf follows from the local derivative
-    recursion of the ODE, solved as a stable banded system.
+    recursion of the ODE, solved as a stable banded system with
+    p_{K+1} = 0; the mass that cut leaves out is tail_mass = 1 - sum p_n.
     """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     theta = params.theta
@@ -678,10 +679,10 @@ def beta31_pgf(
     probs = _clip_negative(probs, "beta31")
     pmf = StationaryPmf(
         probs, probs.size, consistency, "beta31-ode",
-        extras={"p2_consistency": consistency},
+        tail_mass=max(1.0 - float(probs.sum()), 0.0), extras={"p2_consistency": consistency},
     )
 
-    return PgfEvaluator.of_probs(probs, p1=float(p1)), pmf
+    return PgfEvaluator.of_probs(probs), pmf
 
 
 # ----------------------------------------------------------------------

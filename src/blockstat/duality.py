@@ -21,7 +21,7 @@ import scipy.integrate
 from .closedform import PgfEvaluator, bs_rho
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .measures import LambdaMeasure, ModelParams, merger_rows
-from .recursions import StationaryPmf, double_until_stable
+from .recursions import StationaryPmf, double_until_closed
 
 
 @dataclass
@@ -122,29 +122,33 @@ def solve_w_moments(
 ) -> MomentSequence:
     """Stationary moments w_n from the truncated duality system.
 
-    Closure w_{K+1} = 0; K doubles until the head (n <= K/4) moves less
-    than tol; K < 4 or K > K_cap raise DomainError.  A doubling solves
-    only the new rows K+1..2K (_extend_w_system): the solution at K and
-    its sensitivity to w_{K+1} carry over, so each merger row is built
-    once (atom and custom-density rows by the recurrence from the direct
-    row 2K) and the largest matrix factored is K x K at the final 2K.
-    The step is as stable as the dense solve: every row is strictly
-    diagonally dominant (by theta0), and so is the Schur complement of
-    the new rows.  The closure sensitivity is reported as the residual
-    and a complete-monotonicity spot check as a diagnostic defect.
+    Closure w_{K+1} = 0; K doubles until the K-solve's own bound on the
+    head (n <= K/4) error is below tol; K < 4 or K > K_cap raise
+    DomainError.  A doubling solves only the new rows K+1..2K
+    (_extend_w_system), carrying over the solution at K and its
+    sensitivity y to w_{K+1}.  The true moments are w + sigma w_{K+1} y
+    on 0..K, y >= 0 (an M-matrix) and w_{K+1} <= w_K, which proves
+    |error_n| <= sigma w_K / (1 - sigma y_K) y_n while sigma y_K < 1
+    (README); the residual is its largest value on the head.  A
+    complete-monotonicity spot check is reported as a diagnostic defect.
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("duality moments need theta0 > 0 and theta1 > 0")
+    if K < 4:
+        raise DomainError(f"truncation level {K} leaves no head n <= K/4")
     w, y = (1.0,), (0.0,)
 
     def solve(k):
         nonlocal w, y
         w, y = _extend_w_system(merger_rows(measure, len(w), k), params, w, y)
-        return (w[1:],)
+        gain = params.sigma * float(y[-1])
+        if gain >= 1.0:
+            return w, math.inf
+        return w, params.sigma * float(w[-1]) / (1.0 - gain) * float(np.max(y[1 : k // 4 + 1]))
 
-    _, K, delta = double_until_stable(solve, K, tol, K_cap, head=lambda k: k // 4)
+    w, K, bound = double_until_closed(solve, K, tol, K_cap)
     defect = complete_monotonicity_defect(w)
-    return MomentSequence(w, K, delta, defect, extras={"closure_delta": delta})
+    return MomentSequence(w, K, bound, defect, extras={"closure_bound": bound})
 
 
 # ----------------------------------------------------------------------

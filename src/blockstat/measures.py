@@ -211,19 +211,23 @@ def _dyadic_integral(f: Integrand, g: Integrand, cap: float = 1e12) -> float:
     An integral over (0,1) passes its right half as g(t) = f(1 - t): the
     endpoint 1 is then approached in t, where doubles still resolve it,
     while nodes x near 1 round to 1.0.  Returns +inf when partial sums
-    exceed the divergence cap.
+    exceed the divergence cap, or grow linearly: an integrand ~ c/x adds
+    c log 2 per shell, and two shells equal to 1e-9 show it.
     """
     total = adaptive_quad(f, 0.25, 0.5, tol=1e-13) + adaptive_quad(g, 0.25, 0.5, tol=1e-13)
     lo = 0.25
+    prev = math.nan
     for _ in range(200):
-        left = adaptive_quad(f, lo / 2.0, lo, tol=1e-14)
-        right = adaptive_quad(g, lo / 2.0, lo, tol=1e-14)
-        total += left + right
+        shell = sum(adaptive_quad(h, lo / 2.0, lo, tol=1e-14) for h in (f, g))
+        total += shell
         if total > cap:
             return math.inf
         lo /= 2.0
-        if abs(left) + abs(right) < 1e-15 * (1.0 + abs(total)):
+        if abs(shell) < 1e-15 * (1.0 + abs(total)):
             return total
+        if abs(shell - prev) <= 1e-9 * abs(shell):
+            return math.inf
+        prev = shell
     raise IntegrabilityError("dyadic shell integration did not settle")
 
 

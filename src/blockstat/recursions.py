@@ -32,14 +32,18 @@ from .measures import (
 )
 
 NEG_CLIP = -1e-12
+# sup-norm error of a pmf closed at K (no branching out of K) over its own
+# top mass p_K: a measured bound, not a proved one (README, numerical notes)
+PMF_CLOSURE = 4.0
 
 
 @dataclass
 class StationaryPmf:
     """Stationary pmf over block counts 1..truncation_K.
 
-    probs[i] is the mass at i+1.  tail_mass is the analytically known mass
-    beyond the truncation (nonzero only for heavy-tailed closed forms).
+    probs[i] is the mass at i+1.  tail_mass is the mass beyond the
+    truncation that a route knows it left out; a solve closed at K bounds
+    it in the residual instead.
     """
 
     probs: np.ndarray
@@ -86,6 +90,7 @@ class StationaryPmf:
             "K": self.truncation_K,
             "residual": self.residual,
             "solver_tag": self.solver_tag,
+            **self.extras,
         }
 
 
@@ -93,8 +98,7 @@ def _clip_negative(p: np.ndarray, tag: str) -> np.ndarray:
     worst = float(p.min(initial=0.0))
     if worst < NEG_CLIP:
         raise NegativeMass(f"{tag}: probability {worst} below the clip tolerance")
-    p = np.where(p < 0.0, 0.0, p)
-    return p / p.sum()
+    return np.where(p < 0.0, 0.0, p)
 
 
 # ----------------------------------------------------------------------
@@ -301,32 +305,26 @@ def _solve_prlm(
     return p / total, res / total
 
 
-def double_until_stable(
-    solve: Callable[[int], tuple],
-    K: int,
-    tol: float,
-    K_cap: int,
-    head: Callable[[int], int],
-) -> tuple[tuple, int, float]:
-    """Solve at K, 2K, 4K, ... until the head of the solution settles.
+def double_until_closed(
+    solve: Callable[[int], tuple], K: int, tol: float, K_cap: int
+) -> tuple[object, int, float]:
+    """Solve at K, 2K, 4K, ... until a solve's own closure bound is below tol.
 
-    solve(K) returns a tuple whose first item is the solution vector; the
-    first head(K) entries of the solution at K are compared with those at
-    2K.  Returns (result, K, delta) for the first doubling that moves the
-    head by delta < tol in sup norm; raises DomainError before any solve
-    if head(K) is empty or K > K_cap, and NoConvergence once 2K > K_cap.
+    solve(K) returns (result, bound), where bound is that K-solve's own
+    bound on how far closing the system at K moves the part of the result
+    it vouches for.  Returns (result, K, bound) for the first K with
+    bound < tol; raises DomainError before any solve if K > K_cap, and
+    NoConvergence once 2K > K_cap.
     """
-    if head(K) < 1 or K > K_cap:
-        raise DomainError(f"truncation level {K} leaves no head or passes the cap {K_cap}")
-    prev = solve(K)
-    while 2 * K <= K_cap:
-        h, K = head(K), 2 * K
-        cur = solve(K)
-        delta = float(np.max(np.abs(cur[0][:h] - prev[0][:h])))
-        if delta < tol:
-            return cur, K, delta
-        prev = cur
-    raise NoConvergence(f"truncation cap {K_cap} reached without stabilising")
+    if K > K_cap:
+        raise DomainError(f"truncation level {K} passes the cap {K_cap}")
+    while True:
+        result, bound = solve(K)
+        if bound < tol:
+            return result, K, bound
+        if 2 * K > K_cap:
+            raise NoConvergence(f"truncation cap {K_cap} reached without closing")
+        K *= 2
 
 
 def solve_lambda_truncated(
@@ -338,9 +336,9 @@ def solve_lambda_truncated(
 ) -> StationaryPmf:
     """Stationary pmf of the general block counting chain, truncated at K.
 
-    K doubles until the head of the solution moves by less than tol in
-    sup norm; the reported residual combines the in-system equation
-    residual with the closure sensitivity of the last doubling.
+    K doubles until the K-solve's closure bound PMF_CLOSURE * p_K, with
+    p_K its own normalised top mass, is below tol; the reported residual
+    combines the in-system equation residual with that bound.
     """
     if params.sigma <= 0:
         raise PreconditionViolated("the truncated system needs sigma > 0")
@@ -353,12 +351,14 @@ def solve_lambda_truncated(
             "the truncated solution may not converge",
             stacklevel=2,
         )
-    (p, res), K, delta = double_until_stable(
-        lambda k: _solve_prlm(measure, params, k), K, tol, K_cap, head=lambda k: k
-    )
-    res = max(res, abs(p.sum() - 1.0), delta)
-    p = _clip_negative(p, "lambda-truncated")
-    return StationaryPmf(p, K, res, "lambda-truncated", extras={"closure_delta": delta})
+
+    def solve(k):
+        p, res = _solve_prlm(measure, params, k)
+        return (p, res), PMF_CLOSURE * float(p[-1])
+
+    (p, res), K, bound = double_until_closed(solve, K, tol, K_cap)
+    res = max(res, abs(p.sum() - 1.0), bound)
+    return StationaryPmf(p, K, res, "lambda-truncated", extras={"closure_bound": bound})
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +370,8 @@ def solve_star(params: ModelParams, m1: float, K: int = 512) -> StationaryPmf:
     """Stationary pmf for the star-shaped coalescent (mass m1 at 1).
 
     theta1 = 0 has closed tails.  For theta1 > 0 the tails solve the
-    two-sided tridiagonal system with a_K = 0; the forward recursion from
+    two-sided tridiagonal system with a_K = 0, which folds the mass beyond
+    K into p_K (the residual bounds it); the forward recursion from
     a_1 = 1 - p_1 amplifies its dominant solution and is not used.
     """
     if params.sigma <= 0:
@@ -395,7 +396,9 @@ def solve_star(params: ModelParams, m1: float, K: int = 512) -> StationaryPmf:
     p = _clip_negative(a[:-1] - a[1:], "star-banded")
     n = np.arange(1, K)
     res = np.abs((m1 / n + params.theta + sigma) * a[1:K] - sigma * a[: K - 1] - th1 * a[2:])
-    return StationaryPmf(p, K, float(np.max(res, initial=0.0)), "star-banded")
+    bound = PMF_CLOSURE * float(p[-1])
+    res = max(float(np.max(res, initial=0.0)), bound)
+    return StationaryPmf(p, K, res, "star-banded", extras={"closure_bound": bound})
 
 
 def _solve_star_banded(params: ModelParams, m1: float, K: int) -> np.ndarray:

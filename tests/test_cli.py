@@ -103,8 +103,24 @@ def test_moments_command(tmp_path):
     assert float(lines[1].split(",")[1]) == 1.0
 
 
+def test_stationary_and_moments_json_carry_closure_bound(tmp_path):
+    # the truncated pmf is accepted on its own 4 p_K, and the moments on
+    # their proved head bound, which is also their residual
+    args = ["--model", "beta31", "--sigma", "2", "--theta0", "0.1", "--theta1", "0.1"]
+    assert main(["stationary", *args, "--out", str(tmp_path / "p")]) == 0
+    diag = json.loads((tmp_path / "p.json").read_text())["diagnostics"]
+    p_K = float((tmp_path / "p.csv").read_text().splitlines()[-1].split(",")[1])
+    assert diag["K"] > 64
+    assert diag["closure_bound"] == 4.0 * p_K
+    assert diag["closure_bound"] <= diag["residual"] < 1e-10
+    assert main(["moments", *args, "--out", str(tmp_path / "w")]) == 0
+    diag = json.loads((tmp_path / "w.json").read_text())["diagnostics"]
+    assert diag["K"] > 64
+    assert 0.0 < diag["closure_bound"] == diag["residual"] < 1e-10
+
+
 def test_moments_bad_truncation_level_is_spec_error(tmp_path, capsys):
-    # K = 0 leaves the compared head K // 4 empty
+    # K = 0 leaves the bounded head n <= K // 4 empty
     code = main(
         ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "1",
          "--theta1", "1", "--K", "0", "--out", str(tmp_path / "w")]

@@ -312,6 +312,19 @@ def test_beta31_theta1_zero():
     assert pmf.sup_distance(rec) < 1e-10
 
 
+def test_beta31_reports_the_cut_as_tail_mass():
+    # at K = 400 the cut leaves 3.8% of the mass out: the head is returned
+    # as solved, not scaled up by 4% to sum to one
+    prm = ModelParams(8.0, 0.05, 0.05)
+    _, pmf = beta31_pgf(prm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm)
+    assert np.max(np.abs(pmf.probs[:380] - rec.probs[:380])) < 1e-13
+    assert pmf.tail_mass == 1.0 - pmf.probs.sum()
+    assert pmf.tail_mass == pytest.approx(rec.probs[400:].sum(), rel=1e-3)
+
+
 def test_master_equation_residuals():
     zg = np.linspace(0.05, 0.9, 12)
     mp = MoranParams(12, 0.7, 0.25, 0.15)

@@ -227,11 +227,11 @@ def test_w_moments_build_each_row_once(monkeypatch):
     monkeypatch.setattr(blockstat.duality, "merger_rows", counting)
     monkeypatch.setattr(blockstat.measures, "_log_space_row", counting_direct)
     custom = LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2))
-    w = solve_w_moments(custom, ModelParams(0.5, 0.5, 0.5))
-    assert w.truncation_K > 64
+    w = solve_w_moments(custom, ModelParams(0.5, 0.5, 0.5), K=8)
+    assert w.truncation_K > 8
     assert built == list(range(1, w.truncation_K + 1))
-    # one per solve: K = 64, 128, ..., truncation_K
-    assert direct == [64 << i for i in range(len(direct))]
+    # one per solve: K = 8, 16, ..., truncation_K
+    assert direct == [8 << i for i in range(len(direct))]
     assert direct[-1] == w.truncation_K
 
 

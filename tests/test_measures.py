@@ -142,6 +142,24 @@ def test_sigma_lambda_cases():
     assert sigma_lambda(LambdaMeasure.beta(0.8, 1.0)) == math.inf
 
 
+@pytest.mark.parametrize(
+    "density, expected",
+    [
+        # positive at 0: each dyadic shell adds about c log 2
+        (lambda x: np.ones_like(x), math.inf),
+        (LambdaMeasure.beta(1.0, 3.0).interior.density, math.inf),
+        (lambda x: 3.0 * x**2, 3.0),
+    ],
+    ids=["uniform", "beta(1,3)", "3x^2"],
+)
+def test_sigma_lambda_custom_density(density, expected):
+    custom = LambdaMeasure(interior=CustomDensity(density))
+    assert sigma_lambda(custom) == pytest.approx(expected, abs=1e-12)
+    # theta0 = 0 leaves the answer to sigma < sigma_Lambda + theta1
+    rep = is_positive_recurrent(custom, ModelParams(4.0, 0.0, 0.5))
+    assert rep.recurrent == math.isinf(expected)
+
+
 def test_positive_recurrence():
     uni = LambdaMeasure.uniform()
     rep = is_positive_recurrent(uni, ModelParams(5.0, 0.1, 0.0))

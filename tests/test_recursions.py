@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+import blockstat.duality
 import blockstat.recursions
 from blockstat.closedform import beta31_pgf, bs_rho, star_closed, wf_closed
-from blockstat.duality import solve_w_moments
+from blockstat.duality import _extend_w_system, solve_w_moments
 from blockstat.errors import DomainError, NegativeMass, NotPositiveRecurrent, PreconditionViolated
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
@@ -22,13 +23,15 @@ from blockstat.measures import (
     cnk,
     is_positive_recurrent,
     merger_row,
+    merger_rows,
     sigma_lambda,
 )
 from blockstat.recursions import (
+    PMF_CLOSURE,
     _clip_negative,
     _solve_prlm,
     crow_kimura_geometric,
-    double_until_stable,
+    double_until_closed,
     moran_rate_matrix,
     solve_lambda_truncated,
     solve_moran,
@@ -193,6 +196,15 @@ def test_star_theta1_positive_vs_lambda_solver():
         warnings.simplefilter("ignore")
         lam_pmf = solve_lambda_truncated(LambdaMeasure.star(1.0), prm, tol=1e-11)
     assert star_pmf.sup_distance(lam_pmf) < 1e-11
+
+
+def test_star_theta1_positive_reports_the_cut_in_residual():
+    # a_K = 0 folds the 8.4% of mass beyond K = 512 into p_K
+    pmf = solve_star(ModelParams(5.0, 0.01, 0.2), 1.0)
+    assert pmf.probs[-1] > 0.08
+    assert pmf.residual == pmf.extras["closure_bound"] == PMF_CLOSURE * pmf.probs[-1]
+    # a law that has settled by K keeps its rounding-level residual
+    assert solve_star(ModelParams(1.0, 0.5, 0.5), 1.0, K=256).residual < 1e-15
 
 
 def test_kingman_reduction_vs_wf():
@@ -364,7 +376,7 @@ def test_prlm_sweep_residual_matches_resweep(measure, prm, K):
         pmf = solve_lambda_truncated(measure, prm, K=K, tol=1e-9)
     p_final, _ = _solve_prlm(measure, prm, pmf.truncation_K)
     expected = max(_prlm_resweep_residual(measure, prm, p_final),
-                   abs(p_final.sum() - 1.0), pmf.extras["closure_delta"])
+                   abs(p_final.sum() - 1.0), pmf.extras["closure_bound"])
     assert pmf.residual == pytest.approx(expected, rel=1e-12, abs=4 * ulp)
 
 
@@ -448,7 +460,7 @@ def _prlm_row_by_row(measure, prm, K):
     return p / p.sum()
 
 
-def _w_row_by_row(measure, prm, K):
+def _w_system_row_by_row(measure, prm, K):
     """The duality system assembled one merger_row per equation."""
     A = np.zeros((K, K))
     rhs = np.zeros(K)
@@ -463,7 +475,27 @@ def _w_row_by_row(measure, prm, K):
         if n < K:
             A[r, n] -= prm.sigma
         A[r, : n - 1] -= coefs / n
-    return np.linalg.solve(A, rhs)
+    return A, rhs
+
+
+def _w_row_by_row(measure, prm, K):
+    return np.linalg.solve(*_w_system_row_by_row(measure, prm, K))
+
+
+def _closed_prlm_row_by_row(measure, prm, K):
+    p = _prlm_row_by_row(measure, prm, K)
+    return p, PMF_CLOSURE * p[-1]
+
+
+def _closed_w_row_by_row(measure, prm, K):
+    """w_1..w_K and the head's closure bound, with y = A^-1 e_K from the
+    dense system."""
+    A, rhs = _w_system_row_by_row(measure, prm, K)
+    w, y = np.linalg.solve(A, np.column_stack((rhs, np.eye(K)[-1]))).T
+    gain = prm.sigma * y[-1]
+    if gain >= 1.0:
+        return w, math.inf
+    return w, prm.sigma * w[-1] / (1.0 - gain) * y[: K // 4].max()
 
 
 def test_block_solvers_match_row_by_row_assembly():
@@ -485,19 +517,86 @@ def test_block_solvers_match_row_by_row_assembly():
         for measure in measures:
             prm = ModelParams(*rng.uniform(0.2, 1.5, size=3))
             pmf = solve_lambda_truncated(measure, prm, K=16)
-            (ref,), K, _ = double_until_stable(
-                lambda k: (_prlm_row_by_row(measure, prm, k),), 16, 1e-10, 2**14,
-                head=lambda k: k,
+            ref, K, _ = double_until_closed(
+                lambda k: _closed_prlm_row_by_row(measure, prm, k), 16, 1e-10, 2**14
             )
             assert pmf.truncation_K == K, measure
             assert pmf.probs == pytest.approx(ref, rel=1e-13, abs=0.0), measure
             w = solve_w_moments(measure, prm)
-            (ref,), K, _ = double_until_stable(
-                lambda k: (_w_row_by_row(measure, prm, k),), 64, 1e-10, 2**12,
-                head=lambda k: k // 4,
+            ref, K, _ = double_until_closed(
+                lambda k: _closed_w_row_by_row(measure, prm, k), 64, 1e-10, 2**12
             )
             assert w.truncation_K == K, measure
             assert w.w[1:] == pytest.approx(ref, rel=1e-13, abs=0.0), measure
+
+
+def _random_closure_case(rng, i):
+    """(measure, params, tol): Beta, uniform, atoms and custom densities in
+    turn, with sigma up to 8, theta down to 0.03 and tol 1e-11..1e-6."""
+    kind = i % 4
+    if kind == 0:
+        measure = LambdaMeasure.beta(*rng.uniform(0.3, 5.0, 2))
+    elif kind == 1:
+        measure = LambdaMeasure.uniform(rng.uniform(0.3, 2.0))
+    elif kind == 2:
+        n = int(rng.integers(5, 61))
+        xs, ms = np.sort(rng.uniform(0.01, 0.99, n)), rng.uniform(0.1, 1.0, n)
+        measure = LambdaMeasure.from_atoms(xs, ms / ms.sum())
+    else:
+        a, b = rng.uniform(1.2, 4.0, 2)
+        measure = LambdaMeasure(interior=CustomDensity(LambdaMeasure.beta(a, b).interior.density))
+    # custom-density rows are quadratures: keep their K, hence their cost, small
+    sigma = rng.uniform(0.2, 3.0 if kind == 3 else 8.0)
+    return measure, ModelParams(sigma, *rng.uniform(0.03, 1.0, 2)), 10.0 ** rng.uniform(-11, -6)
+
+
+def test_closure_bounds_hold_on_random_measures():
+    # each solve stops at the first K its own bound accepts: the pmf is
+    # within tol of a solve at 4K, and the w head's true error (against a
+    # solve at 4K) is within the reported bound and tol; 1e-15 allows for
+    # the rounding of w_n <= 1, which the bound leaves out
+    rng = np.random.default_rng(2121)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(24):
+            measure, prm, tol = _random_closure_case(rng, i)
+            pmf = solve_lambda_truncated(measure, prm, K=16, tol=tol)
+            K = pmf.truncation_K
+            ref, _ = _solve_prlm(measure, prm, 4 * K)
+            err = np.max(np.abs(ref - np.pad(pmf.probs, (0, 3 * K))))
+            assert err < tol, (measure, prm, tol, K)
+            w = solve_w_moments(measure, prm, K=16, tol=tol)
+            K = w.truncation_K
+            # the reference repeats the solve's doublings up to 4K: rows
+            # 1..K are the same, down to rounding, and only the closure moves
+            ref, y = (1.0,), (0.0,)
+            for k in (16 << j for j in range(int(math.log2(K // 16)) + 3)):
+                ref, y = _extend_w_system(merger_rows(measure, len(ref), k), prm, ref, y)
+            head = K // 4 + 1
+            err = np.max(np.abs(ref[:head] - w.w[:head]))
+            assert err <= w.residual + 1e-15, (measure, prm, tol, K)
+            assert w.residual == w.extras["closure_bound"] < tol, (measure, prm, tol, K)
+
+
+def test_closed_first_truncation_level_runs_one_sweep(monkeypatch):
+    # a K0 that already meets tol is accepted without a confirming sweep
+    sweeps = []
+    solve_prlm, extend = blockstat.recursions._solve_prlm, blockstat.duality._extend_w_system
+
+    def prlm_spy(measure, params, K):
+        sweeps.append(("pmf", K))
+        return solve_prlm(measure, params, K)
+
+    def extend_spy(rows, *args):
+        sweeps.append(("w", rows.shape[0]))
+        return extend(rows, *args)
+
+    monkeypatch.setattr(blockstat.recursions, "_solve_prlm", prlm_spy)
+    monkeypatch.setattr(blockstat.duality, "_extend_w_system", extend_spy)
+    uni, prm = LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5)
+    assert solve_lambda_truncated(uni, prm, K=128).truncation_K == 128
+    assert solve_w_moments(uni, prm, K=128).truncation_K == 128
+    assert sweeps == [("pmf", 128), ("w", 128)]
 
 
 def test_prlm_block_memory_is_bounded():
@@ -559,7 +658,7 @@ def test_heavy_tailed_atom_and_custom_w_solves():
             prm = ModelParams(rng.uniform(3.0, 5.0), *rng.uniform(0.05, 0.2, 2))
             w = solve_w_moments(measure, prm)
             K = w.truncation_K
-            assert K >= 512, (measure, prm)
+            assert K >= 256, (measure, prm)
             if i < 4:
                 # against one direct merger_row per equation
                 ref = _w_row_by_row(measure, prm, K)
@@ -587,7 +686,7 @@ def test_w_moments_schur_steps_match_dense_row_by_row(monkeypatch):
         (LambdaMeasure(*rng.uniform(0.1, 2.0, 2)), None),
         (pushforward_to_lambda(build_discrete_fixed_point(rs, 0.3, 0.05), rs), None),
         (LambdaMeasure(interior=CustomDensity(lambda x: 3.0 * x**2)), ModelParams(0.5, 0.5, 0.5)),
-        # settles at K = 1024
+        # settles at K = 512
         (LambdaMeasure.beta(1.5, 2.5), ModelParams(8.0, 0.05, 0.05)),
     ]
     for _ in range(3):
@@ -604,19 +703,21 @@ def test_w_moments_schur_steps_match_dense_row_by_row(monkeypatch):
             w = solve_w_moments(measure, prm)
             K = w.truncation_K
             Ks.append(K)
-            assert all(m == n <= K // 2 for m, n in sizes), (measure, sizes)
-            (ref,), K_ref, _ = double_until_stable(
-                lambda k: (_w_row_by_row(measure, prm, k),), 64, 1e-10, 2**12,
-                head=lambda k: k // 4,
+            # one 64 x 64 solve at K = 64, then the new rows of each doubling
+            steps = [64] + [64 << i for i in range(int(math.log2(K // 64)))]
+            assert sizes == [(m, m) for m in steps], (measure, sizes)
+            ref, K_ref, _ = double_until_closed(
+                lambda k: _closed_w_row_by_row(measure, prm, k), 64, 1e-10, 2**12
             )
             assert K == K_ref, measure
             assert w.w[0] == 1.0
             assert w.w[1:] == pytest.approx(ref, rel=1e-13, abs=0.0), measure
-    assert max(Ks) == 1024
+    assert max(Ks) == 512
 
 
 def test_w_moments_memory_is_bounded():
-    # the dense solve at K = 1024 held the rows, the matrix and its factors
+    # a dense solve at K = 512 holds the rows, the matrix and its factors:
+    # 6.3 MB
     prm = ModelParams(8.0, 0.05, 0.05)
     tracemalloc.start()
     try:
@@ -624,5 +725,5 @@ def test_w_moments_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.truncation_K == 1024
-    assert peak < 16e6
+    assert w.truncation_K == 512
+    assert peak < 4e6
