@@ -256,7 +256,7 @@ def _validate_checks(suite: str):
         add("uniform geometric-condition residual", np.max(rep.cg3a_residuals), 1e-8)
 
         prm_star = ModelParams(1.0, 0.4, 0.0)
-        starp, _ = closedform.star_closed(1.0, prm_star, K=400)
+        starp, _ = closedform.star_closed(1.0, prm_star)
         star_rec = recursions.solve_lambda_truncated(LambdaMeasure.star(1.0), prm_star, tol=1e-11)
         add("star closed vs recursion (sup)", starp.sup_distance(star_rec), 1e-12)
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="stationary pmf of the block counting chain")
     add_model_params(p)
     p.add_argument("--K", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=recursions.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stationary)
 
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="stationary moments w_n via duality")
     add_model_params(p)
     p.add_argument("--K", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=recursions.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_moments)
 

@@ -29,12 +29,14 @@ from .errors import (
 )
 from .measures import LambdaMeasure, ModelParams, MoranParams, Zero
 from .recursions import (
+    PMF_CLOSURE,
     StationaryPmf,
     _clip_negative,
     _geometric_pmf,
     _solve_moran_banded,
-    _solve_prlm,
     _solve_three_term,
+    double_until_closed,
+    solve_lambda_truncated,
     solve_star,
 )
 from .specfun import adaptive_quad, bracketed_root, quad_power_endpoints
@@ -117,7 +119,7 @@ class _TwoWeightForm:
     log_k: Callable[[np.ndarray], np.ndarray]
     log_K: Callable[[float], float]
     branch: Callable[[float], float]  # S_n, the per-block up-rate at n blocks
-    tail_solve: Callable[[], np.ndarray]  # stable pmf past formula_valid_to
+    tail_solve: Callable[[], tuple[np.ndarray, dict]]  # pmf past formula_valid_to, extras
 
 
 def _scaled_weight(form: _TwoWeightForm) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
@@ -219,13 +221,14 @@ def _two_weight_closed(
     eps = float(np.finfo(_QDTYPE).eps)
     probs = np.empty(n_max)
     probs[0] = p1
-    valid_to = n_max
+    extras = {"formula_valid_to": n_max}
     for n, (q1, q2) in zip(range(2, n_max + 1), _q_pairs(form)):
         p = pref * (i1 * q1 / a1 - i0 * q2 / a2)
         err = pref * (i1 * abs(q1) / a1 + i0 * abs(q2) / a2) * (_Q_EFF_EPS + 2 * n * eps)
         if err > _Q_ERR_CAP or err > abs(p):
-            valid_to = n - 1
-            probs[n - 1 :] = form.tail_solve()[n - 1 : n_max]
+            fill, fill_extras = form.tail_solve()
+            probs[n - 1 :] = fill[n - 1 : n_max]
+            extras = {"formula_valid_to": n - 1, **fill_extras}
             break
         probs[n - 1] = p
     worst = float(probs.min(initial=0.0))
@@ -233,8 +236,8 @@ def _two_weight_closed(
         raise NegativeMass(f"{tag}: closed-form probability {worst}")
     tail = 1.0 - float(probs.sum())
     pmf = StationaryPmf(
-        np.where(probs < 0.0, 0.0, probs), n_max, abs(min(tail, 0.0)), tag,
-        tail_mass=max(tail, 0.0), extras={"formula_valid_to": valid_to},
+        np.where(probs < 0.0, 0.0, probs), n_max, max(-tail, extras.get("closure_bound", 0.0)),
+        tag, tail_mass=max(tail, 0.0), extras=extras,
     )
 
     ratio = i1 / i0
@@ -349,7 +352,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
 
     def tail_solve():
         a = _solve_moran_banded(params)
-        return np.append(a[:-1] - a[1:], a[-1])
+        return np.append(a[:-1] - a[1:], a[-1]), {}
 
     form = _TwoWeightForm(
         alpha=N * u1, beta=N * rho0, c=N * u0,
@@ -420,14 +423,16 @@ def wf_closed(
             n_max, "wf-closed-theta0zero",
         )
 
+    def tail_solve():
+        pmf = solve_lambda_truncated(LambdaMeasure.kingman(m0), params, K=max(2 * n_max, 128))
+        return pmf.probs, {"closure_bound": pmf.extras["closure_bound"]}
+
     form = _TwoWeightForm(
         alpha=t1p, beta=t0p, c=t0p,
         log_k=lambda y: -sp * y,
         log_K=lambda z: sp * z,
         branch=lambda n: sp,
-        tail_solve=lambda: _solve_prlm(
-            LambdaMeasure.kingman(m0), params, max(2 * n_max, 128)
-        )[0],
+        tail_solve=tail_solve,
     )
     return _two_weight_closed(form, n_max, "wf-closed")
 
@@ -487,9 +492,7 @@ def star_p1(m1: float, params: ModelParams) -> float:
     return 1.0 - sigma / th1 * adaptive_quad(f, 0.0, xm, tol=1e-14)
 
 
-def star_closed(
-    m1: float, params: ModelParams, K: int = 512
-) -> tuple[StationaryPmf, PgfEvaluator]:
+def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     """Explicit stationary law of the star-shaped block counting chain."""
     if params.sigma <= 0 or m1 <= 0:
         raise PreconditionViolated("star model needs sigma > 0 and m1 > 0")
@@ -497,7 +500,7 @@ def star_closed(
     theta = params.theta
 
     if th1 == 0.0:
-        pmf = solve_star(params, m1, K=K)
+        pmf = solve_star(params, m1)
         c = m1 / (sigma + th0)
         arg_scale = sigma / (sigma + th0)
 
@@ -540,7 +543,7 @@ def star_closed(
             return 1.0
         return z * (1.0 - (1.0 - z) * f_of_z(z))
 
-    return solve_star(params, m1, K=K), PgfEvaluator(evaluate, p1)
+    return solve_star(params, m1), PgfEvaluator(evaluate, p1)
 
 
 # ----------------------------------------------------------------------
@@ -579,10 +582,10 @@ def bs_rho_special(params: ModelParams) -> float | None:
     return None
 
 
-def bs_geometric_pmf(params: ModelParams, K: int | None = None) -> tuple[float, StationaryPmf]:
+def bs_geometric_pmf(params: ModelParams) -> tuple[float, StationaryPmf]:
     """Geometric stationary law Geom(1-rho) of the uniform-measure model."""
     rho = bs_rho(params)
-    return rho, _geometric_pmf(rho, K, "bs-geometric")
+    return rho, _geometric_pmf(rho, "bs-geometric")
 
 
 # ----------------------------------------------------------------------
@@ -590,9 +593,7 @@ def bs_geometric_pmf(params: ModelParams, K: int | None = None) -> tuple[float, 
 # ----------------------------------------------------------------------
 
 
-def beta31_pgf(
-    params: ModelParams, K: int = 400
-) -> tuple[PgfEvaluator, StationaryPmf]:
+def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     """Stationary law of the beta(3,1) model (density 3x^2) via its pgf ODE.
 
     P(z) g' + Q(z) g = r0 + r1 z with P = sigma z^2 - (sigma+theta) z +
@@ -602,7 +603,8 @@ def beta31_pgf(
     series start; the boundary conditions g(0) = 0, g(1) = 1 give a 2x2
     system for (p1, p2); the pmf follows from the local derivative
     recursion of the ODE, solved as a stable banded system with
-    p_{K+1} = 0; the mass that cut leaves out is tail_mass = 1 - sum p_n.
+    p_{K+1} = 0, K from double_until_closed; the mass that cut leaves
+    out is tail_mass = 1 - sum p_n.
     """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     theta = params.theta
@@ -672,17 +674,19 @@ def beta31_pgf(
     # pmf from the derivative recursion of the ODE at 0:
     # th1 (n+1) p_{n+1} + (n P'(0) + Q(0)) p_n + sigma (n+1) p_{n-1} = 0, n >= 2,
     # with P'(0) = -(sigma+theta); theta1 = 0 makes it lower bidiagonal
-    n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
-    tail = _solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
-    probs = np.concatenate([[p1], tail])
-    consistency = 0.0 if math.isnan(p2) else abs(float(probs[1]) - p2)
-    probs = _clip_negative(probs, "beta31")
-    pmf = StationaryPmf(
-        probs, probs.size, consistency, "beta31-ode",
-        tail_mass=max(1.0 - float(probs.sum()), 0.0), extras={"p2_consistency": consistency},
-    )
+    def solve(K):
+        n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
+        tail = _solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
+        probs = _clip_negative(np.concatenate([[p1], tail]), "beta31")
+        return probs, PMF_CLOSURE * float(probs[-1])
 
-    return PgfEvaluator.of_probs(probs), pmf
+    probs, K, bound = double_until_closed(solve)
+    consistency = 0.0 if math.isnan(p2) else abs(float(probs[1]) - p2)
+    return StationaryPmf(
+        probs, K, max(consistency, bound), "beta31-ode",
+        tail_mass=max(1.0 - float(probs.sum()), 0.0),
+        extras={"p2_consistency": consistency, "closure_bound": bound},
+    ), PgfEvaluator.of_probs(probs)
 
 
 # ----------------------------------------------------------------------

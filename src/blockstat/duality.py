@@ -21,7 +21,7 @@ import scipy.integrate
 from .closedform import PgfEvaluator, bs_rho
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .measures import LambdaMeasure, ModelParams, merger_rows
-from .recursions import StationaryPmf, double_until_closed
+from .recursions import DEFAULT_TOL, StationaryPmf, double_until_closed
 
 
 @dataclass
@@ -117,7 +117,7 @@ def solve_w_moments(
     measure: LambdaMeasure,
     params: ModelParams,
     K: int = 64,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     K_cap: int = 2**12,
 ) -> MomentSequence:
     """Stationary moments w_n from the truncated duality system.

@@ -212,7 +212,8 @@ def _dyadic_integral(f: Integrand, g: Integrand, cap: float = 1e12) -> float:
     endpoint 1 is then approached in t, where doubles still resolve it,
     while nodes x near 1 round to 1.0.  Returns +inf when partial sums
     exceed the divergence cap, or grow linearly: an integrand ~ c/x adds
-    c log 2 per shell, and two shells equal to 1e-9 show it.
+    c log 2 per shell, and two equal nonzero shells (to 1e-9) show it.
+    Past x = 2^-40, never above it, a shell below 1e-15 of the total ends it.
     """
     total = adaptive_quad(f, 0.25, 0.5, tol=1e-13) + adaptive_quad(g, 0.25, 0.5, tol=1e-13)
     lo = 0.25
@@ -223,9 +224,9 @@ def _dyadic_integral(f: Integrand, g: Integrand, cap: float = 1e12) -> float:
         if total > cap:
             return math.inf
         lo /= 2.0
-        if abs(shell) < 1e-15 * (1.0 + abs(total)):
+        if lo <= 2.0**-40 and abs(shell) <= 1e-15 * abs(total):
             return total
-        if abs(shell - prev) <= 1e-9 * abs(shell):
+        if shell != 0.0 and abs(shell - prev) <= 1e-9 * abs(shell):
             return math.inf
         prev = shell
     raise IntegrabilityError("dyadic shell integration did not settle")

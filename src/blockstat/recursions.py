@@ -32,6 +32,9 @@ from .measures import (
 )
 
 NEG_CLIP = -1e-12
+DEFAULT_TOL = 1e-10  # the default tol of every truncated solve
+K_START, K_CAP = 64, 2**14  # its default first and largest truncation levels
+EXACT_TAIL = 1e-17  # _exact_tails keeps a law's exact tails down to this
 # sup-norm error of a pmf closed at K (no branching out of K) over its own
 # top mass p_K: a measured bound, not a proved one (README, numerical notes)
 PMF_CLOSURE = 4.0
@@ -59,11 +62,8 @@ class StationaryPmf:
         return float(self.probs[n - 1]) if n <= self.truncation_K else 0.0
 
     def tails(self) -> np.ndarray:
-        """a_n = P(L > n) for n = 0..K; a_0 = 1 up to truncation."""
-        a = np.empty(self.truncation_K + 1)
-        a[0] = self.probs.sum() + self.tail_mass
-        a[1:] = a[0] - np.cumsum(self.probs)
-        return a
+        """a_n = P(L > n) = tail_mass + sum_{k>n} p_k, n = 0..K, summed from the top."""
+        return np.cumsum(np.append(self.probs, self.tail_mass)[::-1])[::-1]
 
     def mean(self) -> float:
         n = np.arange(1, self.truncation_K + 1)
@@ -79,10 +79,7 @@ class StationaryPmf:
 
     def sup_distance(self, other: "StationaryPmf") -> float:
         k = max(self.truncation_K, other.truncation_K)
-        a = np.zeros(k)
-        b = np.zeros(k)
-        a[: self.truncation_K] = self.probs
-        b[: other.truncation_K] = other.probs
+        a, b = (np.pad(x.probs, (0, k - x.truncation_K)) for x in (self, other))
         return float(np.max(np.abs(a - b)))
 
     def diagnostics(self) -> dict:
@@ -306,7 +303,7 @@ def _solve_prlm(
 
 
 def double_until_closed(
-    solve: Callable[[int], tuple], K: int, tol: float, K_cap: int
+    solve: Callable[[int], tuple], K: int = K_START, tol: float = DEFAULT_TOL, K_cap: int = K_CAP
 ) -> tuple[object, int, float]:
     """Solve at K, 2K, 4K, ... until a solve's own closure bound is below tol.
 
@@ -330,9 +327,9 @@ def double_until_closed(
 def solve_lambda_truncated(
     measure: LambdaMeasure,
     params: ModelParams,
-    K: int = 64,
-    tol: float = 1e-10,
-    K_cap: int = 2**14,
+    K: int = K_START,
+    tol: float = DEFAULT_TOL,
+    K_cap: int = K_CAP,
 ) -> StationaryPmf:
     """Stationary pmf of the general block counting chain, truncated at K.
 
@@ -366,13 +363,13 @@ def solve_lambda_truncated(
 # ----------------------------------------------------------------------
 
 
-def solve_star(params: ModelParams, m1: float, K: int = 512) -> StationaryPmf:
+def solve_star(params: ModelParams, m1: float) -> StationaryPmf:
     """Stationary pmf for the star-shaped coalescent (mass m1 at 1).
 
-    theta1 = 0 has closed tails.  For theta1 > 0 the tails solve the
-    two-sided tridiagonal system with a_K = 0, which folds the mass beyond
-    K into p_K (the residual bounds it); the forward recursion from
-    a_1 = 1 - p_1 amplifies its dominant solution and is not used.
+    theta1 = 0 has closed tails (_exact_tails).  For theta1 > 0 the tails
+    solve the two-sided tridiagonal system with a_K = 0, which folds the
+    mass beyond K into p_K (double_until_closed bounds it); the forward
+    recursion from a_1 = 1 - p_1 amplifies its dominant solution.
     """
     if params.sigma <= 0:
         raise PreconditionViolated("star-shaped model needs sigma > 0")
@@ -381,22 +378,17 @@ def solve_star(params: ModelParams, m1: float, K: int = 512) -> StationaryPmf:
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
 
     if th1 == 0.0:
-        r = sigma / (sigma + th0)
-        a = np.empty(K + 1)
-        a[0] = 1.0
-        for n in range(1, K + 1):
-            a[n] = a[n - 1] * n * sigma / (n * (sigma + th0) + m1)
-        p = a[:-1] - a[1:]
-        return StationaryPmf(
-            p, K, 0.0, "star-closed-tails", tail_mass=float(a[K]),
-            extras={"ratio": r},
-        )
+        a = _exact_tails(lambda n: n * sigma / (n * (sigma + th0) + m1))
+        return StationaryPmf(a[:-1] - a[1:], a.size - 1, 0.0, "star-closed-tails", float(a[-1]))
 
-    a = _solve_star_banded(params, m1, K)
-    p = _clip_negative(a[:-1] - a[1:], "star-banded")
+    def solve(K):
+        a = _solve_star_banded(params, m1, K)
+        p = _clip_negative(a[:-1] - a[1:], "star-banded")
+        return (a, p), PMF_CLOSURE * float(p[-1])
+
+    (a, p), K, bound = double_until_closed(solve)
     n = np.arange(1, K)
     res = np.abs((m1 / n + params.theta + sigma) * a[1:K] - sigma * a[: K - 1] - th1 * a[2:])
-    bound = PMF_CLOSURE * float(p[-1])
     res = max(float(np.max(res, initial=0.0)), bound)
     return StationaryPmf(p, K, res, "star-banded", extras={"closure_bound": bound})
 
@@ -416,9 +408,7 @@ def _solve_star_banded(params: ModelParams, m1: float, K: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def crow_kimura_geometric(
-    params: ModelParams, K: int | None = None
-) -> tuple[float, StationaryPmf]:
+def crow_kimura_geometric(params: ModelParams) -> tuple[float, StationaryPmf]:
     """Geometric stationary law of the zero-measure model.
 
     Returns (p, pmf) with P(L = n) = (1-p) p^(n-1); requires theta0 > 0 or
@@ -435,16 +425,26 @@ def crow_kimura_geometric(
     else:
         disc = (sigma - theta) ** 2 + 4.0 * sigma * th0
         p = (sigma + theta - math.sqrt(disc)) / (2.0 * th1)
-    return p, _geometric_pmf(p, K, "crow-kimura-geometric")
+    return p, _geometric_pmf(p, "crow-kimura-geometric")
 
 
-def _geometric_pmf(p: float, K: int | None, tag: str) -> StationaryPmf:
-    """Geom(1-p) law P(L = n) = (1-p) p^(n-1), kept to K terms.
+def _exact_tails(ratio: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Exact tails a_0 = 1, a_n = a_{n-1} ratio(n) of a law, n = 1..K.
 
-    K defaults to the first n where p^n drops below 1e-17, within 16..2^14.
+    K is the first n in 16..K_CAP with a_n < EXACT_TAIL, else K_CAP; the
+    route keeps p_1..p_K and reports a_K as tail_mass.
     """
-    if K is None:
-        K = 1 if p == 0.0 else min(2**14, max(16, int(math.log(1e-17) / math.log(p)) + 1))
-    n = np.arange(1, K + 1)
-    probs = (1.0 - p) * p ** (n - 1.0)
-    return StationaryPmf(probs, K, 0.0, tag, tail_mass=float(p**K))
+    m = 16
+    while True:
+        a = np.cumprod(np.append(1.0, ratio(np.arange(1.0, m + 1))))
+        if a[-1] < EXACT_TAIL:
+            return a[: 17 + int(np.argmax(a[16:] < EXACT_TAIL))]
+        if m == K_CAP:
+            return a
+        m *= 2
+
+
+def _geometric_pmf(p: float, tag: str) -> StationaryPmf:
+    """Geom(1-p) law P(L = n) = (1-p) p^(n-1), cut by _exact_tails."""
+    n = np.arange(_exact_tails(lambda n: np.full_like(n, p)).size - 1.0)
+    return StationaryPmf((1.0 - p) * p**n, n.size, 0.0, tag, tail_mass=float(p**n.size))

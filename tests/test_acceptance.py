@@ -140,12 +140,12 @@ def test_criterion_05_bolthausen_sznitman_geometry():
 
 def test_criterion_06_star_shaped():
     prm0 = ModelParams(1.0, 0.4, 0.0)
-    closed0, _ = cf.star_closed(1.0, prm0, K=600)
+    closed0, _ = cf.star_closed(1.0, prm0)
     rec0 = rc.solve_lambda_truncated(LambdaMeasure.star(1.0), prm0, tol=1e-11)
     _report(6, "star theta1 = 0 closed vs recursion", closed0.sup_distance(rec0), 1e-12)
 
     prm = ModelParams(1.0, 0.5, 0.5)
-    pmf, pgf = cf.star_closed(1.0, prm, K=400)
+    pmf, pgf = cf.star_closed(1.0, prm)
     n = np.arange(1, pmf.truncation_K + 1)
     worst = max(
         abs(pgf.evaluate(z) - float(np.dot(pmf.probs, z**n)))
@@ -282,7 +282,7 @@ def test_criterion_11_master_equation_residuals():
 
 def test_criterion_12_beta31():
     prm = ModelParams(1.0, 0.5, 0.5)
-    _, pmf_ode = cf.beta31_pgf(prm, K=256)
+    pmf_ode, _ = cf.beta31_pgf(prm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = rc.solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-11)

@@ -38,6 +38,7 @@ from blockstat.measures import (
     UniformScaled,
 )
 from blockstat.recursions import (
+    DEFAULT_TOL,
     solve_lambda_truncated,
     solve_moran,
     solve_moran_nullspace,
@@ -195,7 +196,7 @@ def test_wf_factorial_moments_closed_forms():
 
 def test_star_closed_theta1_zero():
     # p1 = (0 + 1)/(1 + 0 + 1) = 1/2 at theta0 = 0, m1 = 1, sigma = 1
-    pmf, pgf = star_closed(1.0, ModelParams(1.0, 0.0, 0.0), K=300)
+    pmf, pgf = star_closed(1.0, ModelParams(1.0, 0.0, 0.0))
     assert pgf.p1 == pytest.approx(0.5, abs=1e-14)
     # the exact law is p_n = 1/(n(n+1)); its 1/n tail defeats every truncated route
     n = np.arange(1, pmf.truncation_K + 1)
@@ -206,7 +207,7 @@ def test_star_closed_theta1_zero():
             float(np.dot(pmf.probs, z**n)) + pmf.tail_mass * 0, abs=2e-4
         )  # heavy tail: compare loosely on truncated sums
     # tighter dual-path check with theta0 > 0 (geometric-type tail)
-    pmf2, pgf2 = star_closed(1.0, ModelParams(1.0, 0.8, 0.0), K=400)
+    pmf2, pgf2 = star_closed(1.0, ModelParams(1.0, 0.8, 0.0))
     n2 = np.arange(1, pmf2.truncation_K + 1)
     for z in zs:
         assert pgf2.evaluate(z) == pytest.approx(
@@ -216,7 +217,7 @@ def test_star_closed_theta1_zero():
 
 def test_star_closed_theta1_positive():
     prm = ModelParams(1.0, 0.5, 0.5)
-    pmf, pgf = star_closed(1.0, prm, K=400)
+    pmf, pgf = star_closed(1.0, prm)
     # Vieta for the quadratic roots
     d = math.sqrt((prm.sigma + prm.theta) ** 2 - 4 * prm.sigma * prm.theta1)
     xm = (prm.sigma + prm.theta - d) / (2 * prm.sigma)
@@ -292,7 +293,7 @@ def test_bs_rho_and_rho_star_roots_to_a_few_ulp():
 
 def test_beta31_pgf_and_pmf():
     prm = ModelParams(1.0, 0.5, 0.5)
-    pgf, pmf = beta31_pgf(prm, K=200)
+    pmf, pgf = beta31_pgf(prm)
     assert pgf.evaluate(0.0) == 0.0
     assert pgf.evaluate(1.0) == 1.0
     p2 = float(pmf.probs[1])
@@ -305,7 +306,7 @@ def test_beta31_pgf_and_pmf():
 
 def test_beta31_theta1_zero():
     prm = ModelParams(1.0, 0.8, 0.0)
-    pgf, pmf = beta31_pgf(prm, K=200)
+    pmf, pgf = beta31_pgf(prm)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-11)
@@ -313,16 +314,19 @@ def test_beta31_theta1_zero():
 
 
 def test_beta31_reports_the_cut_as_tail_mass():
-    # at K = 400 the cut leaves 3.8% of the mass out: the head is returned
-    # as solved, not scaled up by 4% to sum to one
+    # a fixed K = 400 left 3.8% of this law out and put a 1.7e-6 error near
+    # the cut; K now grows until 4 p_K is below the tol, and the head is
+    # returned as solved, not scaled up to sum to one
     prm = ModelParams(8.0, 0.05, 0.05)
-    _, pmf = beta31_pgf(prm)
+    pmf, _ = beta31_pgf(prm)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm)
-    assert np.max(np.abs(pmf.probs[:380] - rec.probs[:380])) < 1e-13
+        rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-13)
+    K = pmf.truncation_K
+    assert np.max(np.abs(pmf.probs - rec.probs[:K])) < 1e-13
+    assert pmf.extras["closure_bound"] <= pmf.residual < DEFAULT_TOL
     assert pmf.tail_mass == 1.0 - pmf.probs.sum()
-    assert pmf.tail_mass == pytest.approx(rec.probs[400:].sum(), rel=1e-3)
+    assert pmf.tail_mass == pytest.approx(rec.probs[K:].sum(), abs=1e-11)
 
 
 def test_master_equation_residuals():
@@ -428,7 +432,7 @@ def test_master_equation_identity_follows_the_measure():
     # the beta(3,1) pgf satisfies the identity of its own measure and no
     # other model's
     prm = ModelParams(1.0, 0.5, 0.5)
-    pg, _ = beta31_pgf(prm, K=400)
+    _, pg = beta31_pgf(prm)
     zg = np.linspace(0.1, 0.9, 9)
     assert verify_master_equation(pg, LambdaMeasure.beta31(), prm, zg) <= 1e-10
     for other in [
@@ -522,6 +526,45 @@ def test_wf_closed_vs_truncated_random():
             pmf, _ = wf_closed(m0, prm)
             rec = solve_lambda_truncated(LambdaMeasure.kingman(m0), prm, tol=1e-12)
             assert pmf.sup_distance(rec) <= 1e-9, (m0, prm)
+
+
+def test_closed_routes_pick_their_own_truncation_random():
+    # star (theta1 > 0 banded, theta1 = 0 exact tails), the beta(3,1) pmf and
+    # the Kingman tail fill each size their own K; each agrees with a tighter
+    # truncated solve within the default tol, and reports what it cuts
+    rng = np.random.default_rng(2022)
+    draws = []
+    for _ in range(8):
+        # theta0 log-uniform down to 0.03: tails that need K up to 2048
+        prm = ModelParams(float(rng.uniform(0.5, 6.0)), float(np.exp(rng.uniform(-3.5, 0.0))),
+                          float(rng.uniform(0.05, 1.0)))
+        m1 = float(rng.uniform(0.5, 2.0))
+        draws.append((LambdaMeasure.star(m1), prm, star_closed(m1, prm)[0]))
+        prm0 = ModelParams(prm.sigma, prm.theta0, 0.0)
+        draws.append((LambdaMeasure.star(m1), prm0, star_closed(m1, prm0)[0]))
+        prm = ModelParams(float(rng.uniform(0.5, 8.0)), float(np.exp(rng.uniform(-3.5, 0.0))),
+                          float(rng.uniform(0.0, 1.0)) * (rng.random() > 0.25))
+        draws.append((LambdaMeasure.beta31(), prm, beta31_pgf(prm)[0]))
+        m0 = float(rng.uniform(0.5, 3.0))
+        prm = ModelParams(float(rng.uniform(2.0, 12.0)), float(rng.uniform(0.1, 2.0)),
+                          float(rng.uniform(0.0, 2.0)))
+        pmf = wf_closed(m0, prm)[0]
+        if pmf.extras["formula_valid_to"] < pmf.truncation_K:  # handed over
+            draws.append((LambdaMeasure.kingman(m0), prm, pmf))
+    assert sum(pmf.solver_tag == "wf-closed" for _, _, pmf in draws) >= 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for measure, prm, pmf in draws:
+            rec = solve_lambda_truncated(measure, prm, tol=1e-13)
+            # the Kingman formula's own head keeps the 1e-9 of the test above
+            head = pmf.extras.get("formula_valid_to", 0)
+            k = min(pmf.truncation_K, rec.truncation_K)
+            assert np.max(np.abs(pmf.probs[head:k] - rec.probs[head:k])) < DEFAULT_TOL
+            assert pmf.sup_distance(rec) < (1e-9 if head else DEFAULT_TOL), (measure, prm)
+            if pmf.solver_tag == "star-closed-tails":
+                assert pmf.tail_mass < 1e-17
+            else:
+                assert pmf.extras["closure_bound"] < DEFAULT_TOL, (measure, prm)
 
 
 def test_product_form_overflow_is_typed():

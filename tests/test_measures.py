@@ -9,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln
@@ -149,8 +150,10 @@ def test_sigma_lambda_cases():
         (lambda x: np.ones_like(x), math.inf),
         (LambdaMeasure.beta(1.0, 3.0).interior.density, math.inf),
         (lambda x: 3.0 * x**2, 3.0),
+        # e^-25 at 0, past shells that hold almost nothing
+        (lambda x: np.exp(-(((x - 0.05) / 0.01) ** 2)), math.inf),
     ],
-    ids=["uniform", "beta(1,3)", "3x^2"],
+    ids=["uniform", "beta(1,3)", "3x^2", "gaussian-bump"],
 )
 def test_sigma_lambda_custom_density(density, expected):
     custom = LambdaMeasure(interior=CustomDensity(density))
@@ -158,6 +161,30 @@ def test_sigma_lambda_custom_density(density, expected):
     # theta0 = 0 leaves the answer to sigma < sigma_Lambda + theta1
     rep = is_positive_recurrent(custom, ModelParams(4.0, 0.0, 0.5))
     assert rep.recurrent == math.isinf(expected)
+
+
+def _bump(x):
+    return np.where(np.abs(x - 0.05) < 0.01, (1.0 - ((x - 0.05) / 0.01) ** 2) ** 2, 0.0)
+
+
+@pytest.mark.parametrize(
+    "density",
+    [_bump, lambda x: x**2 * np.exp(-(((x - 0.05) / 0.01) ** 2))],
+    ids=["compact-bump", "x^2-gaussian"],
+)
+def test_dyadic_shells_reach_mass_past_empty_shells(density):
+    # the shells above 0.0625 hold (almost) nothing; the walk must not stop
+    # there, only past x = 2^-40 and relative to the total
+    def quad(f):
+        return scipy.integrate.quad(
+            lambda x: float(f(np.array([x]))[0]), 0.0, 1.0,
+            points=[0.04, 0.05, 0.06], epsabs=0.0, epsrel=1e-13, limit=200,
+        )[0]
+
+    custom = CustomDensity(density)
+    assert custom.mass() == pytest.approx(quad(density), rel=1e-12)
+    expected = quad(lambda x: -np.log1p(-x) / x**2 * density(x))
+    assert sigma_lambda(LambdaMeasure(interior=custom)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_positive_recurrence():

@@ -10,9 +10,15 @@ import pytest
 
 import blockstat.duality
 import blockstat.recursions
-from blockstat.closedform import beta31_pgf, bs_rho, star_closed, wf_closed
+from blockstat.closedform import beta31_pgf, bs_geometric_pmf, bs_rho, star_closed, wf_closed
 from blockstat.duality import _extend_w_system, solve_w_moments
-from blockstat.errors import DomainError, NegativeMass, NotPositiveRecurrent, PreconditionViolated
+from blockstat.errors import (
+    DomainError,
+    NegativeMass,
+    NoConvergence,
+    NotPositiveRecurrent,
+    PreconditionViolated,
+)
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
     BetaDensity,
@@ -27,8 +33,11 @@ from blockstat.measures import (
     sigma_lambda,
 )
 from blockstat.recursions import (
+    DEFAULT_TOL,
+    K_CAP,
     PMF_CLOSURE,
     _clip_negative,
+    _solve_moran_banded,
     _solve_prlm,
     crow_kimura_geometric,
     double_until_closed,
@@ -84,6 +93,20 @@ def test_tails_monotone_and_normalised():
     assert a[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(a) <= 1e-15)
     assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tails_keep_relative_accuracy_below_rounding():
+    # a_0 - cumsum(p) loses every tail below about 1e-16; summed from the
+    # top they match the banded solve's own a_n and the geometric rho^n
+    mp = MoranParams(2000, 0.5, 0.1, 0.1)
+    a = _solve_moran_banded(mp)
+    got = solve_moran(mp).tails()
+    pos = a > 0
+    assert a[pos].min() < 1e-300
+    assert np.max(np.abs(got[:-1][pos] - a[pos]) / a[pos]) < 1e-15
+    rho, geo = bs_geometric_pmf(ModelParams(1.0, 0.5, 0.5))
+    exact = rho ** np.arange(geo.truncation_K + 1.0)
+    assert np.max(np.abs(geo.tails() - exact) / exact) < 1e-15
 
 
 def test_crow_kimura_parameter_cases():
@@ -180,31 +203,38 @@ def test_boundary_regime_exception_types(call, error):
 
 
 def test_star_closed_tails_theta1_zero():
-    # theta0 = 0, m1 = 1, sigma = 1: a_n = 1/(n+1), p_n = 1/(n(n+1))
-    pmf = solve_star(ModelParams(1.0, 0.0, 0.0), 1.0, K=2000)
-    n = np.arange(1, 2001)
+    # theta0 = 0, m1 = 1, sigma = 1: a_n = 1/(n+1), p_n = 1/(n(n+1)); the
+    # exact tail never falls below 1e-17, so the pmf stops at the cap
+    pmf = solve_star(ModelParams(1.0, 0.0, 0.0), 1.0)
+    assert pmf.truncation_K == K_CAP
+    n = np.arange(1, K_CAP + 1)
     assert np.max(np.abs(pmf.probs - 1.0 / (n * (n + 1)))) < 1e-15
     a = pmf.tails()
     assert a[0] == pytest.approx(1.0, abs=1e-14)
-    assert pmf.tail_mass == pytest.approx(1 / 2001, rel=1e-12)
+    assert pmf.tail_mass == pytest.approx(1 / (K_CAP + 1), rel=1e-12)
 
 
 def test_star_theta1_positive_vs_lambda_solver():
     prm = ModelParams(1.0, 0.5, 0.5)
-    star_pmf = solve_star(prm, 1.0, K=256)
+    star_pmf = solve_star(prm, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lam_pmf = solve_lambda_truncated(LambdaMeasure.star(1.0), prm, tol=1e-11)
     assert star_pmf.sup_distance(lam_pmf) < 1e-11
+    assert star_pmf.extras["closure_bound"] < DEFAULT_TOL
 
 
 def test_star_theta1_positive_reports_the_cut_in_residual():
-    # a_K = 0 folds the 8.4% of mass beyond K = 512 into p_K
+    # a_K = 0 folds the mass beyond K into p_K: at K = 512 that was 8.4% of
+    # this law, so K grows to the cap, where 4 p_K is below the tol
     pmf = solve_star(ModelParams(5.0, 0.01, 0.2), 1.0)
-    assert pmf.probs[-1] > 0.08
-    assert pmf.residual == pmf.extras["closure_bound"] == PMF_CLOSURE * pmf.probs[-1]
-    # a law that has settled by K keeps its rounding-level residual
-    assert solve_star(ModelParams(1.0, 0.5, 0.5), 1.0, K=256).residual < 1e-15
+    assert pmf.truncation_K == K_CAP
+    bound = pmf.extras["closure_bound"]
+    assert bound == PMF_CLOSURE * pmf.probs[-1] < DEFAULT_TOL
+    assert bound <= pmf.residual < 1e-15
+    # a law that does not close by the cap is refused
+    with pytest.raises(NoConvergence):
+        solve_star(ModelParams(5.0, 0.001, 0.2), 1.0)
 
 
 def test_kingman_reduction_vs_wf():
@@ -323,7 +353,7 @@ def _beta31_tail_loop(params, p1, K):
 
 def test_banded_helper_callers_match_loop_assembly():
     from blockstat.closedform import beta31_pgf
-    from blockstat.recursions import _clip_negative, _solve_moran_banded, _solve_star_banded
+    from blockstat.recursions import _clip_negative, _solve_star_banded
 
     rng = np.random.default_rng(99)
     for N in [2, 3, 4] + [int(n) for n in rng.integers(5, 400, size=20)]:
@@ -335,10 +365,10 @@ def test_banded_helper_callers_match_loop_assembly():
         m1, K = float(rng.uniform(0.1, 3)), int(rng.integers(2, 700))
         got = _solve_star_banded(prm, m1, K)
         assert got.tobytes() == _star_banded_loop(prm, m1, K).tobytes()
-    for prm, K in [(ModelParams(1.0, 0.5, 0.5), 400), (ModelParams(2.0, 0.3, 1.2), 57),
-                   (ModelParams(0.4, 1.5, 0.1), 2)]:
-        pgf, pmf = beta31_pgf(prm, K=K)
-        ref = np.concatenate([[pgf.p1], _beta31_tail_loop(prm, pgf.p1, K)])
+    for prm in [ModelParams(1.0, 0.5, 0.5), ModelParams(2.0, 0.3, 1.2),
+                ModelParams(0.4, 1.5, 0.1), ModelParams(8.0, 0.05, 0.05)]:
+        pmf, pgf = beta31_pgf(prm)
+        ref = np.concatenate([[pgf.p1], _beta31_tail_loop(prm, pgf.p1, pmf.truncation_K)])
         assert pmf.probs.tobytes() == _clip_negative(ref, "beta31").tobytes()
 
 
