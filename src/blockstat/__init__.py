@@ -24,7 +24,6 @@ from .measures import (  # noqa: F401
 )
 from .recursions import (  # noqa: F401
     StationaryPmf,
-    crow_kimura_geometric,
     solve_lambda_truncated,
     solve_moran,
     solve_moran_nullspace,
@@ -35,6 +34,7 @@ from .closedform import (  # noqa: F401
     beta31_pgf,
     bs_geometric_pmf,
     bs_rho,
+    crow_kimura_geometric,
     moran_closed,
     moran_factorial_moments,
     moran_mean,

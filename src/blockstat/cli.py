@@ -73,7 +73,6 @@ def _model_params(args) -> ModelParams:
 
 
 def cmd_stationary(args) -> int:
-    extras: dict = {}
     if args.model == "moran":
         mp = MoranParams(args.N, args.s, args.u0, args.u1)
         pmf = recursions.solve_moran(mp)
@@ -83,16 +82,13 @@ def cmd_stationary(args) -> int:
         prm = _model_params(args)
         params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
         if measure.is_zero():
-            p, pmf = recursions.crow_kimura_geometric(prm)
-            extras["geometric_p"] = p
+            pmf, _ = closedform.crow_kimura_geometric(prm)
         else:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                pmf = recursions.solve_lambda_truncated(
-                    measure, prm, K=args.K, tol=args.tol
-                )
+                pmf = recursions.solve_lambda_truncated(measure, prm, tol=args.tol)
             if isinstance(measure.interior, UniformScaled):
-                extras["rho"] = closedform.bs_rho(prm)
+                pmf.extras["rho"] = closedform.bs_rho(prm)
     out = args.out or "stationary"
     _pmf_csv(pmf, out + ".csv")
     _json_out(
@@ -100,7 +96,6 @@ def cmd_stationary(args) -> int:
             "command": "stationary",
             "params": params_rec,
             "diagnostics": pmf.diagnostics(),
-            "extras": extras,
             "version": __version__,
         },
         out + ".json",
@@ -145,7 +140,7 @@ def cmd_simulate(args) -> int:
 def cmd_moments(args) -> int:
     measure = load_measure(args.model)
     prm = _model_params(args)
-    ms = duality.solve_w_moments(measure, prm, K=args.K, tol=args.tol)
+    ms = duality.solve_w_moments(measure, prm, tol=args.tol)
     out = args.out or "moments"
     ms.to_csv(out + ".csv")
     _json_out(
@@ -248,7 +243,8 @@ def _validate_checks(suite: str):
         )
 
         prm_bs = ModelParams(1.0, 0.5, 0.5)
-        rho, geo = closedform.bs_geometric_pmf(prm_bs)
+        geo, _ = closedform.bs_geometric_pmf(prm_bs)
+        rho = geo.extras["rho"]
         uni = LambdaMeasure.uniform()
         bs = recursions.solve_lambda_truncated(uni, prm_bs, tol=1e-11)
         add("uniform recursion vs geometric (sup)", bs.sup_distance(geo), 1e-6)
@@ -260,7 +256,7 @@ def _validate_checks(suite: str):
         star_rec = recursions.solve_lambda_truncated(LambdaMeasure.star(1.0), prm_star, tol=1e-11)
         add("star closed vs recursion (sup)", starp.sup_distance(star_rec), 1e-12)
 
-        p, ck = recursions.crow_kimura_geometric(ModelParams(1.0, 1.0, 0.5))
+        ck, _ = closedform.crow_kimura_geometric(ModelParams(1.0, 1.0, 0.5))
         ck_rec = recursions.solve_lambda_truncated(
             LambdaMeasure.crow_kimura(), ModelParams(1.0, 1.0, 0.5), tol=1e-11
         )
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stationary", help="stationary pmf of the block counting chain")
     add_model_params(p)
-    p.add_argument("--K", type=int, default=64)
     p.add_argument("--tol", type=float, default=recursions.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stationary)
@@ -357,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="stationary moments w_n via duality")
     add_model_params(p)
-    p.add_argument("--K", type=int, default=64)
     p.add_argument("--tol", type=float, default=recursions.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_moments)

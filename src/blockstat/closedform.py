@@ -1,8 +1,9 @@
 """Closed-form stationary laws, generating functions, and moment formulas.
 
 Implements the explicit Moran, Wright-Fisher (Kingman), star-shaped and
-beta(3,1) solutions, the geometric-parameter root for the uniform
-(Bolthausen-Sznitman) measure, and the residual of the pgf identity: a
+beta(3,1) solutions, the geometric laws of the uniform
+(Bolthausen-Sznitman) and zero (Crow-Kimura) measures, each returned as
+(StationaryPmf, PgfEvaluator), and the residual of the pgf identity: a
 once-integrated form for Moran and Lambda = m0 delta_0 + m1 delta_1, and
 the paper's integro-differential equation, read from the measure, for
 every Lambda with an interior part.
@@ -23,6 +24,7 @@ from .errors import (
     DomainError,
     IllConditioned,
     NegativeMass,
+    NotPositiveRecurrent,
     PreconditionViolated,
     QuadratureFailure,
     RootOrderViolation,
@@ -31,13 +33,13 @@ from .measures import LambdaMeasure, ModelParams, MoranParams, Zero
 from .recursions import (
     PMF_CLOSURE,
     StationaryPmf,
-    _clip_negative,
-    _geometric_pmf,
-    _solve_moran_banded,
-    _solve_three_term,
+    clip_negative,
     double_until_closed,
+    exact_tails,
     solve_lambda_truncated,
+    solve_moran,
     solve_star,
+    solve_three_term,
 )
 from .specfun import adaptive_quad, bracketed_root, quad_power_endpoints
 
@@ -46,8 +48,9 @@ from .specfun import adaptive_quad, bracketed_root, quad_power_endpoints
 class PgfEvaluator:
     """Probability generating function of a stationary block-count law.
 
-    evaluate(z) is defined on [0, 1] with evaluate(0) = 0 and
-    evaluate(1) = 1; d(z) is a Richardson-extrapolated central difference.
+    evaluate(z) is defined on [0, 1]; it reads 0 at z <= 0 and 1 at z >= 1
+    whatever the closure given, which only sees 0 < z < 1.  d(z) is a
+    Richardson-extrapolated central difference.
     p1 is the head probability that the first-order identity takes as
     data.  probs, where known, are the coefficients p_1, p_2, ... of the
     pgf as a power series (of_probs builds such a pgf); the identity of a
@@ -60,20 +63,17 @@ class PgfEvaluator:
     p1: float
     probs: np.ndarray | None = None
 
+    def __post_init__(self):
+        inner = self.evaluate
+        self.evaluate = lambda z: 0.0 if z <= 0.0 else 1.0 if z >= 1.0 else inner(z)
+
     @classmethod
     def of_probs(cls, probs: np.ndarray) -> "PgfEvaluator":
         """The power series sum_n p_n z^n of a pmf p_1, p_2, ...."""
         probs = np.asarray(probs, dtype=float)
         n = np.arange(1, probs.size + 1)
 
-        def evaluate(z: float) -> float:
-            if z <= 0.0:
-                return 0.0
-            if z >= 1.0:
-                return 1.0
-            return float(np.dot(probs, np.power(z, n)))
-
-        return cls(evaluate, float(probs[0]), probs)
+        return cls(lambda z: float(np.dot(probs, np.power(z, n))), float(probs[0]), probs)
 
     def __call__(self, z: float) -> float:
         return self.evaluate(z)
@@ -244,10 +244,6 @@ def _two_weight_closed(
     pgf_pref = form.c * i0 / (i0 - i1)
 
     def evaluate(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z >= 1.0:
-            return 1.0
         if z <= 0.6:
             def f(y):
                 base = (ratio - y) * w(y)
@@ -350,16 +346,12 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     rho0 = u0 / (1.0 + s)
     A = (1.0 + u1 + rho0) * N
 
-    def tail_solve():
-        a = _solve_moran_banded(params)
-        return np.append(a[:-1] - a[1:], a[-1]), {}
-
     form = _TwoWeightForm(
         alpha=N * u1, beta=N * rho0, c=N * u0,
         log_k=lambda y: -(A + 1.0) * np.log1p(s * y),
         log_K=lambda z: A * math.log1p(s * z),
         branch=lambda n: (N - n) * s,
-        tail_solve=tail_solve,
+        tail_solve=lambda: (solve_moran(params).probs, {}),
     )
     return _two_weight_closed(form, n_max, "moran-closed")
 
@@ -505,10 +497,7 @@ def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvalu
         arg_scale = sigma / (sigma + th0)
 
         def evaluate(z: float) -> float:
-            if z >= 1.0:
-                return 1.0
-            f = float(hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z))
-            return 1.0 - (1.0 - z) * f
+            return 1.0 - (1.0 - z) * float(hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z))
 
         return pmf, PgfEvaluator(evaluate, float(pmf.probs[0]))
 
@@ -536,19 +525,40 @@ def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvalu
         pz = sigma * (z - xm) * (z - xp)
         return sigma * integral / pz
 
-    def evaluate(z: float) -> float:
-        if z <= 0.0:
-            return 0.0
-        if z >= 1.0:
-            return 1.0
-        return z * (1.0 - (1.0 - z) * f_of_z(z))
-
-    return solve_star(params, m1), PgfEvaluator(evaluate, p1)
+    return solve_star(params, m1), PgfEvaluator(lambda z: z * (1.0 - (1.0 - z) * f_of_z(z)), p1)
 
 
 # ----------------------------------------------------------------------
-# Uniform measure: the geometric parameter rho
+# Geometric laws: the uniform and the zero measure
 # ----------------------------------------------------------------------
+
+
+def _geometric(rho: float, tag: str) -> tuple[StationaryPmf, PgfEvaluator]:
+    """Geom(1-rho) law P(L = n) = (1-rho) rho^(n-1), cut by exact_tails, and its pgf."""
+    n = np.arange(exact_tails(lambda n: np.full_like(n, rho)).size - 1.0)
+    pmf = StationaryPmf(
+        (1.0 - rho) * rho**n, n.size, 0.0, tag, tail_mass=float(rho**n.size), extras={"rho": rho}
+    )
+    return pmf, PgfEvaluator(lambda z: (1.0 - rho) * z / (1.0 - rho * z), 1.0 - rho, pmf.probs)
+
+
+def crow_kimura_geometric(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
+    """Geometric stationary law Geom(1-rho) of the zero-measure model.
+
+    rho is the root in [0, 1) of theta1 x^2 - (sigma+theta) x + sigma
+    (pmf.extras["rho"]); requires theta0 > 0 or theta1 > sigma.
+    """
+    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
+    if not (th0 > 0 or th1 > sigma):
+        raise NotPositiveRecurrent(
+            "zero measure needs theta0 > 0 or theta1 > sigma for recurrence"
+        )
+    if th1 == 0.0:
+        rho = sigma / (sigma + th0)
+    else:
+        disc = (sigma - params.theta) ** 2 + 4.0 * sigma * th0
+        rho = (sigma + params.theta - math.sqrt(disc)) / (2.0 * th1)
+    return _geometric(rho, "crow-kimura-geometric")
 
 
 def bs_rho(params: ModelParams) -> float:
@@ -571,21 +581,30 @@ def bs_rho(params: ModelParams) -> float:
 
 
 def bs_rho_special(params: ModelParams) -> float | None:
-    """Lambert-W closed form of rho when one mutation rate vanishes."""
+    """Lambert-W closed form of rho when one mutation rate vanishes.
+
+    1 - W(...) keeps only the absolute accuracy of rho, so two Newton steps
+    on sigma + log(1-x) - theta1 x - theta0 x/(1-x) = 0 restore the relative one.
+    """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     if th0 == 0.0 and th1 == 0.0:
-        return 1.0 - math.exp(-sigma)
+        return -math.expm1(-sigma)
     if th0 == 0.0 and th1 > 0.0:
-        return 1.0 - float(lambertw(th1 * math.exp(th1 - sigma)).real) / th1
-    if th1 == 0.0 and th0 > 0.0:
-        return 1.0 - th0 / float(lambertw(th0 * math.exp(th0 + sigma)).real)
-    return None
+        rho = 1.0 - float(lambertw(th1 * math.exp(th1 - sigma)).real) / th1
+    elif th1 == 0.0 and th0 > 0.0:
+        rho = 1.0 - th0 / float(lambertw(th0 * math.exp(th0 + sigma)).real)
+    else:
+        return None
+    for _ in range(2):
+        if rho < 1.0:
+            q = 1.0 / (1.0 - rho)
+            rho += (sigma + math.log1p(-rho) - th1 * rho - th0 * rho * q) / (q + th1 + th0 * q * q)
+    return rho
 
 
-def bs_geometric_pmf(params: ModelParams) -> tuple[float, StationaryPmf]:
-    """Geometric stationary law Geom(1-rho) of the uniform-measure model."""
-    rho = bs_rho(params)
-    return rho, _geometric_pmf(rho, "bs-geometric")
+def bs_geometric_pmf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
+    """Geometric stationary law Geom(1-rho) of the uniform-measure model, rho = bs_rho."""
+    return _geometric(bs_rho(params), "bs-geometric")
 
 
 # ----------------------------------------------------------------------
@@ -676,8 +695,8 @@ def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     # with P'(0) = -(sigma+theta); theta1 = 0 makes it lower bidiagonal
     def solve(K):
         n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
-        tail = _solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
-        probs = _clip_negative(np.concatenate([[p1], tail]), "beta31")
+        tail = solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
+        probs = clip_negative(np.concatenate([[p1], tail]), "beta31")
         return probs, PMF_CLOSURE * float(probs[-1])
 
     probs, K, bound = double_until_closed(solve)

@@ -21,7 +21,7 @@ import scipy.integrate
 from .closedform import PgfEvaluator, bs_rho
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .measures import LambdaMeasure, ModelParams, merger_rows
-from .recursions import DEFAULT_TOL, StationaryPmf, double_until_closed
+from .recursions import DEFAULT_TOL, K_START, StationaryPmf, double_until_closed
 
 
 @dataclass
@@ -116,7 +116,7 @@ def complete_monotonicity_defect(w: np.ndarray, depth: int = 12) -> float:
 def solve_w_moments(
     measure: LambdaMeasure,
     params: ModelParams,
-    K: int = 64,
+    K: int = K_START,
     tol: float = DEFAULT_TOL,
     K_cap: int = 2**12,
 ) -> MomentSequence:

@@ -2,13 +2,12 @@
 
 Covers the finite Moran tail recursion (one banded tridiagonal solve),
 a brute-force generator null-space oracle, the truncated general-measure
-system, the star-shaped banded solve, and the geometric closed form
-of the zero-measure (Crow-Kimura) model.
+system and the star-shaped banded solve, with the two truncation rules
+they share: double_until_closed and exact_tails.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,7 +19,6 @@ from .errors import (
     DomainError,
     NegativeMass,
     NoConvergence,
-    NotPositiveRecurrent,
     PreconditionViolated,
 )
 from .measures import (
@@ -34,7 +32,7 @@ from .measures import (
 NEG_CLIP = -1e-12
 DEFAULT_TOL = 1e-10  # the default tol of every truncated solve
 K_START, K_CAP = 64, 2**14  # its default first and largest truncation levels
-EXACT_TAIL = 1e-17  # _exact_tails keeps a law's exact tails down to this
+EXACT_TAIL = 1e-17  # exact_tails keeps a law's exact tails down to this
 # sup-norm error of a pmf closed at K (no branching out of K) over its own
 # top mass p_K: a measured bound, not a proved one (README, numerical notes)
 PMF_CLOSURE = 4.0
@@ -87,11 +85,12 @@ class StationaryPmf:
             "K": self.truncation_K,
             "residual": self.residual,
             "solver_tag": self.solver_tag,
+            "tail_mass": self.tail_mass,
             **self.extras,
         }
 
 
-def _clip_negative(p: np.ndarray, tag: str) -> np.ndarray:
+def clip_negative(p: np.ndarray, tag: str) -> np.ndarray:
     worst = float(p.min(initial=0.0))
     if worst < NEG_CLIP:
         raise NegativeMass(f"{tag}: probability {worst} below the clip tolerance")
@@ -151,12 +150,12 @@ def solve_moran(params: MoranParams) -> StationaryPmf:
     p = np.empty(N)
     p[: N - 1] = a[: N - 1] - a[1:]
     p[N - 1] = a[N - 1]
-    p = _clip_negative(p, "moran-banded")
+    p = clip_negative(p, "moran-banded")
     residual = max(_moran_tail_residual(params, a), _moran_pmf_residual(params, p))
     return StationaryPmf(p, N, residual, "moran-banded")
 
 
-def _solve_three_term(
+def solve_three_term(
     sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, x_left: float
 ) -> np.ndarray:
     """x_0..x_{m-1} from sub_r x_{r-1} + diag_r x_r + sup_r x_{r+1} = 0.
@@ -187,7 +186,7 @@ def _solve_moran_banded(params: MoranParams) -> np.ndarray:
     sN = params.s / N
     C[-1] = -sN
     diag[-1] = 1.0 + params.u + sN
-    return np.concatenate([[1.0], _solve_three_term(C, diag, A, 1.0)])
+    return np.concatenate([[1.0], solve_three_term(C, diag, A, 1.0)])
 
 
 def moran_rate_matrix(params: MoranParams) -> np.ndarray:
@@ -324,6 +323,22 @@ def double_until_closed(
         K *= 2
 
 
+def exact_tails(ratio: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Exact tails a_0 = 1, a_n = a_{n-1} ratio(n) of a law, n = 1..K.
+
+    K is the first n in 16..K_CAP with a_n < EXACT_TAIL, else K_CAP; the
+    route keeps p_1..p_K and reports a_K as tail_mass.
+    """
+    m = 16
+    while True:
+        a = np.cumprod(np.append(1.0, ratio(np.arange(1.0, m + 1))))
+        if a[-1] < EXACT_TAIL:
+            return a[: 17 + int(np.argmax(a[16:] < EXACT_TAIL))]
+        if m == K_CAP:
+            return a
+        m *= 2
+
+
 def solve_lambda_truncated(
     measure: LambdaMeasure,
     params: ModelParams,
@@ -366,7 +381,7 @@ def solve_lambda_truncated(
 def solve_star(params: ModelParams, m1: float) -> StationaryPmf:
     """Stationary pmf for the star-shaped coalescent (mass m1 at 1).
 
-    theta1 = 0 has closed tails (_exact_tails).  For theta1 > 0 the tails
+    theta1 = 0 has closed tails (exact_tails).  For theta1 > 0 the tails
     solve the two-sided tridiagonal system with a_K = 0, which folds the
     mass beyond K into p_K (double_until_closed bounds it); the forward
     recursion from a_1 = 1 - p_1 amplifies its dominant solution.
@@ -378,12 +393,12 @@ def solve_star(params: ModelParams, m1: float) -> StationaryPmf:
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
 
     if th1 == 0.0:
-        a = _exact_tails(lambda n: n * sigma / (n * (sigma + th0) + m1))
+        a = exact_tails(lambda n: n * sigma / (n * (sigma + th0) + m1))
         return StationaryPmf(a[:-1] - a[1:], a.size - 1, 0.0, "star-closed-tails", float(a[-1]))
 
     def solve(K):
         a = _solve_star_banded(params, m1, K)
-        p = _clip_negative(a[:-1] - a[1:], "star-banded")
+        p = clip_negative(a[:-1] - a[1:], "star-banded")
         return (a, p), PMF_CLOSURE * float(p[-1])
 
     (a, p), K, bound = double_until_closed(solve)
@@ -397,54 +412,7 @@ def _solve_star_banded(params: ModelParams, m1: float, K: int) -> np.ndarray:
     """Tails a_0..a_K from the two-sided tridiagonal system with a_K = 0."""
     sigma, th1, theta = params.sigma, params.theta1, params.theta
     n = np.arange(1, K, dtype=float)  # rows for the unknowns a_1..a_{K-1}
-    a_unknown = _solve_three_term(
+    a_unknown = solve_three_term(
         np.full(K - 1, sigma), -(m1 / n + theta + sigma), np.full(K - 1, th1), 1.0
     )
     return np.concatenate([[1.0], a_unknown, [0.0]])
-
-
-# ----------------------------------------------------------------------
-# Zero measure: geometric closed form
-# ----------------------------------------------------------------------
-
-
-def crow_kimura_geometric(params: ModelParams) -> tuple[float, StationaryPmf]:
-    """Geometric stationary law of the zero-measure model.
-
-    Returns (p, pmf) with P(L = n) = (1-p) p^(n-1); requires theta0 > 0 or
-    theta1 > sigma.
-    """
-    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
-    if not (th0 > 0 or th1 > sigma):
-        raise NotPositiveRecurrent(
-            "zero measure needs theta0 > 0 or theta1 > sigma for recurrence"
-        )
-    theta = params.theta
-    if th1 == 0.0:
-        p = sigma / (sigma + th0)
-    else:
-        disc = (sigma - theta) ** 2 + 4.0 * sigma * th0
-        p = (sigma + theta - math.sqrt(disc)) / (2.0 * th1)
-    return p, _geometric_pmf(p, "crow-kimura-geometric")
-
-
-def _exact_tails(ratio: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Exact tails a_0 = 1, a_n = a_{n-1} ratio(n) of a law, n = 1..K.
-
-    K is the first n in 16..K_CAP with a_n < EXACT_TAIL, else K_CAP; the
-    route keeps p_1..p_K and reports a_K as tail_mass.
-    """
-    m = 16
-    while True:
-        a = np.cumprod(np.append(1.0, ratio(np.arange(1.0, m + 1))))
-        if a[-1] < EXACT_TAIL:
-            return a[: 17 + int(np.argmax(a[16:] < EXACT_TAIL))]
-        if m == K_CAP:
-            return a
-        m *= 2
-
-
-def _geometric_pmf(p: float, tag: str) -> StationaryPmf:
-    """Geom(1-p) law P(L = n) = (1-p) p^(n-1), cut by _exact_tails."""
-    n = np.arange(_exact_tails(lambda n: np.full_like(n, p)).size - 1.0)
-    return StationaryPmf((1.0 - p) * p**n, n.size, 0.0, tag, tail_mass=float(p**n.size))

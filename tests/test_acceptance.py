@@ -118,7 +118,8 @@ def test_criterion_04_finite_N_convergence():
 def test_criterion_05_bolthausen_sznitman_geometry():
     prm = ModelParams(1.0, 0.5, 0.5)
     uni = LambdaMeasure.uniform()
-    rho, geo = cf.bs_geometric_pmf(prm)
+    geo, _ = cf.bs_geometric_pmf(prm)
+    rho = geo.extras["rho"]
     rec = rc.solve_lambda_truncated(uni, prm, tol=1e-11)
     _report(5, "uniform recursion vs Geom(1-rho)", rec.sup_distance(geo), 1e-6)
     rep = gf.check_geometric(uni, rho, n_max=50, params=prm)
@@ -135,7 +136,7 @@ def test_criterion_05_bolthausen_sznitman_geometry():
         ModelParams(1.0, 0.5, 0.0),
     ):
         worst = max(worst, abs(cf.bs_rho(prm_sp) - cf.bs_rho_special(prm_sp)))
-    _report(5, "Lambert-W special cases vs general root", worst, 1e-12)
+    _report(5, "Lambert-W special cases vs general root", worst, 1e-15)
 
 
 def test_criterion_06_star_shaped():
@@ -273,7 +274,7 @@ def test_criterion_11_master_equation_residuals():
     )
 
     prm_b = ModelParams(1.0, 0.5, 0.5)
-    pg_b = cf.PgfEvaluator.of_probs(cf.bs_geometric_pmf(prm_b)[1].probs)
+    _, pg_b = cf.bs_geometric_pmf(prm_b)
     _report(
         11, "uniform pgf identity residual",
         cf.verify_master_equation(pg_b, LambdaMeasure.uniform(), prm_b, zg), 1e-6,

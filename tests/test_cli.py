@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -30,11 +31,25 @@ def test_stationary_uniform_writes_pmf_and_rho(tmp_path):
     lines = (tmp_path / "bs.csv").read_text().splitlines()
     assert lines[0] == "n,p_n,a_n"
     meta = json.loads((tmp_path / "bs.json").read_text())
-    assert "rho" in meta["extras"]
+    assert "extras" not in meta
     assert meta["diagnostics"]["solver_tag"] == "lambda-truncated"
     # rho in the artifact matches p_1 = 1 - rho
     p1 = float(lines[1].split(",")[1])
-    assert p1 == pytest.approx(1 - meta["extras"]["rho"], abs=1e-9)
+    assert p1 == pytest.approx(1 - meta["diagnostics"]["rho"], abs=1e-9)
+
+
+def test_stationary_zero_measure_json_carries_rho_and_tail_mass(tmp_path):
+    out = tmp_path / "ck"
+    code = main(
+        ["stationary", "--model", "zero", "--sigma", "1", "--theta0", "1",
+         "--theta1", "0.5", "--out", str(out)]
+    )
+    assert code == 0
+    diag = json.loads((tmp_path / "ck.json").read_text())["diagnostics"]
+    assert diag["solver_tag"] == "crow-kimura-geometric"
+    # the root of theta1 x^2 - (sigma + theta) x + sigma in [0, 1)
+    assert diag["rho"] == pytest.approx(2.5 - math.sqrt(4.25), abs=1e-15)
+    assert diag["tail_mass"] == diag["rho"] ** diag["K"]
 
 
 def test_stationary_moran(tmp_path):
@@ -117,16 +132,6 @@ def test_stationary_and_moments_json_carry_closure_bound(tmp_path):
     diag = json.loads((tmp_path / "w.json").read_text())["diagnostics"]
     assert diag["K"] > 64
     assert 0.0 < diag["closure_bound"] == diag["residual"] < 1e-10
-
-
-def test_moments_bad_truncation_level_is_spec_error(tmp_path, capsys):
-    # K = 0 leaves the bounded head n <= K // 4 empty
-    code = main(
-        ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "1",
-         "--theta1", "1", "--K", "0", "--out", str(tmp_path / "w")]
-    )
-    assert code == 2
-    assert "truncation level" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_geom_check_exit_codes(tmp_path):

@@ -16,6 +16,7 @@ from blockstat.closedform import (
     bs_geometric_pmf,
     bs_rho,
     bs_rho_special,
+    crow_kimura_geometric,
     moran_closed,
     moran_factorial_moments,
     moran_mean,
@@ -39,6 +40,7 @@ from blockstat.measures import (
 )
 from blockstat.recursions import (
     DEFAULT_TOL,
+    StationaryPmf,
     solve_lambda_truncated,
     solve_moran,
     solve_moran_nullspace,
@@ -259,6 +261,28 @@ def test_bs_rho_special_cases():
             assert bs_rho(prm) == pytest.approx(special, abs=1e-12)
 
 
+def test_bs_rho_special_keeps_relative_accuracy_for_small_rho():
+    # 1 - W(...) alone was 2.2e-5 off at (1e-12, 0, 0) and 8.3e-8 off at
+    # (1e-9, 0.5, 0); the reference is the same closed form in 40 digits
+    worst = 0.0
+    for th0, th1 in ((0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 0.0), (1.0, 0.0)):
+        for sigma in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+            with mpmath.workdps(40):
+                s, t0, t1 = mpmath.mpf(sigma), mpmath.mpf(th0), mpmath.mpf(th1)
+                if th0 == th1 == 0.0:
+                    ref = -mpmath.expm1(-s)
+                elif th0 == 0.0:
+                    ref = 1 - mpmath.lambertw(t1 * mpmath.exp(t1 - s)).real / t1
+                else:
+                    ref = 1 - t0 / mpmath.lambertw(t0 * mpmath.exp(t0 + s)).real
+                got = bs_rho_special(ModelParams(sigma, th0, th1))
+                worst = max(worst, float(abs(got - ref) / ref))
+        # sigma = 1e-300: rho = sigma / (1 + theta) to first order
+        tiny = bs_rho_special(ModelParams(1e-300, th0, th1))
+        assert tiny == pytest.approx(1e-300 / (1.0 + th0 + th1), rel=1e-15)
+    assert worst <= 1e-13
+
+
 def test_bs_rho_defining_equation():
     prm = ModelParams(1.3, 0.4, 0.9)
     rho = bs_rho(prm)
@@ -329,39 +353,38 @@ def test_beta31_reports_the_cut_as_tail_mass():
     assert pmf.tail_mass == pytest.approx(rec.probs[K:].sum(), abs=1e-11)
 
 
-def test_master_equation_residuals():
+# every closed form, its model and the bound its pgf identity is held to
+_CLOSED_FORMS = {
+    "moran": (lambda: moran_closed(MoranParams(12, 0.7, 0.25, 0.15)),
+              None, MoranParams(12, 0.7, 0.25, 0.15), 1e-8),
+    "kingman": (lambda: wf_closed(2.0, ModelParams(1.0, 1.0, 0.5)),
+                LambdaMeasure.kingman(2.0), ModelParams(1.0, 1.0, 0.5), 1e-8),
+    "star": (lambda: star_closed(1.0, ModelParams(1.0, 0.5, 0.5)),
+             LambdaMeasure.star(1.0), ModelParams(1.0, 0.5, 0.5), 1e-8),
+    "beta31": (lambda: beta31_pgf(ModelParams(1.0, 0.5, 0.5)),
+               LambdaMeasure.beta31(), ModelParams(1.0, 0.5, 0.5), 1e-10),
+    "uniform": (lambda: bs_geometric_pmf(ModelParams(1.0, 0.5, 0.5)),
+                LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), 1e-7),
+    "zero": (lambda: crow_kimura_geometric(ModelParams(1.0, 1.0, 0.0)),
+             LambdaMeasure.crow_kimura(), ModelParams(1.0, 1.0, 0.0), 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+def test_closed_form_shape_and_identity(name):
+    # one shape, (pmf, pgf), whose pgf reads 0 and 1 at the ends and
+    # satisfies its own model's identity
+    law, measure, params, bound = _CLOSED_FORMS[name]
+    pmf, pgf = law()
+    assert isinstance(pmf, StationaryPmf) and isinstance(pgf, PgfEvaluator)
+    assert pgf(0.0) == 0.0 and pgf(1.0) == 1.0
     zg = np.linspace(0.05, 0.9, 12)
-    mp = MoranParams(12, 0.7, 0.25, 0.15)
-    _, pg = moran_closed(mp)
-    assert verify_master_equation(pg, None, mp, zg) < 1e-8
-    king = LambdaMeasure.kingman(2.0)
-    prm = ModelParams(1.0, 1.0, 0.5)
-    _, pg = wf_closed(2.0, prm)
-    assert verify_master_equation(pg, king, prm, zg) < 1e-8
-    star = LambdaMeasure.star(1.0)
-    prm_s = ModelParams(1.0, 0.5, 0.5)
-    _, pg = star_closed(1.0, prm_s)
-    assert verify_master_equation(pg, star, prm_s, zg) < 1e-8
-    # Crow-Kimura geometric pgf in the algebraic identity
-    from blockstat.recursions import crow_kimura_geometric
-
-    prm_ck = ModelParams(1.0, 1.0, 0.0)
-    p, _ = crow_kimura_geometric(prm_ck)
-    ck_pgf = PgfEvaluator(lambda z: (1 - p) * z / (1 - p * z), 1 - p)
-    assert verify_master_equation(ck_pgf, LambdaMeasure.crow_kimura(), prm_ck, zg) < 1e-10
-
-
-def test_uniform_geometric_pgf_identity():
-    # the geometric law of the uniform measure satisfies the paper's identity
-    prm = ModelParams(1.0, 0.5, 0.5)
-    pgf = PgfEvaluator.of_probs(bs_geometric_pmf(prm)[1].probs)
-    zg = np.linspace(0.1, 0.9, 9)
-    assert verify_master_equation(pgf, LambdaMeasure.uniform(), prm, zg) < 1e-7
+    assert verify_master_equation(pgf, measure, params, zg) < bound
 
 
 def test_bs_geometric_pmf_vs_solver():
     prm = ModelParams(1.0, 0.5, 0.5)
-    rho, geo = bs_geometric_pmf(prm)
+    geo, _ = bs_geometric_pmf(prm)
     pmf = solve_lambda_truncated(LambdaMeasure.uniform(), prm, tol=1e-12)
     assert pmf.sup_distance(geo) < 1e-10
 

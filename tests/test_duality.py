@@ -8,7 +8,7 @@ import pytest
 
 import blockstat.duality
 import blockstat.measures
-from blockstat.closedform import PgfEvaluator, bs_rho
+from blockstat.closedform import bs_rho, crow_kimura_geometric
 from blockstat.duality import (
     _extend_w_system,
     ancestral_type_h,
@@ -32,7 +32,6 @@ from blockstat.measures import (
     merger_row,
     merger_rows,
 )
-from blockstat.recursions import crow_kimura_geometric
 
 
 def test_w_moments_zero_measure_power_law():
@@ -156,8 +155,7 @@ def test_moran_fixation_examples():
 def test_ancestral_type_dual_paths():
     # Crow-Kimura sigma = 1, theta0 = 1, theta1 = 0: p = 1/2 geometric
     prm = ModelParams(1.0, 1.0, 0.0)
-    p, pmf = crow_kimura_geometric(prm)
-    pgf = PgfEvaluator(lambda z: (1 - p) * z / (1 - p * z), 1 - p)
+    pmf, pgf = crow_kimura_geometric(prm)
     assert ancestral_type_h(pgf, 1.0) == pytest.approx(1.0, abs=1e-14)
     assert ancestral_type_h(pgf, 0.0) == pytest.approx(0.0, abs=1e-14)
     for x in np.linspace(0.05, 0.95, 10):

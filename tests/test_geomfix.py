@@ -20,7 +20,7 @@ from blockstat.geomfix import (
     rho_star,
 )
 from blockstat.measures import LambdaMeasure, ModelParams
-from blockstat.recursions import crow_kimura_geometric
+from blockstat.closedform import crow_kimura_geometric
 
 
 def test_phi_iterate_examples():
@@ -116,9 +116,8 @@ def test_rho_star_root_and_endpoints():
 def test_rho_star_small_mass_limit():
     # m0 -> 0: the root approaches the zero-measure geometric parameter
     prm = ModelParams(1.0, 0.4, 0.9)
-    p, _ = crow_kimura_geometric(prm)
     rs = rho_star(0.5, 1e-10, prm)
-    assert rs == pytest.approx(p, abs=1e-8)
+    assert rs == pytest.approx(crow_kimura_geometric(prm)[0].extras["rho"], abs=1e-8)
 
 
 def test_pushforward_involution_and_sum_identity():

@@ -10,7 +10,14 @@ import pytest
 
 import blockstat.duality
 import blockstat.recursions
-from blockstat.closedform import beta31_pgf, bs_geometric_pmf, bs_rho, star_closed, wf_closed
+from blockstat.closedform import (
+    beta31_pgf,
+    bs_geometric_pmf,
+    bs_rho,
+    crow_kimura_geometric,
+    star_closed,
+    wf_closed,
+)
 from blockstat.duality import _extend_w_system, solve_w_moments
 from blockstat.errors import (
     DomainError,
@@ -36,10 +43,9 @@ from blockstat.recursions import (
     DEFAULT_TOL,
     K_CAP,
     PMF_CLOSURE,
-    _clip_negative,
     _solve_moran_banded,
     _solve_prlm,
-    crow_kimura_geometric,
+    clip_negative,
     double_until_closed,
     moran_rate_matrix,
     solve_lambda_truncated,
@@ -104,18 +110,18 @@ def test_tails_keep_relative_accuracy_below_rounding():
     pos = a > 0
     assert a[pos].min() < 1e-300
     assert np.max(np.abs(got[:-1][pos] - a[pos]) / a[pos]) < 1e-15
-    rho, geo = bs_geometric_pmf(ModelParams(1.0, 0.5, 0.5))
-    exact = rho ** np.arange(geo.truncation_K + 1.0)
+    geo, _ = bs_geometric_pmf(ModelParams(1.0, 0.5, 0.5))
+    exact = geo.extras["rho"] ** np.arange(geo.truncation_K + 1.0)
     assert np.max(np.abs(geo.tails() - exact) / exact) < 1e-15
 
 
 def test_crow_kimura_parameter_cases():
-    p, _ = crow_kimura_geometric(ModelParams(1.0, 1.0, 0.0))
-    assert p == pytest.approx(0.5, abs=1e-15)
-    p, _ = crow_kimura_geometric(ModelParams(1.0, 0.0, 2.0))
-    assert p == pytest.approx(0.5, abs=1e-15)  # sigma/theta1
-    p, _ = crow_kimura_geometric(ModelParams(1.0, 1.0, 1.0))
-    assert p == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-15)
+    def rho(prm):
+        return crow_kimura_geometric(prm)[0].extras["rho"]
+
+    assert rho(ModelParams(1.0, 1.0, 0.0)) == pytest.approx(0.5, abs=1e-15)
+    assert rho(ModelParams(1.0, 0.0, 2.0)) == pytest.approx(0.5, abs=1e-15)  # sigma/theta1
+    assert rho(ModelParams(1.0, 1.0, 1.0)) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-15)
     with pytest.raises(NotPositiveRecurrent):
         crow_kimura_geometric(ModelParams(2.0, 0.0, 1.0))
 
@@ -124,7 +130,7 @@ def test_lambda_truncated_zero_measure_geometric():
     zero = LambdaMeasure.crow_kimura()
     for prm in (ModelParams(1.0, 1.0, 0.0), ModelParams(1.0, 1.0, 1.0), ModelParams(1.0, 0.3, 1.8)):
         pmf = solve_lambda_truncated(zero, prm, tol=1e-12)
-        p, geo = crow_kimura_geometric(prm)
+        geo, _ = crow_kimura_geometric(prm)
         assert pmf.sup_distance(geo) < 1e-10
 
 
@@ -188,9 +194,9 @@ _SIGMA_ZERO = ModelParams(0.0, 0.5, 0.5)
                      PreconditionViolated, id="is_positive_recurrent-sigma0"),
         pytest.param(lambda: crow_kimura_geometric(ModelParams(1.0, 0.0, 1.0)),
                      NotPositiveRecurrent, id="zero-measure-theta1-equals-sigma"),
-        pytest.param(lambda: _clip_negative(np.array([0.5, -1e-12, 0.5]), "edge"), None,
+        pytest.param(lambda: clip_negative(np.array([0.5, -1e-12, 0.5]), "edge"), None,
                      id="clip-accepts-tolerance"),
-        pytest.param(lambda: _clip_negative(np.array([0.5, -1.0000001e-12, 0.5]), "edge"),
+        pytest.param(lambda: clip_negative(np.array([0.5, -1.0000001e-12, 0.5]), "edge"),
                      NegativeMass, id="clip-rejects-below-tolerance"),
     ],
 )
@@ -353,7 +359,7 @@ def _beta31_tail_loop(params, p1, K):
 
 def test_banded_helper_callers_match_loop_assembly():
     from blockstat.closedform import beta31_pgf
-    from blockstat.recursions import _clip_negative, _solve_star_banded
+    from blockstat.recursions import _solve_star_banded
 
     rng = np.random.default_rng(99)
     for N in [2, 3, 4] + [int(n) for n in rng.integers(5, 400, size=20)]:
@@ -369,7 +375,7 @@ def test_banded_helper_callers_match_loop_assembly():
                 ModelParams(0.4, 1.5, 0.1), ModelParams(8.0, 0.05, 0.05)]:
         pmf, pgf = beta31_pgf(prm)
         ref = np.concatenate([[pgf.p1], _beta31_tail_loop(prm, pgf.p1, pmf.truncation_K)])
-        assert pmf.probs.tobytes() == _clip_negative(ref, "beta31").tobytes()
+        assert pmf.probs.tobytes() == clip_negative(ref, "beta31").tobytes()
 
 
 def _prlm_resweep_residual(measure, params, p):
