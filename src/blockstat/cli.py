@@ -72,30 +72,35 @@ def _model_params(args) -> ModelParams:
     return ModelParams(args.sigma, args.theta0, args.theta1)
 
 
+def _messages(caught: list[warnings.WarningMessage]) -> list[str]:
+    """The recorded warnings as "Category: message" strings, in the order raised."""
+    return [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
 def cmd_stationary(args) -> int:
-    if args.model == "moran":
-        mp = MoranParams(args.N, args.s, args.u0, args.u1)
-        pmf = recursions.solve_moran(mp)
-        params_rec = dataclasses.asdict(mp)
-    else:
-        measure = load_measure(args.model)
-        prm = _model_params(args)
-        params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
-        if measure.is_zero():
-            pmf, _ = closedform.crow_kimura_geometric(prm)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.model == "moran":
+            mp = MoranParams(args.N, args.s, args.u0, args.u1)
+            pmf = recursions.solve_moran(mp)
+            params_rec = dataclasses.asdict(mp)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            measure = load_measure(args.model)
+            prm = _model_params(args)
+            params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
+            if measure.is_zero():
+                pmf, _ = closedform.crow_kimura_geometric(prm)
+            else:
                 pmf = recursions.solve_lambda_truncated(measure, prm, tol=args.tol)
-            if isinstance(measure.interior, UniformScaled):
-                pmf.extras["rho"] = closedform.bs_rho(prm)
+                if isinstance(measure.interior, UniformScaled):
+                    pmf.extras["rho"] = closedform.bs_rho(prm)
     out = args.out or "stationary"
     _pmf_csv(pmf, out + ".csv")
     _json_out(
         {
             "command": "stationary",
             "params": params_rec,
-            "diagnostics": pmf.diagnostics(),
+            "diagnostics": {**pmf.diagnostics(), "warnings": _messages(caught)},
             "version": __version__,
         },
         out + ".json",
@@ -104,23 +109,21 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.model in ("moran", "moran-x"):
-        mp = MoranParams(args.N, args.s, args.u0, args.u1)
-        sim = simulate.simulate_moran_L if args.model == "moran" else simulate.simulate_moran_X
-        path = sim(mp, args.start, args.events, args.seed)
-        params_rec = dataclasses.asdict(mp)
-    else:
-        measure = load_measure(args.model)
-        prm = _model_params(args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            path = simulate.simulate_lambda_L(
-                measure, prm, args.start, args.events, args.seed
-            )
-        params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if args.model in ("moran", "moran-x"):
+            mp = MoranParams(args.N, args.s, args.u0, args.u1)
+            sim = simulate.simulate_moran_L if args.model == "moran" else simulate.simulate_moran_X
+            path = sim(mp, args.start, args.events, args.seed)
+            params_rec = dataclasses.asdict(mp)
+        else:
+            measure = load_measure(args.model)
+            prm = _model_params(args)
+            path = simulate.simulate_lambda_L(measure, prm, args.start, args.events, args.seed)
+            params_rec = {**dataclasses.asdict(prm), "measure": measure.to_dict()}
+        occ = simulate.occupancy(path, args.burn_in)
     out = args.out or "simulate"
     path.to_csv(out + "_path.csv")
-    occ = simulate.occupancy(path, args.burn_in)
     occ.to_csv(out + "_occupancy.csv")
     _json_out(
         {
@@ -130,6 +133,7 @@ def cmd_simulate(args) -> int:
             "rng": path.rng_algorithm,
             "events": path.n_events,
             "burn_in": args.burn_in,
+            "warnings": _messages(caught),
             "version": __version__,
         },
         out + ".json",
@@ -215,92 +219,89 @@ def _validate_checks(suite: str):
     def add(name, value, tol):
         checks.append((name, float(value), float(tol), bool(value <= tol)))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    mp = MoranParams(12, 0.7, 0.25, 0.15)
+    closed, pg = closedform.moran_closed(mp)
+    banded = recursions.solve_moran(mp)
+    gth = recursions.solve_moran_nullspace(mp)
+    add("moran closed vs banded (sup)", closed.sup_distance(banded), 1e-9)
+    add("moran closed vs nullspace (sup)", closed.sup_distance(gth), 1e-9)
+    zg = np.linspace(0.05, 0.9, 10)
+    add(
+        "moran pgf master-equation residual",
+        closedform.verify_master_equation(pg, None, mp, zg),
+        1e-6,
+    )
 
-        mp = MoranParams(12, 0.7, 0.25, 0.15)
-        closed, pg = closedform.moran_closed(mp)
-        banded = recursions.solve_moran(mp)
-        gth = recursions.solve_moran_nullspace(mp)
-        add("moran closed vs banded (sup)", closed.sup_distance(banded), 1e-9)
-        add("moran closed vs nullspace (sup)", closed.sup_distance(gth), 1e-9)
-        zg = np.linspace(0.05, 0.9, 10)
+    king = LambdaMeasure.kingman(2.0)
+    prm = ModelParams(1.0, 1.0, 0.5)
+    wfp, wfg = closedform.wf_closed(2.0, prm)
+    lam = recursions.solve_lambda_truncated(king, prm, tol=1e-11)
+    add("kingman closed vs recursion (sup)", wfp.sup_distance(lam), 1e-8)
+    add(
+        "kingman pgf master-equation residual",
+        closedform.verify_master_equation(wfg, king, prm, zg),
+        1e-6,
+    )
+
+    prm_bs = ModelParams(1.0, 0.5, 0.5)
+    geo, _ = closedform.bs_geometric_pmf(prm_bs)
+    rho = geo.extras["rho"]
+    uni = LambdaMeasure.uniform()
+    bs = recursions.solve_lambda_truncated(uni, prm_bs, tol=1e-11)
+    add("uniform recursion vs geometric (sup)", bs.sup_distance(geo), 1e-6)
+    rep = geomfix.check_geometric(uni, rho, n_max=20, params=prm_bs)
+    add("uniform geometric-condition residual", np.max(rep.cg3a_residuals), 1e-8)
+
+    prm_star = ModelParams(1.0, 0.4, 0.0)
+    starp, _ = closedform.star_closed(1.0, prm_star)
+    star_rec = recursions.solve_lambda_truncated(LambdaMeasure.star(1.0), prm_star, tol=1e-11)
+    add("star closed vs recursion (sup)", starp.sup_distance(star_rec), 1e-12)
+
+    ck, _ = closedform.crow_kimura_geometric(ModelParams(1.0, 1.0, 0.5))
+    ck_rec = recursions.solve_lambda_truncated(
+        LambdaMeasure.crow_kimura(), ModelParams(1.0, 1.0, 0.5), tol=1e-11
+    )
+    add("zero-measure recursion vs geometric (sup)", ck.sup_distance(ck_rec), 1e-10)
+
+    if suite == "full":
+        prm_fp = ModelParams(1.0, 0.2, 0.2)
+        rs = geomfix.rho_star(0.3, 0.05, prm_fp)
+        mu = geomfix.build_discrete_fixed_point(rs, 0.3, 0.05)
+        lam_fp = geomfix.pushforward_to_lambda(mu, rs)
+        pmf_fp = recursions.solve_lambda_truncated(lam_fp, prm_fp, tol=1e-10)
+        n = np.arange(1, pmf_fp.truncation_K + 1)
         add(
-            "moran pgf master-equation residual",
-            closedform.verify_master_equation(pg, None, mp, zg),
+            "fixed-point pushforward vs geometric (sup)",
+            np.max(np.abs(pmf_fp.probs - (1 - rs) * rs ** (n - 1.0))),
             1e-6,
         )
 
-        king = LambdaMeasure.kingman(2.0)
-        prm = ModelParams(1.0, 1.0, 0.5)
-        wfp, wfg = closedform.wf_closed(2.0, prm)
-        lam = recursions.solve_lambda_truncated(king, prm, tol=1e-11)
-        add("kingman closed vs recursion (sup)", wfp.sup_distance(lam), 1e-8)
+        beta22 = LambdaMeasure.beta(2.0, 2.0)
+        beta_rec = recursions.solve_lambda_truncated(beta22, prm_bs, tol=1e-11)
+        for name, measure, pmf, params in [
+            ("uniform", uni, bs, prm_bs),
+            ("beta(2,2)", beta22, beta_rec, prm_bs),
+            ("fixed-point atoms", lam_fp, pmf_fp, prm_fp),
+        ]:
+            pgf = closedform.PgfEvaluator.of_probs(pmf.probs)
+            residual = closedform.verify_master_equation(pgf, measure, params, zg)
+            add(f"{name} pgf identity residual", residual, 1e-10)
+
+        path = simulate.simulate_moran_L(MoranParams(10, 0.5, 0.1, 0.1), 5, 10**5, seed=11)
+        occ = simulate.occupancy(path, 0.2)
         add(
-            "kingman pgf master-equation residual",
-            closedform.verify_master_equation(wfg, king, prm, zg),
-            1e-6,
+            "moran occupancy vs recursion (TV)",
+            occ.tv_distance(recursions.solve_moran(MoranParams(10, 0.5, 0.1, 0.1)).probs),
+            0.03,
         )
 
-        prm_bs = ModelParams(1.0, 0.5, 0.5)
-        geo, _ = closedform.bs_geometric_pmf(prm_bs)
-        rho = geo.extras["rho"]
-        uni = LambdaMeasure.uniform()
-        bs = recursions.solve_lambda_truncated(uni, prm_bs, tol=1e-11)
-        add("uniform recursion vs geometric (sup)", bs.sup_distance(geo), 1e-6)
-        rep = geomfix.check_geometric(uni, rho, n_max=20, params=prm_bs)
-        add("uniform geometric-condition residual", np.max(rep.cg3a_residuals), 1e-8)
-
-        prm_star = ModelParams(1.0, 0.4, 0.0)
-        starp, _ = closedform.star_closed(1.0, prm_star)
-        star_rec = recursions.solve_lambda_truncated(LambdaMeasure.star(1.0), prm_star, tol=1e-11)
-        add("star closed vs recursion (sup)", starp.sup_distance(star_rec), 1e-12)
-
-        ck, _ = closedform.crow_kimura_geometric(ModelParams(1.0, 1.0, 0.5))
-        ck_rec = recursions.solve_lambda_truncated(
-            LambdaMeasure.crow_kimura(), ModelParams(1.0, 1.0, 0.5), tol=1e-11
+        ms = duality.solve_w_moments(uni, prm_bs, tol=1e-11)
+        wg = duality.bs_w_generating(prm_bs, n_taylor=10)
+        add(
+            "moment generating function Taylor head",
+            max(abs(wg.taylor[n] - ms[n]) for n in range(1, 11)),
+            1e-5,
         )
-        add("zero-measure recursion vs geometric (sup)", ck.sup_distance(ck_rec), 1e-10)
-
-        if suite == "full":
-            prm_fp = ModelParams(1.0, 0.2, 0.2)
-            rs = geomfix.rho_star(0.3, 0.05, prm_fp)
-            mu = geomfix.build_discrete_fixed_point(rs, 0.3, 0.05)
-            lam_fp = geomfix.pushforward_to_lambda(mu, rs)
-            pmf_fp = recursions.solve_lambda_truncated(lam_fp, prm_fp, tol=1e-10)
-            n = np.arange(1, pmf_fp.truncation_K + 1)
-            add(
-                "fixed-point pushforward vs geometric (sup)",
-                np.max(np.abs(pmf_fp.probs - (1 - rs) * rs ** (n - 1.0))),
-                1e-6,
-            )
-
-            beta22 = LambdaMeasure.beta(2.0, 2.0)
-            beta_rec = recursions.solve_lambda_truncated(beta22, prm_bs, tol=1e-11)
-            for name, measure, pmf, params in [
-                ("uniform", uni, bs, prm_bs),
-                ("beta(2,2)", beta22, beta_rec, prm_bs),
-                ("fixed-point atoms", lam_fp, pmf_fp, prm_fp),
-            ]:
-                pgf = closedform.PgfEvaluator.of_probs(pmf.probs)
-                residual = closedform.verify_master_equation(pgf, measure, params, zg)
-                add(f"{name} pgf identity residual", residual, 1e-10)
-
-            path = simulate.simulate_moran_L(MoranParams(10, 0.5, 0.1, 0.1), 5, 10**5, seed=11)
-            occ = simulate.occupancy(path, 0.2)
-            add(
-                "moran occupancy vs recursion (TV)",
-                occ.tv_distance(recursions.solve_moran(MoranParams(10, 0.5, 0.1, 0.1)).probs),
-                0.03,
-            )
-
-            ms = duality.solve_w_moments(uni, prm_bs, tol=1e-11)
-            wg = duality.bs_w_generating(prm_bs, n_taylor=10)
-            add(
-                "moment generating function Taylor head",
-                max(abs(wg.taylor[n] - ms[n]) for n in range(1, 11)),
-                1e-5,
-            )
     return checks
 
 

@@ -49,8 +49,13 @@ class PgfEvaluator:
     """Probability generating function of a stationary block-count law.
 
     evaluate(z) is defined on [0, 1]; it reads 0 at z <= 0 and 1 at z >= 1
-    whatever the closure given, which only sees 0 < z < 1.  d(z) is a
-    Richardson-extrapolated central difference.
+    whatever the closure given, which only sees 0 < z < 1.  z may be a
+    float or an array: a float gives a float, an array an array of its
+    shape.  The closure is called once per evaluation with a 1-d array of
+    the interior points; a scalar it returns is broadcast over them.  d(z)
+    is a Richardson-extrapolated central difference, taken from one
+    evaluate call over all four stencil points of every z; value_and_slope
+    adds z itself to that call.
     p1 is the head probability that the first-order identity takes as
     data.  probs, where known, are the coefficients p_1, p_2, ... of the
     pgf as a power series (of_probs builds such a pgf); the identity of a
@@ -59,13 +64,22 @@ class PgfEvaluator:
     measure and parameters given to verify_master_equation do.
     """
 
-    evaluate: Callable[[float], float]
+    evaluate: Callable[[np.ndarray], np.ndarray | float]
     p1: float
     probs: np.ndarray | None = None
 
     def __post_init__(self):
         inner = self.evaluate
-        self.evaluate = lambda z: 0.0 if z <= 0.0 else 1.0 if z >= 1.0 else inner(z)
+
+        def evaluate(z):
+            z = np.asarray(z, dtype=float)
+            out = np.where(z >= 1.0, 1.0, 0.0)
+            mid = ~((z <= 0.0) | (z >= 1.0))  # a NaN z goes to the closure
+            if mid.any():
+                out[mid] = inner(z[mid])
+            return _like_input(out)
+
+        self.evaluate = evaluate
 
     @classmethod
     def of_probs(cls, probs: np.ndarray) -> "PgfEvaluator":
@@ -73,16 +87,28 @@ class PgfEvaluator:
         probs = np.asarray(probs, dtype=float)
         n = np.arange(1, probs.size + 1)
 
-        return cls(lambda z: float(np.dot(probs, np.power(z, n))), float(probs[0]), probs)
+        return cls(lambda z: np.power.outer(z, n) @ probs, float(probs[0]), probs)
 
-    def __call__(self, z: float) -> float:
+    def __call__(self, z):
         return self.evaluate(z)
 
-    def d(self, z: float) -> float:
-        h = 1e-5 * (1.0 + abs(z))
-        d1 = (self.evaluate(z + h) - self.evaluate(z - h)) / (2 * h)
-        d2 = (self.evaluate(z + h / 2) - self.evaluate(z - h / 2)) / h
-        return (4.0 * d2 - d1) / 3.0
+    def d(self, z):
+        return _like_input(self.value_and_slope(z)[1])
+
+    def value_and_slope(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(f(z), d(z)) as arrays, from one evaluate call over every z and
+        the four points of its stencil."""
+        z = np.asarray(z, dtype=float)
+        h = 1e-5 * (1.0 + np.abs(z))
+        f = self.evaluate(z + np.multiply.outer([0.0, 1.0, -1.0, 0.5, -0.5], h))
+        d1 = (f[1] - f[2]) / (2 * h)
+        d2 = (f[3] - f[4]) / h
+        return f[0], (4.0 * d2 - d1) / 3.0
+
+
+def _like_input(out: np.ndarray) -> np.ndarray | float:
+    """A 0-d result as a float, any other as the array it is."""
+    return float(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +143,7 @@ class _TwoWeightForm:
     beta: float
     c: float
     log_k: Callable[[np.ndarray], np.ndarray]
-    log_K: Callable[[float], float]
+    log_K: Callable[[np.ndarray], np.ndarray]
     branch: Callable[[float], float]  # S_n, the per-block up-rate at n blocks
     tail_solve: Callable[[], tuple[np.ndarray, dict]]  # pmf past formula_valid_to, extras
 
@@ -159,30 +185,32 @@ def _weight_integrals(
     errors strongly correlated, which is what the ill-conditioned ratio
     I_1/I_0 needs.  A singular beta_split < 0 goes to quad_power_endpoints.
     """
-    tol = 1e-15
 
     def pair(y):
         base = w(y)
         return np.stack([base, base * y])
 
     if beta_split == 0.0:
-        i0, i1 = adaptive_quad(pair, 0.0, 1.0, tol=tol)
+        i0, i1 = adaptive_quad(pair, 0.0, 1.0, tol=_W_TOL)
     else:
-        i0, i1 = quad_power_endpoints(pair, 0.0, 1.0, alpha=0.0, beta=beta_split, tol=tol)
+        i0, i1 = quad_power_endpoints(pair, 0.0, 1.0, alpha=0.0, beta=beta_split, tol=_W_TOL)
     return float(i0), float(i1)
 
 
 # The alternating combination I1 q_{n,1}/(alpha+1) - I0 q_{n,2}/(alpha+2) is
 # exponentially ill-conditioned in n: the true pmf is the recessive part of
 # the expansion, so its tail demands relative accuracy ~ p_n / q_n of every
-# factor.  _Q_EFF_EPS is the relative error that the weight integrals
-# (quadrature tolerance 1e-15) and the double inputs bring to each term;
-# stepping the recurrence in _QDTYPE adds up to about 2n roundings.  The
-# error estimate of p_n is the term scale times their sum, and the formula
-# hands over to the model's stable tail solve at the first n where that
-# estimate exceeds _Q_ERR_CAP or |p_n|.  Where long double is a plain
-# double, the n-scaled part of the estimate is 2048 times larger.
+# factor.  _Q_EFF_EPS is the relative error that the double inputs bring
+# to each term; the weight integrals add their absolute quadrature tolerance
+# _W_TOL, which is _W_TOL / min(I0, I1) relative (w peaks at 1, so I0 and
+# I1 can be far below 1); stepping the recurrence in _QDTYPE adds up to
+# about 2n roundings.  The error estimate of p_n is the term scale times
+# their sum, and the formula hands over to the model's stable tail solve at
+# the first n where that estimate exceeds _Q_ERR_CAP or |p_n|.  Where long
+# double is a plain double, the n-scaled part of the estimate is 2048 times
+# larger.
 _Q_EFF_EPS = 1e-15
+_W_TOL = 1e-15
 _Q_ERR_CAP = 1e-10
 _QDTYPE = np.longdouble
 
@@ -219,12 +247,13 @@ def _two_weight_closed(
     pref = form.c / (i0 - i1)
 
     eps = float(np.finfo(_QDTYPE).eps)
+    rel = _Q_EFF_EPS + _W_TOL / min(i0, i1)
     probs = np.empty(n_max)
     probs[0] = p1
     extras = {"formula_valid_to": n_max}
     for n, (q1, q2) in zip(range(2, n_max + 1), _q_pairs(form)):
         p = pref * (i1 * q1 / a1 - i0 * q2 / a2)
-        err = pref * (i1 * abs(q1) / a1 + i0 * abs(q2) / a2) * (_Q_EFF_EPS + 2 * n * eps)
+        err = pref * (i1 * abs(q1) / a1 + i0 * abs(q2) / a2) * (rel + 2 * n * eps)
         if err > _Q_ERR_CAP or err > abs(p):
             fill, fill_extras = form.tail_solve()
             probs[n - 1 :] = fill[n - 1 : n_max]
@@ -243,27 +272,46 @@ def _two_weight_closed(
     ratio = i1 / i0
     pgf_pref = form.c * i0 / (i0 - i1)
 
-    def evaluate(z: float) -> float:
-        if z <= 0.6:
-            def f(y):
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        # every z is mapped onto one reference interval, so that each branch
+        # is one vector-valued quadrature over all its z; both maps scale the
+        # integral by a factor <= 1, so its tolerance is no looser per z
+        j = np.empty_like(z)
+        low = z <= 0.6
+        if low.any():
+            # int_0^z f(y) dy = z int_0^1 f(z t) dt
+            zl = z[low][:, None]
+
+            def f(t):
+                y = zl * t
                 base = (ratio - y) * w(y)
                 if beta_split < 0.0:
                     base = base * np.power(1.0 - y, beta_split)
                 return base
 
-            j = adaptive_quad(f, 0.0, z, tol=1e-13)
-        else:
-            # int_0^1 (ratio - y) w = 0, so the tail integral is used
-            def f(y):
+            j[low] = z[low] * adaptive_quad(f, 0.0, 1.0, tol=1e-13)
+        if not low.all():
+            # int_0^1 (ratio - y) w = 0, so the tail integral is used:
+            # y = z + (1-z) t, and (1-y)^beta_split = (1-z)^beta_split (1-t)^beta_split
+            zh = z[~low][:, None]
+
+            def g(t):
+                y = zh + (1.0 - zh) * t
                 return (y - ratio) * w(y)
 
-            j = quad_power_endpoints(f, z, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
-        log_pref = form.log_K(z) - form.alpha * math.log(z) - form.beta * math.log1p(-z) + scale
+            tail = quad_power_endpoints(g, 0.0, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
+            j[~low] = (1.0 - z[~low]) ** (1.0 + beta_split) * tail
+        log_pref = form.log_K(z) - form.alpha * np.log(z) - form.beta * np.log1p(-z) + scale
         # a large prefactor times the cancelling integral loses its digits;
         # past exp's range the product is inf (NaN where j = 0)
-        value = pgf_pref * j * (math.exp(log_pref) if log_pref < 709.0 else math.inf)
-        if not -1e-9 <= value <= 1.0 + 1e-9:
-            raise IllConditioned(f"{tag}: pgf value {value:.6g} at z = {z} lies outside [0, 1]")
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = pgf_pref * j * np.where(log_pref < 709.0, np.exp(log_pref), math.inf)
+        bad = ~((-1e-9 <= value) & (value <= 1.0 + 1e-9))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise IllConditioned(
+                f"{tag}: pgf value {value[k]:.6g} at z = {z[k]} lies outside [0, 1]"
+            )
         return value
 
     return pmf, PgfEvaluator(evaluate, p1)
@@ -349,7 +397,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     form = _TwoWeightForm(
         alpha=N * u1, beta=N * rho0, c=N * u0,
         log_k=lambda y: -(A + 1.0) * np.log1p(s * y),
-        log_K=lambda z: A * math.log1p(s * z),
+        log_K=lambda z: A * np.log1p(s * z),
         branch=lambda n: (N - n) * s,
         tail_solve=lambda: (solve_moran(params).probs, {}),
     )
@@ -496,8 +544,8 @@ def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvalu
         c = m1 / (sigma + th0)
         arg_scale = sigma / (sigma + th0)
 
-        def evaluate(z: float) -> float:
-            return 1.0 - (1.0 - z) * float(hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z))
+        def evaluate(z: np.ndarray) -> np.ndarray:
+            return 1.0 - (1.0 - z) * hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z)
 
         return pmf, PgfEvaluator(evaluate, float(pmf.probs[0]))
 
@@ -525,7 +573,11 @@ def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvalu
         pz = sigma * (z - xm) * (z - xp)
         return sigma * integral / pz
 
-    return solve_star(params, m1), PgfEvaluator(lambda z: z * (1.0 - (1.0 - z) * f_of_z(z)), p1)
+    def evaluate(z: np.ndarray) -> np.ndarray:
+        f = np.array([f_of_z(zi) for zi in z])
+        return z * (1.0 - (1.0 - z) * f)
+
+    return solve_star(params, m1), PgfEvaluator(evaluate, p1)
 
 
 # ----------------------------------------------------------------------
@@ -733,23 +785,32 @@ def _first_order_residual(pgf, measure, prm, z):
          + theta0 z^2].
 
     Kingman, star-shaped and the zero measure are its m1 = 0, m0 = 0 and
-    m0 = m1 = 0 cases; see _first_order_coefficients for Moran.
+    m0 = m1 = 0 cases; see _first_order_coefficients for Moran.  z is the
+    whole grid: f and f' come from one evaluate call, and for m1 > 0 the
+    integral is one vector-valued z int_0^1 h(z t) dt whose integrand is
+    one evaluate call per panel.
     """
     sigma, th0, th1, a0, a1, m1, c = _first_order_coefficients(measure, prm)
-    out = 0.0
+    out = np.zeros_like(z)
     if a0 != 0.0 or a1 != 0.0:
-        out += (a0 + a1 * z) * z * (1.0 - z) * pgf.d(z)
+        f, df = pgf.value_and_slope(z)
+        out += (a0 + a1 * z) * z * (1.0 - z) * df
+    else:
+        f = pgf.evaluate(z)
     if m1 != 0.0:
-        def h(u):
-            return np.array([
-                1.0 - pgf.p1 if ui < 1e-12 else (ui - pgf.evaluate(ui)) / (ui * (1.0 - ui))
-                for ui in u
-            ])
+        zc = z[:, None]
 
-        out += m1 * z * (1.0 - z) * adaptive_quad(h, 0.0, z, tol=1e-11)
+        def h(t):
+            u = zc * t
+            vals = np.full_like(u, 1.0 - pgf.p1)
+            far = u >= 1e-12
+            vals[far] = (u[far] - pgf.evaluate(u[far])) / (u[far] * (1.0 - u[far]))
+            return vals
+
+        out += m1 * z * (1.0 - z) * z * adaptive_quad(h, 0.0, 1.0, tol=1e-11)
     return c * (
         out
-        + (sigma * z * z - (sigma + (th0 + th1)) * z + th1) * pgf.evaluate(z)
+        + (sigma * z * z - (sigma + (th0 + th1)) * z + th1) * f
         - (a0 + th1) * pgf.p1 * z * (1.0 - z)
         + th0 * z * z
     )
@@ -831,14 +892,14 @@ def verify_master_equation(
     if not (isinstance(params, MoranParams) and measure is None
             or isinstance(params, ModelParams) and measure is not None):
         raise DomainError("a pgf identity takes MoranParams alone or ModelParams and a measure")
-    if measure is None or isinstance(measure.interior, Zero):
-        res = [_first_order_residual(pgf, measure, params, zi) for zi in z]
-    elif pgf.probs is None:
+    first_order = measure is None or isinstance(measure.interior, Zero)
+    if not first_order and pgf.probs is None:
         raise DomainError(
             "the pgf identity of a measure with an interior part needs the pgf's "
             "coefficients (PgfEvaluator.of_probs)"
         )
-    else:
-        res = _lambda_residual(pgf, measure, params, z) if z.size else []
+    if not z.size:
+        return 0.0
+    residual = _first_order_residual if first_order else _lambda_residual
     # np.max, unlike the builtin max, passes a NaN residual on
-    return float(np.max(np.abs(res), initial=0.0))
+    return float(np.max(np.abs(residual(pgf, measure, params, z))))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -85,6 +86,8 @@ def test_simulate_deterministic_artifacts(tmp_path):
     assert (
         tmp_path / "a_occupancy.csv"
     ).read_bytes() == (tmp_path / "b_occupancy.csv").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert json.loads((tmp_path / "a.json").read_text())["warnings"] == []
 
 
 def test_simulate_start_beyond_float_binomials(tmp_path):
@@ -172,6 +175,33 @@ def test_missing_sigma_is_spec_error():
 
 def test_validate_quick():
     assert main(["validate", "--suite", "quick"]) == 0
+
+
+def test_validate_full_raises_no_warning(capsys):
+    # validate no longer silences warnings, so each check must raise none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--suite", "full"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "15/15 checks passed"
+
+
+def test_stationary_json_records_the_recurrence_warning(tmp_path):
+    # beta(3,1) has sigma_Lambda = 3, so with theta0 = 0 the sufficient
+    # condition sigma < sigma_Lambda + theta1 fails; a tol of 1 lets the
+    # truncated solve stop at its first K, and the JSON says what was warned
+    args = ["stationary", "--model", "beta31", "--sigma", "3.6", "--theta1", "0.5",
+            "--tol", "1"]
+    for out in ("a", "b"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # recorded, not raised
+            assert main(args + ["--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    (msg,) = json.loads((tmp_path / "a.json").read_text())["diagnostics"]["warnings"]
+    assert msg.startswith("UserWarning: positive recurrence not established")
+    # theta0 > 0 establishes it: nothing to record
+    args = ["stationary", "--model", "beta31", "--sigma", "2", "--theta0", "0.1"]
+    assert main(args + ["--out", str(tmp_path / "c")]) == 0
+    assert json.loads((tmp_path / "c.json").read_text())["diagnostics"]["warnings"] == []
 
 
 MALFORMED_MEASURES = {

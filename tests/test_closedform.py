@@ -446,9 +446,12 @@ def test_moran_pgf_prefactor_overflow_is_ill_conditioned(N, z):
     # the prefactor exp(log K(z) - alpha log z - beta log(1-z)) times the
     # cancelling integral leaves [0, 1] (at N = 10^4, z = 1/2, the double
     # range): -5.96e54 at N = 1000, z = 1/2, and 2.66e12 at N = 10^4, z = 0.2
-    _, pg = moran_closed(MoranParams(N, 0.7, 0.25, 0.15), n_max=50)
+    mp = MoranParams(N, 0.7, 0.25, 0.15)
+    _, pg = moran_closed(mp, n_max=50)
     with pytest.raises(IllConditioned):
         pg.d(z)
+    with pytest.raises(IllConditioned):
+        verify_master_equation(pg, None, mp, [0.1, z])
 
 
 def test_master_equation_identity_follows_the_measure():
@@ -579,15 +582,28 @@ def test_closed_routes_pick_their_own_truncation_random():
         warnings.simplefilter("error")
         for measure, prm, pmf in draws:
             rec = solve_lambda_truncated(measure, prm, tol=1e-13)
-            # the Kingman formula's own head keeps the 1e-9 of the test above
+            # the Kingman formula's own head keeps its 1e-10 cap (_Q_ERR_CAP)
             head = pmf.extras.get("formula_valid_to", 0)
             k = min(pmf.truncation_K, rec.truncation_K)
             assert np.max(np.abs(pmf.probs[head:k] - rec.probs[head:k])) < DEFAULT_TOL
-            assert pmf.sup_distance(rec) < (1e-9 if head else DEFAULT_TOL), (measure, prm)
+            assert pmf.sup_distance(rec) < (1e-10 if head else DEFAULT_TOL), (measure, prm)
             if pmf.solver_tag == "star-closed-tails":
                 assert pmf.tail_mass < 1e-17
             else:
                 assert pmf.extras["closure_bound"] < DEFAULT_TOL, (measure, prm)
+
+
+def test_wf_hand_over_counts_the_weight_integral_error():
+    # I_1 = 3.3e-3 here, so the 1e-15 absolute tolerance of the weight
+    # integrals is 3e-13 relative; an estimate that left it out kept the
+    # formula to n = 13, where p_13 was 3.0e-10 off
+    m0, prm = 0.70856, ModelParams(6.51167, 0.415212, 0.0079240)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf, _ = wf_closed(m0, prm)
+        rec = solve_lambda_truncated(LambdaMeasure.kingman(m0), prm, tol=1e-13)
+    assert pmf.extras["formula_valid_to"] < 13
+    assert pmf.sup_distance(rec) < closedform._Q_ERR_CAP
 
 
 def test_product_form_overflow_is_typed():
@@ -657,6 +673,88 @@ def test_q_recurrence_matches_3f2_double_sum():
                     num, den = q.as_integer_ratio()
                     exact = _q_oracle(alpha, beta, x, rho, n, i)
                     assert abs(mpmath.mpf(num) / den - exact) <= 1e-15 * abs(exact), (form, n, i)
+
+
+def _two_weight_oracle(form, log_k, log_K, z):
+    """The two-weight pgf at z from the closed form's own I_0, I_1 and scale,
+    with its integral taken by 30-digit mpmath: from 0 to z for z <= 0.6 and
+    from z to 1 beyond, each with its endpoint power substituted away.
+    log_k and log_K are the form's, written for mpmath."""
+    w, scale = closedform._scaled_weight(form)
+    i0, i1 = closedform._weight_integrals(w, min(form.beta - 1.0, 0.0))
+    with mpmath.workdps(30):
+        ratio = mpmath.mpf(i1) / i0
+        a, b, sc, z = (mpmath.mpf(v) for v in (form.alpha, form.beta, scale, z))
+        if z <= 0.6:
+            def f(t):  # y = t^(1/(alpha+1)) takes out y^alpha
+                y = t ** (1 / (a + 1))
+                return (ratio - y) * mpmath.exp(log_k(y) - sc) * (1 - y) ** (b - 1) / (a + 1)
+
+            j = mpmath.quad(f, [0, z ** (a + 1)])
+        else:
+            def f(t):  # y = 1 - t^(1/beta) takes out (1-y)^(beta-1)
+                y = 1 - t ** (1 / b)
+                return (y - ratio) * mpmath.exp(a * mpmath.log(y) + log_k(y) - sc) / b
+
+            j = mpmath.quad(f, [0, (1 - z) ** b])
+        pref = form.c * mpmath.mpf(i0) / (mpmath.mpf(i0) - i1)
+        log_pref = log_K(z) - a * mpmath.log(z) - b * mpmath.log1p(-z) + sc
+        return float(pref * mpmath.exp(log_pref) * j)
+
+
+def test_pgfs_evaluate_whole_grids():
+    # every closed pgf, and of_probs of its pmf, takes a z array: equal to
+    # its pointwise values, of the input's shape, a float for a float, and 0
+    # and 1 outside (0, 1); the two-weight pgfs also match a 30-digit oracle
+    rng = np.random.default_rng(2501)
+    laws = []  # (law, mpmath log k and log K of a two-weight form, or None)
+    # beta = N rho0 or theta0' below 1 (a singular (1-y)^(beta-1)) and above
+    for beta in rng.uniform([0.1, 0.1, 1.1, 1.1], [0.9, 0.9, 3.0, 3.0]):
+        N = int(rng.integers(2, 61))
+        s, u1 = rng.uniform(0.1, 3.0, 2) / N
+        mp = MoranParams(N, float(s), float(beta * (1.0 + s) / N), float(u1))
+        A = (1.0 + mp.u1 + mp.u0 / (1.0 + s)) * N
+        laws.append((lambda mp=mp: moran_closed(mp),
+                     (lambda y, A=A, s=s: -(A + 1) * mpmath.log1p(s * y),
+                      lambda z, A=A, s=s: A * mpmath.log1p(s * z))))
+        m0 = float(rng.uniform(0.5, 3.0))
+        sigma, th1 = rng.uniform(0.1, 3.0, 2) * m0 / 2
+        prm = ModelParams(float(sigma), float(beta * m0 / 2), float(th1))
+        sp = 2 * prm.sigma / m0
+        laws.append((lambda m0=m0, prm=prm: wf_closed(m0, prm),
+                     (lambda y, sp=sp: -sp * y, lambda z, sp=sp: sp * z)))
+    for _ in range(2):
+        prm = ModelParams(*rng.uniform(0.3, 1.5, 3))
+        prm0 = ModelParams(prm.sigma, prm.theta0, 0.0)
+        m1 = float(rng.uniform(0.5, 2.0))
+        laws += [
+            (lambda m1=m1, prm=prm: star_closed(m1, prm), None),
+            (lambda m1=m1, prm0=prm0: star_closed(m1, prm0), None),
+            (lambda prm=prm: beta31_pgf(prm), None),
+            (lambda prm=prm: bs_geometric_pmf(prm), None),
+            (lambda prm=prm: crow_kimura_geometric(prm), None),
+        ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law, logs in laws:
+            pmf, pgf = law()
+            z = np.sort(rng.uniform(0.02, 0.95, 12))
+            for pg in (pgf, PgfEvaluator.of_probs(pmf.probs)):
+                grid = pg(z)
+                assert np.max(np.abs(grid - [pg(float(v)) for v in z])) <= 1e-12
+                # the stencil divides evaluate's differences by h ~ 1e-5
+                assert np.max(np.abs(pg.d(z) - [pg.d(float(v)) for v in z])) <= 3e-12 / 1e-5
+                assert type(pg(0.5)) is float and type(pg.d(0.5)) is float
+                assert np.array_equal(pg(z.reshape(3, 4)), grid.reshape(3, 4))
+                assert pg.d(z.reshape(3, 4)).shape == (3, 4)
+                assert pg(np.array([-1.0, 0.0, 1.0, 2.0])).tolist() == [0.0, 0.0, 1.0, 1.0]
+            if logs is not None:
+                form = _two_weight_form(law)
+                for v in z[[0, 6, 11]]:
+                    assert abs(pgf(v) - _two_weight_oracle(form, *logs, v)) <= 1e-12, (form, v)
+    # a closure that returns a scalar is broadcast over the interior points
+    const = PgfEvaluator(lambda z: 0.25, 0.25)
+    assert const(np.array([0.0, 0.3, 0.6, 1.0])).tolist() == [0.0, 0.25, 0.25, 1.0]
 
 
 def _property_draws():
