@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: stationary, simulate, moments, geom-check, dual, validate.
-Artifacts are deterministic for a fixed seed: floats are emitted with
-repr round-tripping, JSON keys are sorted, and nothing time-dependent is
-recorded.  Validation failures exit 1; argument/spec errors exit 2.
+Artifacts are deterministic for a fixed seed: CSV floats are written as
+their repr (textio.write_csv), JSON keys are sorted, and nothing
+time-dependent is recorded.  Validation failures exit 1; argument/spec
+errors exit 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import __version__
 from .errors import BlockstatError
 from .measures import LambdaMeasure, ModelParams, MoranParams, UniformScaled
 from . import closedform, duality, geomfix, recursions, simulate
+from .textio import write_csv
 
 _KEYWORD_MEASURES = {
     "kingman": lambda: LambdaMeasure.kingman(2.0),
@@ -59,13 +61,8 @@ def _json_out(payload: dict, path: str | None) -> None:
 
 
 def _pmf_csv(pmf: recursions.StationaryPmf, path: str) -> None:
-    K = pmf.truncation_K
-    flat = [0] * (3 * K)
-    flat[::3] = range(1, K + 1)
-    flat[1::3] = pmf.probs.astype(float).tolist()
-    flat[2::3] = pmf.tails()[1:].tolist()
-    with open(path, "w") as fh:
-        fh.write("n,p_n,a_n\n" + ("%d,%r,%r\n" * K) % tuple(flat))
+    n = np.arange(1, pmf.truncation_K + 1)
+    write_csv(path, ("n", "p_n", "a_n"), (n, pmf.probs, pmf.tails()[1:]))
 
 
 def _model_params(args) -> ModelParams:

@@ -22,6 +22,7 @@ from .closedform import PgfEvaluator, bs_rho
 from .errors import DomainError, PreconditionViolated, QuadratureFailure
 from .measures import LambdaMeasure, ModelParams, merger_rows
 from .recursions import DEFAULT_TOL, K_START, StationaryPmf, double_until_closed
+from .textio import write_csv
 
 
 @dataclass
@@ -38,10 +39,7 @@ class MomentSequence:
         return float(self.w[n])
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("n,w_n\n")
-            for n, wn in enumerate(self.w):
-                fh.write(f"{n},{float(wn)!r}\n")
+        write_csv(path, ("n", "w_n"), (np.arange(self.w.size), self.w))
 
 
 def _extend_w_system(
@@ -336,8 +334,8 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
 def bs_absorption(x: float, sigma: float) -> float:
     """P(unfit type takes over | start frequency x) for the uniform measure,
     no mutation: (1-x) e^-sigma / (x + (1-x) e^-sigma)."""
-    if not 0.0 <= x <= 1.0 or sigma <= 0:
-        raise DomainError("need x in [0,1] and sigma > 0")
+    if not (0.0 <= x <= 1.0 and 0 < sigma < math.inf):
+        raise DomainError("need x in [0,1] and finite sigma > 0")
     e = math.exp(-sigma)
     return (1.0 - x) * e / (x + (1.0 - x) * e)
 
@@ -350,8 +348,8 @@ def geometric_pgf_absorption(x: float, rho: float) -> float:
 
 def kimura_fixation(x: float, sigma: float, m0: float) -> float:
     """(1 - exp(-2 sigma x / m0)) / (1 - exp(-2 sigma / m0))."""
-    if not 0.0 <= x <= 1.0 or sigma <= 0 or m0 <= 0:
-        raise DomainError("need x in [0,1], sigma > 0, m0 > 0")
+    if not (0.0 <= x <= 1.0 and 0 < sigma < math.inf and 0 < m0 < math.inf):
+        raise DomainError("need x in [0,1], finite sigma > 0, finite m0 > 0")
     lam = 2.0 * sigma / m0
     return math.expm1(-lam * x) / math.expm1(-lam)
 
@@ -367,8 +365,8 @@ def moran_fixation(k: int, N: int, s: float) -> float:
 
     Computed as expm1 ratios so large N cannot overflow.
     """
-    if not 1 <= k <= N or s <= 0:
-        raise DomainError("need 1 <= k <= N and s > 0")
+    if not (1 <= k <= N and 0 < s < math.inf):
+        raise DomainError("need 1 <= k <= N and finite s > 0")
     ls = math.log1p(s)
     return math.expm1(-k * ls) / math.expm1(-N * ls)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, PreconditionViolated
 from .measures import Atoms, BetaDensity, LambdaMeasure, ModelParams, UniformScaled, Zero
 from .specfun import bracketed_root
+from .textio import write_csv
 
 
 def phi_big(rho: float, x):
@@ -96,10 +97,7 @@ class AtomicMeasure:
         return float(np.dot(self.locations**j, self.masses))
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("k,location,mass\n")
-            for k, x, m in zip(self.ks, self.locations, self.masses):
-                fh.write(f"{int(k)},{float(x)!r},{float(m)!r}\n")
+        write_csv(path, ("k", "location", "mass"), (self.ks, self.locations, self.masses))
 
 
 def build_discrete_fixed_point(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyPath, NonAbsorbing, RateOverflow
 from .measures import LambdaMeasure, ModelParams, MoranParams, merger_row
+from .textio import write_csv
 
 DELTA = -1  # cemetery marker of the killed ASG
 RATE_CAP = 1e12
@@ -51,12 +52,7 @@ class JumpPath:
         return self.states.size - 1
 
     def to_csv(self, path: str) -> None:
-        # one % format over the interleaved fields: %r is a float's repr
-        flat = [0] * (2 * self.states.size)
-        flat[::2] = self.states.astype(np.int64).tolist()
-        flat[1::2] = self.holding_times.astype(float).tolist()
-        with open(path, "w") as fh:
-            fh.write("state,holding_time\n" + ("%d,%r\n" * self.states.size) % tuple(flat))
+        write_csv(path, ("state", "holding_time"), (self.states, self.holding_times))
 
 
 @dataclass
@@ -80,9 +76,8 @@ class OccupancyEstimate:
         )
 
     def to_csv(self, path: str) -> None:
-        rows = "".join(f"{s},{float(self.weights[s])!r}\n" for s in sorted(self.weights))
-        with open(path, "w") as fh:
-            fh.write("state,weight\n" + rows)
+        states = sorted(self.weights)
+        write_csv(path, ("state", "weight"), (states, [self.weights[s] for s in states]))
 
 
 class _BlockRng:

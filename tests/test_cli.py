@@ -235,9 +235,14 @@ def test_malformed_measure_file_is_spec_error(tmp_path, capsys, name):
         ["stationary", "--model", "moran", "--N", "10", "--s", "nan"],
         ["simulate", "--model", "moran", "--N", "10", "--s", "0.5", "--u0", "inf",
          "--start", "3", "--events", "10", "--seed", "1"],
+        ["dual", "--x", "0", "--sigma", "inf", "--m0", "nan"],
+        ["dual", "--x", "0.5", "--sigma", "nan", "--m0", "1"],
+        ["dual", "--x", "0.5", "--sigma", "1", "--m0", "inf"],
+        ["dual", "--N", "10", "--k", "3", "--s", "nan"],
     ],
     ids=["simulate-no-sigma", "nan-sigma", "inf-sigma", "nan-theta0", "nan-moran-s",
-         "inf-moran-u0"],
+         "inf-moran-u0", "dual-inf-sigma-nan-m0", "dual-nan-sigma", "dual-inf-m0",
+         "dual-nan-moran-s"],
 )
 def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])

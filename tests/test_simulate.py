@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import blockstat.cli as cli
 import blockstat.simulate as sim
+from blockstat.duality import solve_w_moments
 from blockstat.errors import DomainError, EmptyPath, NonAbsorbing, RateOverflow
+from blockstat.geomfix import build_discrete_fixed_point
 from blockstat.measures import LambdaMeasure, ModelParams, MoranParams, lambda_rate
 from blockstat.recursions import solve_moran
 from blockstat.simulate import (
@@ -456,16 +459,62 @@ def test_killed_asg_step_cap_raises_non_absorbing():
         simulate_killed_asg(_KING, prm, 5, 10, seed=3, max_events_per_rep=1)
 
 
-def test_csv_writers_match_per_row_format(tmp_path):
-    path = simulate_moran_X(_MORAN_X_ABSORBING, 5, 1000, seed=2)
-    assert math.isinf(path.holding_times[-1])
-    occ = occupancy(path, 0.2)
-    path.to_csv(str(tmp_path / "path.csv"))
-    occ.to_csv(str(tmp_path / "occ.csv"))
+def _path_csv(path):
     rows = "".join(f"{int(s)},{float(h)!r}\n" for s, h in zip(path.states, path.holding_times))
-    assert (tmp_path / "path.csv").read_text() == "state,holding_time\n" + rows
+    return path.to_csv, "state,holding_time\n" + rows
+
+
+def _absorbed_path_csv(start, seed, end):
+    path = simulate_moran_X(_MORAN_X_ABSORBING, start, 1000, seed=seed)
+    assert path.states[-1] == end and math.isinf(path.holding_times[-1])
+    return _path_csv(path)
+
+
+def _occupancy_csv():
+    occ = occupancy(simulate_moran_X(_MORAN_X_ABSORBING, 5, 1000, seed=2), 0.2)
     rows = "".join(f"{s},{float(occ.weights[s])!r}\n" for s in sorted(occ.weights))
-    assert (tmp_path / "occ.csv").read_text() == "state,weight\n" + rows
+    return occ.to_csv, "state,weight\n" + rows
+
+
+def _moments_csv():
+    ms = solve_w_moments(LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5))
+    rows = "".join(f"{n},{float(wn)!r}\n" for n, wn in enumerate(ms.w))
+    return ms.to_csv, "n,w_n\n" + rows
+
+
+def _atoms_csv():
+    mu = build_discrete_fixed_point(0.5, 0.3, 0.05, K=40)
+    rows = "".join(f"{int(k)},{float(x)!r},{float(m)!r}\n"
+                   for k, x, m in zip(mu.ks, mu.locations, mu.masses))
+    return mu.to_csv, "k,location,mass\n" + rows
+
+
+def _pmf_csv():
+    pmf = solve_moran(MoranParams(2000, 1.1, 0.5, 0.4))
+    p = pmf.probs
+    assert (p == 0).sum() == 979 and ((p > 0) & (p < np.finfo(float).tiny)).sum() == 34
+    rows = "".join(f"{n},{float(p)!r},{float(a)!r}\n"
+                   for n, p, a in zip(range(1, pmf.truncation_K + 1), pmf.probs, pmf.tails()[1:]))
+    return functools.partial(cli._pmf_csv, pmf), "n,p_n,a_n\n" + rows
+
+
+# name -> () -> (write(path), the text written one row at a time with repr)
+_CSV_CASES = {
+    "moran-x path absorbed at N": lambda: _absorbed_path_csv(5, 2, 10),
+    "moran-x path absorbed at 0": lambda: _absorbed_path_csv(2, 1, 0),
+    "path of no events": lambda: _path_csv(simulate_moran_L(_MORAN, 5, 0, seed=1)),
+    "occupancy": _occupancy_csv,
+    "moments": _moments_csv,
+    "fixed-point atoms": _atoms_csv,
+    "moran pmf with zero and subnormal tail": _pmf_csv,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_csv_writers_match_per_row_format(tmp_path, case):
+    write, text = _CSV_CASES[case]()
+    write(str(tmp_path / "out.csv"))
+    assert (tmp_path / "out.csv").read_text() == text
 
 
 def test_jump_with_u_near_one_picks_last_target():
