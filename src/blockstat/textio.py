@@ -162,7 +162,7 @@ def _shortest(bits: np.ndarray, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     k = (q * 661971961083 + np.where(irregular, -274743187321, 0)) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
     g = [row[-k - _E_MIN] for row in limbs]
-    out = c & np.uint64(1)
+    out = c & np.uint64(1)  # an odd c's interval leaves its endpoints out
     cb = c << np.uint64(2)
     vb = _rop(g, cb << h)
     vbl = _rop(g, (cb - np.uint64(2) + irregular) << h) + out
@@ -212,7 +212,7 @@ def _float_fields(x: np.ndarray, tables) -> np.ndarray:
     f[nonzero], e[nonzero] = _shortest(bits[nonzero], limbs)
     n = np.searchsorted(_POW10, f, side="right") + 1
     point = n + e  # digits before the decimal point
-    whole = (e > 0) & (point <= 16)
+    whole = (e > 0) & (point <= 16)  # an integer in fixed notation: all its digits
     f = np.where(whole, f * _POW10[np.clip(e, 1, 16) - 1], f)
     n = np.where(whole, point, n)
     text = _ascii(f, quads, 17)
@@ -234,7 +234,7 @@ def _int_fields(v: np.ndarray, tables) -> np.ndarray:
     as wide as the longest."""
     _, quads, _, layouts = tables
     neg = v < 0
-    a = np.where(neg, -v, v).astype(np.uint64)
+    a = np.abs(v).astype(np.uint64)
     n = np.searchsorted(_POW10, a, side="right") + 1
     width = int(n.max())
     out = layouts[:, np.r_[0, _INT_WIDTH - width:_INT_WIDTH]][neg * 20 + n - 1]
@@ -262,12 +262,13 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
         for start in range(0, cols[0].size, _CHUNK):
             rows = min(_CHUNK, cols[0].size - start)
             fields = [None] * len(cols)
-            for kind, fmt, dtype in ((floats, _float_fields, np.float64),
-                                     (ints, _int_fields, np.int64)):
-                if kind:
-                    block = np.stack([cols[j][start:start + rows] for j in kind], axis=1)
-                    text = fmt(block.astype(dtype).ravel(), tables).reshape(rows, len(kind), -1)
-                    for i, j in enumerate(kind):
+            for group, fmt, dtype in ((floats, _float_fields, np.float64),
+                                      (ints, _int_fields, np.int64)):
+                if group:
+                    block = [cols[j][start:start + rows] for j in group]
+                    block = np.stack(block, axis=1, dtype=dtype).ravel()
+                    text = fmt(block, tables).reshape(rows, len(group), -1)
+                    for i, j in enumerate(group):
                         fields[j] = text[:, i]
             bounds = np.cumsum([0] + [t.shape[1] + 1 for t in fields])
             chunk = np.empty((rows, bounds[-1]), dtype=np.uint8)
