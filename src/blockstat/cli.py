@@ -323,24 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_model_params(p):
-        p.add_argument("--model", required=True, help="measure keyword, JSON file, or 'moran'")
+    def add_model_params(p, moran=False):
+        p.add_argument("--model", required=True,
+                       help="measure keyword or JSON file" + (", or 'moran'" if moran else ""))
         p.add_argument("--sigma", type=float, default=None)
         p.add_argument("--theta0", type=float, default=0.0)
         p.add_argument("--theta1", type=float, default=0.0)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--u0", type=float, default=0.0)
-        p.add_argument("--u1", type=float, default=0.0)
+        if moran:
+            p.add_argument("--N", type=int, default=None)
+            p.add_argument("--s", type=float, default=None)
+            p.add_argument("--u0", type=float, default=0.0)
+            p.add_argument("--u1", type=float, default=0.0)
 
     p = sub.add_parser("stationary", help="stationary pmf of the block counting chain")
-    add_model_params(p)
+    add_model_params(p, moran=True)
     p.add_argument("--tol", type=float, default=recursions.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("simulate", help="exact jump-chain simulation")
-    add_model_params(p)
+    add_model_params(p, moran=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--events", type=lambda v: int(float(v)), required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -348,13 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("moments", help="stationary moments w_n via duality")
+    # moments and geom-check have no Moran options; without prefix matching
+    # a stray --s is refused there rather than read as --sigma
+    p = sub.add_parser("moments", help="stationary moments w_n via duality", allow_abbrev=False)
     add_model_params(p)
     p.add_argument("--tol", type=float, default=recursions.DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("geom-check", help="test the geometric-law conditions")
+    p = sub.add_parser("geom-check", help="test the geometric-law conditions", allow_abbrev=False)
     add_model_params(p)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--n-max", dest="n_max", type=int, default=30)
@@ -387,7 +391,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "model", None) in ("moran", "moran-x"):
+        if args.command in ("stationary", "simulate") and args.model in ("moran", "moran-x"):
             if args.N is None or args.s is None:
                 raise BlockstatError("the Moran model needs --N and --s")
         elif args.command in ("stationary", "simulate", "moments"):

@@ -1,7 +1,8 @@
 """Closed-form stationary laws, generating functions, and moment formulas.
 
-Implements the explicit Moran, Wright-Fisher (Kingman), star-shaped and
-beta(3,1) solutions, the geometric laws of the uniform
+Implements the explicit Moran and Wright-Fisher (Kingman) solutions, the
+star-shaped and beta(3,1) laws from one integral of the integrating factor
+of their shared quadratic P(z), the geometric laws of the uniform
 (Bolthausen-Sznitman) and zero (Crow-Kimura) measures, each returned as
 (StationaryPmf, PgfEvaluator), and the residual of the pgf identity: a
 once-integrated form for Moran and Lambda = m0 delta_0 + m1 delta_1, and
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.integrate
 from scipy.special import hyp1f1, hyp2f1, lambertw
 
 from .errors import (
@@ -502,82 +502,175 @@ def wf_factorial_moments(
 
 
 # ----------------------------------------------------------------------
-# Star-shaped model
+# Star-shaped and beta(3,1) models: first-order pgf equations with one
+# quadratic P(z) = sigma z^2 - (sigma+theta) z + theta1, solved through
+# their integrating factor
 # ----------------------------------------------------------------------
 
 
-def _star_roots(params: ModelParams) -> tuple[float, float, float]:
-    sigma, theta, th1 = params.sigma, params.theta, params.theta1
-    d = math.sqrt((sigma + theta) ** 2 - 4.0 * sigma * th1)
-    x_minus = (sigma + theta - d) / (2.0 * sigma)
-    x_plus = (sigma + theta + d) / (2.0 * sigma)
-    if not (0.0 < x_minus < 1.0) or x_plus < 1.0 - 1e-14:
-        raise RootOrderViolation(
-            f"roots x-={x_minus}, x+={x_plus} outside the admissible order"
-        )
-    return d, x_minus, x_plus
+def _p_roots(params: ModelParams) -> tuple[float, float, float]:
+    """(d, x-, x+) with P(z) = sigma z^2 - (sigma+theta) z + theta1
+    = sigma (z - x-)(z - x+) and d = sigma (x+ - x-).
+
+    P(0) = theta1 >= 0 >= P(1) = -theta0, so 0 <= x- <= 1 <= x+ (x+ is
+    held to 1 against rounding).  d^2 is the discriminant written as
+    (sigma-theta)^2 + 4 sigma theta0, which does not cancel, and
+    x- = theta1 / (sigma x+) keeps its relative accuracy as theta1 -> 0
+    (x- = 0 at theta1 = 0).
+    """
+    sigma, theta = params.sigma, params.theta
+    d = math.sqrt((sigma - theta) ** 2 + 4.0 * sigma * params.theta0)
+    x_plus = max((sigma + theta + d) / (2.0 * sigma), 1.0)
+    return d, params.theta1 / (sigma * x_plus), x_plus
+
+
+def _star_f(m1: float, params: ModelParams) -> Callable[[np.ndarray], np.ndarray]:
+    """f with g(z) = z (1 - (1-z) f(z)), the star pgf, for every theta1 >= 0.
+
+    The pgf equation is first order with integrating factor
+    ((z - x-)/(x+ - z))^e, e = m1/d; on u = z + (x- - z) t the factor
+    x- - z cancels against P(z), so
+      f(z) = (x+ - z)^-1 int_0^1 ((1-t)(x+ - z)/(x+ - u))^e dt,
+    an integrand in [0, 1], smooth across z = x-.  The z grid is one
+    vector-valued quadrature.
+    """
+    d, xm, xp = _p_roots(params)
+    if not xm < 1.0:
+        raise RootOrderViolation(f"roots x-={xm}, x+={xp}: the star law needs x- < 1")
+    e = m1 / d
+
+    def f(z: np.ndarray) -> np.ndarray:
+        zc = z[:, None]
+
+        def integrand(t):
+            return np.power((1.0 - t) * (xp - zc) / (xp - zc - (xm - zc) * t), e)
+
+        return adaptive_quad(integrand, 0.0, 1.0, tol=1e-14) / (xp - z)
+
+    return f
 
 
 def star_p1(m1: float, params: ModelParams) -> float:
-    """p_1 of the star-shaped law for theta1 > 0, by quadrature."""
-    sigma, th1 = params.sigma, params.theta1
-    if th1 <= 0:
+    """p_1 = g'(0) = 1 - f(0) of the star-shaped law for theta1 > 0."""
+    if params.theta1 <= 0:
         raise PreconditionViolated("star_p1 is the theta1 > 0 branch")
-    d, xm, xp = _star_roots(params)
-    e = m1 / d
-
-    def f(u):
-        return np.exp(e * (np.log1p(-u / xm) - np.log1p(-u / xp)))
-
-    return 1.0 - sigma / th1 * adaptive_quad(f, 0.0, xm, tol=1e-14)
+    return 1.0 - float(_star_f(m1, params)(np.zeros(1))[0])
 
 
 def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
-    """Explicit stationary law of the star-shaped block counting chain."""
+    """Explicit stationary law of the star-shaped block counting chain.
+
+    The pgf is z (1 - (1-z) f(z)) with f the integral of _star_f, for
+    every theta1 >= 0; the pmf is solve_star's.  p1 is star_p1 for
+    theta1 > 0 and the exact-tails p_1 at theta1 = 0, where f(0) would cost
+    a quadrature that the pmf makes unnecessary.
+    """
     if params.sigma <= 0 or m1 <= 0:
         raise PreconditionViolated("star model needs sigma > 0 and m1 > 0")
+    f = _star_f(m1, params)
+    pmf = solve_star(params, m1)
+    p1 = float(pmf.probs[0]) if params.theta1 == 0.0 else star_p1(m1, params)
+    return pmf, PgfEvaluator(lambda z: z * (1.0 - (1.0 - z) * f(z)), p1)
+
+
+def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
+    """Stationary law of the beta(3,1) model (density 3x^2) from its pgf equation.
+
+    P(z) g' + Q(z) g = R(z) with P = sigma (z - x-)(z - x+) (_p_roots),
+    Q = P' - 3 and R = p1 (theta1 - a z) + 2 theta1 p2 z,
+    a = 3 + 2 (sigma+theta), is (mu P g)' = mu R with the integrating factor
+    mu = |(z - x-)/(x+ - z)|^c, c = 3/d, which vanishes at x-.  The head
+    (p1, p2) solves the linear conditions
+      theta0 > 0:  int_{x-}^1 mu R / mu(1) = P(1) = -theta0,
+      theta0 = 0:  R(1) = Q(1), the equation at the root z = 1 of P,
+      theta1 > 0:  int_0^{x-} mu R = 0, which is g(0) = 0;
+    at theta1 = 0 there is one condition and p2 stays NaN.  Each weight is
+    scaled to peak at 1.  The pmf follows from the local derivative
+    recursion of the equation, solved as a stable banded system with
+    p_{K+1} = 0, K from double_until_closed; the mass that cut leaves out
+    is tail_mass = 1 - sum p_n.
+    """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     theta = params.theta
+    if sigma <= 0:
+        raise PreconditionViolated("beta31 model needs sigma > 0")
+    if not (th0 > 0 or sigma < 3.0 + th1):
+        raise PreconditionViolated("beta31 recurrence condition fails")
+    if th1 == 0.0 and th0 == 0.0:
+        raise DomainError("beta31 pgf solver needs theta0 > 0 or theta1 > 0")
+    d, xm, xp = _p_roots(params)
+    if d == 0.0:
+        raise DomainError("beta31 pgf solver needs simple roots of P: theta1 = sigma at theta0 = 0")
+    c, delta = 3.0 / d, d / sigma
+    a = 3.0 + 2.0 * (sigma + theta)
 
-    if th1 == 0.0:
-        pmf = solve_star(params, m1)
-        c = m1 / (sigma + th0)
-        arg_scale = sigma / (sigma + th0)
+    def row(t0, sign, hi, q, h):
+        """Coefficients of (p1, p2) in int w R dt / h from t0 to the root of P
+        at distance hi, on v = |t - t0| = sign (t0 - t).
 
-        def evaluate(z: np.ndarray) -> np.ndarray:
-            return 1.0 - (1.0 - z) * hyp2f1(1.0, 1.0, 1.0 + c, arg_scale * z)
+        w is the integrating factor scaled to 1 at t0: w = (1-x)^c with
+        x = (delta/hi) v / (x+ - t) and 1 - x = ((hi - v)/hi) q / (x+ - t),
+        q = x+ - t0; each form is taken where it does not cancel.  w falls
+        like exp(-v/h) from v = 0, so v = h expm1(u) gives it a unit scale
+        in u whatever h: a layer at v = 0 far thinner than hi is not
+        stepped over, and dv / h = e^u du is free of h.
+        """
+        u_hi = math.log1p(hi / h)
 
-        return pmf, PgfEvaluator(evaluate, float(pmf.probs[0]))
+        def moments(u):
+            v = h * np.expm1(u)
+            dist = q + sign * v  # x+ - t
+            x = delta / hi * (v / dist)
+            with np.errstate(divide="ignore"):  # hi - v underflows to 0 next to hi
+                log_w = np.log((h + v) * np.expm1(u_hi - u) / hi * (q / dist))
+            small = x < 0.5
+            log_w[small] = np.log1p(-x[small])
+            w = np.exp(c * log_w + u)
+            return np.stack([w, w * (t0 - sign * v)])
 
-    d, xm, xp = _star_roots(params)
-    e = m1 / d
-    p1 = star_p1(m1, params)
+        i0, i1 = adaptive_quad(moments, 0.0, u_hi, tol=1e-15)
+        return [th1 * i0 - a * i1, 2.0 * th1 * i1]
 
-    def f_of_z(z: float) -> float:
-        """(z - g(z)/1)/... the rational part f with P(z) f = sigma * integral."""
-        if abs(z - xm) < 0.3 * (xp - xm):
-            w = (z - xm) / (xp - xm)
-            val = float(hyp2f1(2.0, 1.0, e + 2.0, w))
-            return d / ((m1 + d) * (xp - xm)) * val
-        # grouped positive-base quadrature form
-        def integrand(u):
-            return np.exp(
-                e
-                * (
-                    np.log(np.abs(xm - u) / abs(xm - z))
-                    + np.log((xp - z) / (xp - u))
-                )
-            )
+    if th0 > 0.0:
+        # from t = 1 down to x-: 1 - x- and x+ - 1 are the roots of
+        # P(1 - s) = sigma s^2 - (sigma - theta) s - theta0, taken without
+        # cancellation; near t = 1 the weight is exp(-3 (1-t) / theta0)
+        big = (abs(sigma - theta) + d) / (2.0 * sigma)
+        small = th0 / (sigma * big)
+        am, bp = (big, small) if sigma >= theta else (small, big)
+        rows, rhs = [row(1.0, 1.0, am, bp, th0 / 3.0)], [-3.0]  # -theta0 / h
+    else:
+        rows, rhs = [[th1 - a, 2.0 * th1]], [sigma - theta - 3.0]
+    if th1 > 0.0:
+        # from t = 0 up to x-; near t = 0 the weight is exp(-3 t / theta1)
+        rows.append(row(0.0, -1.0, xm, xp, th1 / 3.0))
+        rhs.append(0.0)
+        mat = np.array(rows)
+        cond = np.linalg.cond(mat / np.max(np.abs(mat), axis=1, keepdims=True))
+        if cond > 1e10:
+            raise IllConditioned(f"beta31 boundary system condition {cond:.2e}")
+        p1, p2 = np.linalg.solve(mat, rhs)
+    else:
+        p1 = rhs[0] / rows[0][0]
+        p2 = math.nan  # no second condition, so nothing to check p2 against
 
-        integral = adaptive_quad(integrand, z, xm, tol=1e-13)
-        pz = sigma * (z - xm) * (z - xp)
-        return sigma * integral / pz
+    # pmf from the derivative recursion of the equation at 0:
+    # th1 (n+1) p_{n+1} + (n P'(0) + Q(0)) p_n + sigma (n+1) p_{n-1} = 0, n >= 2,
+    # with P'(0) = -(sigma+theta); theta1 = 0 makes it lower bidiagonal
+    def solve(K):
+        n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
+        diag = -n * (sigma + theta) - (sigma + theta + 3.0)
+        tail = solve_three_term(sigma * (n + 1), diag, th1 * (n + 1), p1)
+        probs = clip_negative(np.concatenate([[p1], tail]), "beta31")
+        return probs, PMF_CLOSURE * float(probs[-1])
 
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        f = np.array([f_of_z(zi) for zi in z])
-        return z * (1.0 - (1.0 - z) * f)
-
-    return solve_star(params, m1), PgfEvaluator(evaluate, p1)
+    probs, K, bound = double_until_closed(solve)
+    consistency = 0.0 if math.isnan(p2) else abs(float(probs[1]) - p2)
+    return StationaryPmf(
+        probs, K, max(consistency, bound), "beta31-ode",
+        tail_mass=max(1.0 - float(probs.sum()), 0.0),
+        extras={"p2_consistency": consistency, "closure_bound": bound},
+    ), PgfEvaluator.of_probs(probs)
 
 
 # ----------------------------------------------------------------------
@@ -657,107 +750,6 @@ def bs_rho_special(params: ModelParams) -> float | None:
 def bs_geometric_pmf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     """Geometric stationary law Geom(1-rho) of the uniform-measure model, rho = bs_rho."""
     return _geometric(bs_rho(params), "bs-geometric")
-
-
-# ----------------------------------------------------------------------
-# beta(3,1) model: first-order ODE for the pgf
-# ----------------------------------------------------------------------
-
-
-def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
-    """Stationary law of the beta(3,1) model (density 3x^2) via its pgf ODE.
-
-    P(z) g' + Q(z) g = r0 + r1 z with P = sigma z^2 - (sigma+theta) z +
-    theta1 and Q = 2 sigma z - sigma - theta - 3, where (r0, r1) are
-    linear in the unknown head probabilities (p1, p2).  Two basis
-    solutions analytic at the interior root of P are propagated from a
-    series start; the boundary conditions g(0) = 0, g(1) = 1 give a 2x2
-    system for (p1, p2); the pmf follows from the local derivative
-    recursion of the ODE, solved as a stable banded system with
-    p_{K+1} = 0, K from double_until_closed; the mass that cut leaves
-    out is tail_mass = 1 - sum p_n.
-    """
-    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
-    theta = params.theta
-    if sigma <= 0:
-        raise PreconditionViolated("beta31 model needs sigma > 0")
-    if not (th0 > 0 or sigma < 3.0 + th1):
-        raise PreconditionViolated("beta31 recurrence condition fails")
-    if th1 == 0.0 and th0 == 0.0:
-        raise DomainError("beta31 pgf solver needs theta0 > 0 or theta1 > 0")
-
-    def P(z):
-        return sigma * z * z - (sigma + theta) * z + th1
-
-    def Q(z):
-        return 2.0 * sigma * z - sigma - theta - 3.0
-
-    if th1 > 0.0:
-        disc = (sigma + theta) ** 2 - 4.0 * sigma * th1
-        z0 = (sigma + theta - math.sqrt(disc)) / (2.0 * sigma)
-    else:
-        z0 = 0.0
-    P1 = 2.0 * sigma * z0 - (sigma + theta)
-    Q0 = Q(z0)
-
-    loads = [(th1, -(3.0 + 2.0 * (sigma + theta))), (0.0, 2.0 * th1)]
-
-    def series_solution(r0: float, r1: float, u: float, n_terms: int = 18) -> float:
-        e = np.zeros(n_terms)
-        e[0] = (r0 + r1 * z0) / Q0
-        for j in range(1, n_terms):
-            rhs = r1 if j == 1 else 0.0
-            e[j] = (rhs - sigma * (j + 1) * e[j - 1]) / (j * P1 + Q0)
-        return float(np.polyval(e[::-1], u))
-
-    def march(z_start: float, z_end: float, y_start: np.ndarray) -> np.ndarray:
-        def rhs(z, y):
-            return np.array(
-                [(loads[i][0] + loads[i][1] * z - Q(z) * y[i]) / P(z) for i in range(2)]
-            )
-
-        sol = scipy.integrate.solve_ivp(
-            rhs, (z_start, z_end), y_start, method="DOP853",
-            rtol=1e-12, atol=1e-14, dense_output=False,
-        )
-        if not sol.success:
-            raise QuadratureFailure(f"beta31 ODE march failed: {sol.message}")
-        return sol.y[:, -1]
-
-    span = max(abs(min(z0, 1.0 - z0)), 1e-3)
-    delta = min(1e-2, 0.05 * span)
-    y_right = np.array([series_solution(*loads[i], +delta) for i in range(2)])
-    g_at_1 = march(z0 + delta, 1.0, y_right)
-    if z0 > 0.0:
-        y_left = np.array([series_solution(*loads[i], -delta) for i in range(2)])
-        g_at_0 = march(z0 - delta, 0.0, y_left)
-        mat = np.array([g_at_0, g_at_1])
-        rhs_vec = np.array([0.0, 1.0])
-        cond = np.linalg.cond(mat)
-        if cond > 1e10:
-            raise IllConditioned(f"beta31 boundary system condition {cond:.2e}")
-        p1, p2 = np.linalg.solve(mat, rhs_vec)
-    else:
-        # theta1 = 0: the p2 load vanishes and g(0) = 0 holds by construction
-        p1 = 1.0 / g_at_1[0]
-        p2 = math.nan  # no second boundary condition, so nothing to check p2 against
-
-    # pmf from the derivative recursion of the ODE at 0:
-    # th1 (n+1) p_{n+1} + (n P'(0) + Q(0)) p_n + sigma (n+1) p_{n-1} = 0, n >= 2,
-    # with P'(0) = -(sigma+theta); theta1 = 0 makes it lower bidiagonal
-    def solve(K):
-        n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
-        tail = solve_three_term(sigma * (n + 1), n * -(sigma + theta) + Q(0.0), th1 * (n + 1), p1)
-        probs = clip_negative(np.concatenate([[p1], tail]), "beta31")
-        return probs, PMF_CLOSURE * float(probs[-1])
-
-    probs, K, bound = double_until_closed(solve)
-    consistency = 0.0 if math.isnan(p2) else abs(float(probs[1]) - p2)
-    return StationaryPmf(
-        probs, K, max(consistency, bound), "beta31-ode",
-        tail_mass=max(1.0 - float(probs.sum()), 0.0),
-        extras={"p2_consistency": consistency, "closure_bound": bound},
-    ), PgfEvaluator.of_probs(probs)
 
 
 # ----------------------------------------------------------------------

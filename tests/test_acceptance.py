@@ -296,24 +296,46 @@ def _mp_rel(got: float, want) -> float:
 
 @mpmath.workdps(40)
 def test_criterion_13_special_function_identities():
-    """The scipy.special values the package reads, the product-form pgfs,
-    and the Euler integrals of 2F1 and 1F1 through quad_power_endpoints,
-    each on the parameter ranges the package uses, against 40-digit mpmath."""
+    """The star pgf against its hypergeometric closed forms, the
+    scipy.special values the package reads, the product-form pgfs, and the
+    Euler integrals of 2F1 and 1F1 through quad_power_endpoints, each on
+    the parameter ranges the package uses, against 40-digit mpmath."""
     rng = np.random.default_rng(13)
-    # star_closed, theta1 = 0: 2F1(1, 1; 1+c; x), x < 1
-    cs = np.concatenate([rng.uniform(0.01, 10.0, 60), np.arange(1.0, 11.0)])
+    # star_closed's pgf, one integral for every theta1 >= 0, against its
+    # hypergeometric closed forms: at theta1 = 0, 1 - (1-z) 2F1(1, 1; 1+c; x z)
+    # with c = m1/(sigma+theta0), x = sigma/(sigma+theta0) (x = 1 at theta0 = 0)
     worst = 0.0
-    for c in cs:
-        for x in np.concatenate([rng.uniform(0.0, 0.999, 4), [0.99, 0.998]]):
-            worst = max(worst, _mp_rel(hyp2f1(1.0, 1.0, 1.0 + c, x), mpmath.hyp2f1(1, 1, 1 + c, x)))
-    _report(13, "scipy 2F1(1,1;1+c;x) vs mpmath (relative)", worst, 1e-9)
+    for _ in range(40):
+        sigma = rng.uniform(0.1, 3.0)
+        th0 = rng.uniform(0.0, 3.0) * (rng.random() > 0.25)
+        c = rng.uniform(0.01, 10.0)
+        z = np.sort(np.concatenate([rng.uniform(0.0, 0.999, 4), [0.99, 0.998]]))
+        got = cf.star_closed(c * (sigma + th0), ModelParams(sigma, th0, 0.0))[1](z)
+        x = mpmath.mpf(sigma) / (sigma + th0)
+        for zi, g in zip(z, got):
+            want = 1 - (1 - mpmath.mpf(zi)) * mpmath.hyp2f1(1, 1, 1 + c, x * zi)
+            worst = max(worst, _mp_rel(g, want))
+    _report(13, "star pgf theta1 = 0 vs mpmath 2F1(1,1;1+c;xz) (relative)", worst, 1e-9)
 
-    # star_closed, theta1 > 0: 2F1(2, 1; e+2; w), |w| <= 0.35
+    # theta1 > 0: z (1 - (1-z) f) with f = d / ((m1+d)(x+ - x-)) 2F1(2, 1; e+2; w),
+    # e = m1/d, w = (z - x-)/(x+ - x-), P = sigma (z - x-)(z - x+); z near x- too
     worst = 0.0
-    for _ in range(300):
-        e, w = rng.uniform(0.01, 10.0), rng.uniform(-0.35, 0.35)
-        worst = max(worst, _mp_rel(hyp2f1(2.0, 1.0, e + 2.0, w), mpmath.hyp2f1(2, 1, e + 2, w)))
-    _report(13, "scipy 2F1(2,1;e+2;w) vs mpmath (relative)", worst, 1e-9)
+    for _ in range(40):
+        prm = ModelParams(*rng.uniform(0.1, 3.0, 3))
+        s, t0, t1 = (mpmath.mpf(v) for v in (prm.sigma, prm.theta0, prm.theta1))
+        d = mpmath.sqrt((s - t0 - t1) ** 2 + 4 * s * t0)
+        xp = (s + t0 + t1 + d) / (2 * s)
+        xm = t1 / (s * xp)
+        e = rng.uniform(0.01, 10.0)
+        m1 = float(e * d)
+        near = float(xm) + rng.uniform(-1e-3, 1e-3, 2)
+        z = np.sort(np.concatenate([rng.uniform(0.0, 0.999, 4), near]))
+        got = cf.star_closed(m1, prm)[1](z)
+        for zi, g in zip(z, got):
+            zm = mpmath.mpf(zi)
+            f = d / ((m1 + d) * (xp - xm)) * mpmath.hyp2f1(2, 1, m1 / d + 2, (zm - xm) / (xp - xm))
+            worst = max(worst, _mp_rel(g, zm * (1 - (1 - zm) * f)))
+    _report(13, "star pgf theta1 > 0 vs mpmath 2F1(2,1;e+2;w) (relative)", worst, 1e-9)
 
     # bs_rho_special: Lambert W on [1e-8, 1e8]
     worst = 0.0

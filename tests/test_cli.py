@@ -251,6 +251,18 @@ def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["moments", "geom-check"])
+@pytest.mark.parametrize("option", ["--N", "--s", "--u0", "--u1"])
+def test_moran_options_are_refused_where_no_moran_model_is_read(capsys, command, option):
+    # moments and geom-check read a measure, so the Moran options of
+    # stationary and simulate are usage errors there, not silently ignored
+    argv = [command, "--model", "uniform", "--sigma", "1", "--theta0", "1", option, "7"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 7" in capsys.readouterr().err
+
+
 def test_parser_built_once_and_commands_looked_up_per_call(monkeypatch):
     import blockstat.cli as cli
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import warnings
 
 import mpmath
@@ -27,7 +28,13 @@ from blockstat.closedform import (
     wf_factorial_moments,
     wf_mean,
 )
-from blockstat.errors import BlockstatError, DomainError, IllConditioned, RootOrderViolation
+from blockstat.errors import (
+    BlockstatError,
+    DomainError,
+    IllConditioned,
+    NoConvergence,
+    RootOrderViolation,
+)
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
 from blockstat.measures import (
     Atoms,
@@ -44,6 +51,7 @@ from blockstat.recursions import (
     solve_lambda_truncated,
     solve_moran,
     solve_moran_nullspace,
+    solve_star,
 )
 
 
@@ -205,10 +213,9 @@ def test_star_closed_theta1_zero():
     assert np.max(np.abs(pmf.probs - 1.0 / (n * (n + 1.0)))) < 1e-14
     zs = np.linspace(0.05, 0.95, 8)
     for z in zs:
-        assert pgf.evaluate(z) == pytest.approx(
-            float(np.dot(pmf.probs, z**n)) + pmf.tail_mass * 0, abs=2e-4
-        )  # heavy tail: compare loosely on truncated sums
-    # tighter dual-path check with theta0 > 0 (geometric-type tail)
+        # the cut at K = 16384 leaves out z^K, far below rounding at z <= 0.95
+        assert pgf.evaluate(z) == pytest.approx(float(np.dot(pmf.probs, z**n)), abs=1e-12)
+    # and with theta0 > 0 (a geometric-type tail)
     pmf2, pgf2 = star_closed(1.0, ModelParams(1.0, 0.8, 0.0))
     n2 = np.arange(1, pmf2.truncation_K + 1)
     for z in zs:
@@ -335,6 +342,31 @@ def test_beta31_theta1_zero():
         warnings.simplefilter("ignore")
         rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-11)
     assert pmf.sup_distance(rec) < 1e-10
+
+
+@pytest.mark.parametrize("prm, error", [
+    (ModelParams(0.5, 0.0, 1.0), None),  # theta1 > sigma puts x- at the root z = 1 of P
+    (ModelParams(1.0, 0.0, 0.5), None),
+    # p_n falls like n^-2, too slowly for the cut 4 p_K to pass the tol
+    # below the cap (solve_lambda_truncated stops there too)
+    (ModelParams(2.0, 0.0, 0.5), NoConvergence),
+], ids=["x-=1", "x+=1", "no-convergence"])
+def test_beta31_theta0_zero(prm, error):
+    # theta0 = 0: the condition at z = 1 is the equation itself, R(1) = Q(1);
+    # each case returns or raises a typed error within a second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        if error:
+            with pytest.raises(error):
+                beta31_pgf(prm)
+        else:
+            pmf, pgf = beta31_pgf(prm)
+        assert time.perf_counter() - start < 1.0
+        if not error:
+            rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-12)
+            assert np.max(np.abs(pmf.probs[:2] - rec.probs[:2])) <= 1e-12
+            assert pgf.p1 == pmf.probs[0]
 
 
 def test_beta31_reports_the_cut_as_tail_mass():
@@ -752,6 +784,23 @@ def test_pgfs_evaluate_whole_grids():
                 form = _two_weight_form(law)
                 for v in z[[0, 6, 11]]:
                     assert abs(pgf(v) - _two_weight_oracle(form, *logs, v)) <= 1e-12, (form, v)
+    # the star pgf is one integral for every theta1 >= 0: against the power
+    # series of solve_star's pmf, on grids that come within 1e-4 of x- (0 at
+    # theta1 = 0), where the factor x- - z cancels against P(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for th1_zero in (True, False, True, False):
+            prm = ModelParams(*rng.uniform(0.3, 1.5, 3))
+            if th1_zero:
+                prm = ModelParams(prm.sigma, prm.theta0, 0.0)
+            m1 = float(rng.uniform(0.5, 2.0))
+            xm = closedform._p_roots(prm)[1]
+            near = xm + rng.uniform(-1e-4, 1e-4, 4) if xm else rng.uniform(1e-9, 1e-4, 4)
+            z = np.sort(np.concatenate([rng.uniform(0.02, 0.95, 12), near, [xm] if xm else []]))
+            pmf, pgf = star_closed(m1, prm)
+            ref = PgfEvaluator.of_probs(solve_star(prm, m1).probs)
+            assert np.max(np.abs(pgf(z) - ref(z))) <= 1e-12, (m1, prm)
+            assert abs(pgf.p1 - pmf.probs[0]) <= 1e-13, (m1, prm)
     # a closure that returns a scalar is broadcast over the interior points
     const = PgfEvaluator(lambda z: 0.25, 0.25)
     assert const(np.array([0.0, 0.3, 0.6, 1.0])).tolist() == [0.0, 0.25, 0.25, 1.0]
