@@ -369,6 +369,39 @@ def test_beta31_theta0_zero(prm, error):
             assert pgf.p1 == pmf.probs[0]
 
 
+def test_beta31_heads_on_wide_draws():
+    # sigma, theta0, theta1 log-uniform in 1e-4..30, with theta0 = 0 or
+    # theta1 = 0 in some draws, and small theta0 or theta1, where the weight
+    # falls within ~theta/3 of its start (a layer the quadrature must not
+    # step over): each call returns a head within 1e-12 of the truncated
+    # solve or raises a typed error, fast and without a warning
+    rng = np.random.default_rng(2707)
+    draws = [ModelParams(1.0, 1e-8, 1.0), ModelParams(0.01, 1e-4, 1e-4),
+             ModelParams(1.0, 1e-300, 1.0), ModelParams(20.6, 0.0047, 0.144)]
+    for i in range(30):
+        sigma, th0, th1 = np.exp(rng.uniform(math.log(1e-4), math.log(30.0), 3))
+        draws.append(ModelParams(float(sigma), float(th0) * (i % 5 != 0),
+                                 float(th1) * (i % 7 != 0)))
+    returned = []
+    for prm in draws:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            try:
+                pmf, _ = beta31_pgf(prm)
+            except BlockstatError:
+                pmf = None
+            assert time.perf_counter() - start < 1.0, prm
+        if pmf is not None:
+            returned.append(prm)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rec = solve_lambda_truncated(LambdaMeasure.beta31(), prm, tol=1e-13)
+            assert np.max(np.abs(pmf.probs[:2] - rec.probs[:2])) <= 1e-12, prm
+    assert len(returned) >= 25
+    assert any(p.theta0 == 0.0 for p in returned) and any(p.theta1 == 0.0 for p in returned)
+
+
 def test_beta31_reports_the_cut_as_tail_mass():
     # a fixed K = 400 left 3.8% of this law out and put a 1.7e-6 error near
     # the cut; K now grows until 4 p_K is below the tol, and the head is
