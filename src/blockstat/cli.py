@@ -65,6 +65,27 @@ def _pmf_csv(pmf: recursions.StationaryPmf, path: str) -> None:
     write_csv(path, ("n", "p_n", "a_n"), (n, pmf.probs, pmf.tails()[1:]))
 
 
+# Caps on the sizes that a run's cost grows with, so that every legal value
+# ends within seconds: geom-check's integrals grow linearly in --n-max
+# (0.13 s at 10^4), a simulation's first steps quadratically in --start
+# (0.7 s from 10^4 Kingman blocks, over 20 s from 10^5), and its path and
+# CSV linearly in --events (0.5 s per 10^6).
+_MAX_N_MAX = 10**4
+_MAX_START = 10**4
+_MAX_EVENTS = 10**7
+
+
+def _size(cap: int, parse=int):
+    """An argparse type: a count in 0..cap (not NaN or inf), read by parse."""
+
+    def size(text: str) -> int:
+        if not 0 <= (value := parse(text)) <= cap:
+            raise argparse.ArgumentTypeError(f"{text} is not in 0..{cap}")
+        return int(value)
+
+    return size
+
+
 def _model_params(args) -> ModelParams:
     return ModelParams(args.sigma, args.theta0, args.theta1)
 
@@ -343,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exact jump-chain simulation")
     add_model_params(p, moran=True)
-    p.add_argument("--start", type=int, required=True)
-    p.add_argument("--events", type=lambda v: int(float(v)), required=True)
+    p.add_argument("--start", type=_size(_MAX_START), required=True)
+    p.add_argument("--events", type=_size(_MAX_EVENTS, float), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--burn-in", dest="burn_in", type=float, default=0.2)
     p.add_argument("--out", default=None)
@@ -361,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geom-check", help="test the geometric-law conditions", allow_abbrev=False)
     add_model_params(p)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=30)
+    p.add_argument("--n-max", dest="n_max", type=_size(_MAX_N_MAX), default=30)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_geom_check)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import hyp1f1, hyp2f1, lambertw
+from scipy.special import lambertw
 
 from .errors import (
     DomainError,
@@ -236,7 +236,12 @@ def _q_pairs(form: _TwoWeightForm) -> Iterator[tuple[np.floating, np.floating]]:
 def _two_weight_closed(
     form: _TwoWeightForm, n_max: int, tag: str
 ) -> tuple[StationaryPmf, PgfEvaluator]:
-    """Head p_1..p_{n_max} and pgf of a two-weight closed form."""
+    """Head p_1..p_{n_max} and pgf of a two-weight closed form.
+
+    At the hand-over the formula's head p_1..p_{n-1} must agree with the
+    stable solve's to _Q_ERR_CAP, or IllConditioned is raised: the error
+    estimate bounds the q recurrence, not the weight integrals' own error.
+    """
     w, scale = _scaled_weight(form)
     beta_split = min(form.beta - 1.0, 0.0)
     i0, i1 = _weight_integrals(w, beta_split)
@@ -251,15 +256,21 @@ def _two_weight_closed(
     probs = np.empty(n_max)
     probs[0] = p1
     extras = {"formula_valid_to": n_max}
-    for n, (q1, q2) in zip(range(2, n_max + 1), _q_pairs(form)):
+    # the n = 2 estimate is taken even for n_max = 1: it is what tells
+    # whether p_1 itself holds its digits
+    for n, (q1, q2) in zip(range(2, max(n_max, 2) + 1), _q_pairs(form)):
         p = pref * (i1 * q1 / a1 - i0 * q2 / a2)
         err = pref * (i1 * abs(q1) / a1 + i0 * abs(q2) / a2) * (rel + 2 * n * eps)
         if err > _Q_ERR_CAP or err > abs(p):
             fill, fill_extras = form.tail_solve()
+            gap = float(np.max(np.abs(probs[: n - 1] - fill[: n - 1])))
+            if not gap <= _Q_ERR_CAP:
+                raise IllConditioned(f"{tag}: head {gap:.3g} off the stable solve at n = {n}")
             probs[n - 1 :] = fill[n - 1 : n_max]
             extras = {"formula_valid_to": n - 1, **fill_extras}
             break
-        probs[n - 1] = p
+        if n <= n_max:
+            probs[n - 1] = p
     worst = float(probs.min(initial=0.0))
     if worst < -1e-9:
         raise NegativeMass(f"{tag}: closed-form probability {worst}")
@@ -321,7 +332,6 @@ def _product_form(
     next_term: Callable[[float, int], float],
     n_terms: float,
     drop: float,
-    closed_sum: float,
     n_max: int,
     tag: str,
 ) -> tuple[StationaryPmf, PgfEvaluator]:
@@ -331,8 +341,8 @@ def _product_form(
     n_terms, or, from the eighth on, until one falls below drop times
     the running sum (drop = 0 keeps every term of a terminating series).
     The pgf sums every term; the pmf keeps the first n_max and reports
-    the rest as tail_mass.  The residual is the relative distance of the
-    summed terms from closed_sum, the hypergeometric value of sum_n t_n.
+    the rest as tail_mass.  The residual is the first term left out,
+    relative to the sum: 0 when all n_terms are kept.
     """
     t = [1.0]
     total = 1.0
@@ -343,8 +353,9 @@ def _product_form(
         raise DomainError(f"{tag}: the product-form series overflows")
     norm = math.fsum(t)
     probs = np.array(t) / norm
+    dropped = next_term(t[-1], len(t) + 1) / norm if len(t) < n_terms else 0.0
     pmf = StationaryPmf(
-        probs[:n_max], min(n_max, probs.size), abs(norm - closed_sum) / closed_sum, tag,
+        probs[:n_max], min(n_max, probs.size), dropped, tag,
         tail_mass=float(probs[n_max:].sum()),
     )
     return pmf, PgfEvaluator.of_probs(probs)
@@ -386,9 +397,7 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     if u0 == 0.0:
         u = params.u
         return _product_form(
-            lambda t, n: t * (N - n + 1) * s / (N * u + n), N, 0.0,
-            float(hyp2f1(1.0, 1.0 - N, N * u + 2.0, -s)),
-            n_max, "moran-closed-u0zero",
+            lambda t, n: t * (N - n + 1) * s / (N * u + n), N, 0.0, n_max, "moran-closed-u0zero",
         )
 
     rho0 = u0 / (1.0 + s)
@@ -458,9 +467,8 @@ def wf_closed(
         tp = t0p + t1p
         return _product_form(
             # t_n / t_{n-1} = sigma' / (theta' + n)
-            lambda t, n: t * sp / (tp + (n - 1) + 1.0), math.inf, 1e-18,
-            float(hyp1f1(1.0, 2.0 + tp, sp)),
-            n_max, "wf-closed-theta0zero",
+            lambda t, n: t * sp / (tp + (n - 1) + 1.0), math.inf, 1e-18, n_max,
+            "wf-closed-theta0zero",
         )
 
     def tail_solve():
@@ -508,18 +516,23 @@ def wf_factorial_moments(
 # ----------------------------------------------------------------------
 
 
+def _p_disc(params: ModelParams) -> float:
+    """d = sqrt of the discriminant of P(z) = sigma z^2 - (sigma+theta) z + theta1,
+    written as (sigma-theta)^2 + 4 sigma theta0, which does not cancel, and
+    taken by hypot, which does not overflow."""
+    sigma = params.sigma
+    return math.hypot(sigma - params.theta, 2.0 * math.sqrt(sigma) * math.sqrt(params.theta0))
+
+
 def _p_roots(params: ModelParams) -> tuple[float, float, float]:
-    """(d, x-, x+) with P(z) = sigma z^2 - (sigma+theta) z + theta1
-    = sigma (z - x-)(z - x+) and d = sigma (x+ - x-).
+    """(d, x-, x+) with P(z) = sigma (z - x-)(z - x+) and d = sigma (x+ - x-).
 
     P(0) = theta1 >= 0 >= P(1) = -theta0, so 0 <= x- <= 1 <= x+ (x+ is
-    held to 1 against rounding).  d^2 is the discriminant written as
-    (sigma-theta)^2 + 4 sigma theta0, which does not cancel, and
-    x- = theta1 / (sigma x+) keeps its relative accuracy as theta1 -> 0
-    (x- = 0 at theta1 = 0).
+    held to 1 against rounding).  x- = theta1 / (sigma x+) keeps its
+    relative accuracy as theta1 -> 0 (x- = 0 at theta1 = 0).
     """
     sigma, theta = params.sigma, params.theta
-    d = math.sqrt((sigma - theta) ** 2 + 4.0 * sigma * params.theta0)
+    d = _p_disc(params)
     x_plus = max((sigma + theta + d) / (2.0 * sigma), 1.0)
     return d, params.theta1 / (sigma * x_plus), x_plus
 
@@ -679,7 +692,12 @@ def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
 
 
 def _geometric(rho: float, tag: str) -> tuple[StationaryPmf, PgfEvaluator]:
-    """Geom(1-rho) law P(L = n) = (1-rho) rho^(n-1), cut by exact_tails, and its pgf."""
+    """Geom(1-rho) law P(L = n) = (1-rho) rho^(n-1), cut by exact_tails, and its pgf.
+
+    A rho that rounds to 1 leaves no mass to represent and is refused.
+    """
+    if not rho < 1.0:
+        raise DomainError(f"{tag}: rho = {rho!r} rounds to 1, leaving Geom(1-rho) no mass")
     n = np.arange(exact_tails(lambda n: np.full_like(n, rho)).size - 1.0)
     pmf = StationaryPmf(
         (1.0 - rho) * rho**n, n.size, 0.0, tag, tail_mass=float(rho**n.size), extras={"rho": rho}
@@ -690,19 +708,17 @@ def _geometric(rho: float, tag: str) -> tuple[StationaryPmf, PgfEvaluator]:
 def crow_kimura_geometric(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     """Geometric stationary law Geom(1-rho) of the zero-measure model.
 
-    rho is the root in [0, 1) of theta1 x^2 - (sigma+theta) x + sigma
+    rho is the root in [0, 1) of theta1 x^2 - (sigma+theta) x + sigma, the
+    reversed P, so rho = 1/x+ = 2 sigma / (sigma + theta + d) (_p_disc):
+    a sum of positive terms, for theta1 = 0 and sigma = 0 too
     (pmf.extras["rho"]); requires theta0 > 0 or theta1 > sigma.
     """
-    sigma, th0, th1 = params.sigma, params.theta0, params.theta1
-    if not (th0 > 0 or th1 > sigma):
+    sigma, theta = params.sigma, params.theta
+    if not (params.theta0 > 0 or params.theta1 > sigma):
         raise NotPositiveRecurrent(
             "zero measure needs theta0 > 0 or theta1 > sigma for recurrence"
         )
-    if th1 == 0.0:
-        rho = sigma / (sigma + th0)
-    else:
-        disc = (sigma - params.theta) ** 2 + 4.0 * sigma * th0
-        rho = (sigma + params.theta - math.sqrt(disc)) / (2.0 * th1)
+    rho = 2.0 * sigma / (sigma + theta + _p_disc(params))
     return _geometric(rho, "crow-kimura-geometric")
 
 

@@ -3,8 +3,8 @@
 Stationary moments w_n = P_n(absorption at 0) of the killed ancestral
 selection graph solve a lower-Hessenberg linear system; for the uniform
 measure their generating function solves a first-order ODE whose regular
-solution is constructed from a series start at the interior singular
-point.  Also: the classical absorption/fixation formulas and the
+solution is marched from its two-term Taylor start at the interior
+singular point.  Also: the classical absorption/fixation formulas and the
 ancestral-type function h(x) = 1 - g(1-x).
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 import scipy.integrate
 
 from .closedform import PgfEvaluator, bs_rho
-from .errors import DomainError, PreconditionViolated, QuadratureFailure
+from .errors import DomainError, IllConditioned, PreconditionViolated, QuadratureFailure
 from .measures import LambdaMeasure, ModelParams, merger_rows
 from .recursions import DEFAULT_TOL, K_START, StationaryPmf, double_until_closed
 from .textio import write_csv
@@ -67,7 +67,9 @@ def _extend_w_system(
     row's diagonal exceeds the sum of the moduli of its other entries by
     theta0 > 0.  A Schur complement keeps strict row dominance, so S is
     nonsingular and Gaussian elimination on it is as stable as on the
-    whole system.  Returns (w_0..w_{k+m}, y_0..y_{k+m}).
+    whole system; where theta0 is negligible next to the rates, rounding
+    can still make S singular, which raises IllConditioned.  Returns
+    (w_0..w_{k+m}, y_0..y_{k+m}).
     """
     w, y = np.asarray(w, dtype=float), np.asarray(y, dtype=float)
     k, m = w.size - 1, rows.shape[0]
@@ -87,7 +89,10 @@ def _extend_w_system(
     rhs = np.zeros((m, 2))
     rhs[:, 0] = -old[:, 0]
     rhs[-1, 1] = 1.0
-    new = np.linalg.solve(S, rhs)
+    try:
+        new = np.linalg.solve(S, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"duality system at n = {k + 1}..{k + m}: {exc}") from exc
     w_next = np.concatenate((w + params.sigma * new[0, 0] * y, new[:, 0]))
     y_next = np.concatenate((params.sigma * new[0, 1] * y, new[:, 1]))
     return w_next, y_next
@@ -178,18 +183,8 @@ class WGeneratingFunction:
         """Dense march from s2 - delta down to 1e-9, made on first use:
         only value() below s2 - delta reads it."""
         s0 = self.s2 - self._delta
-        left = scipy.integrate.solve_ivp(
-            functools.partial(_bs_w_rhs, self.params),
-            (s0, 1e-9),
-            [self._series(s0)],
-            method="DOP853",
-            rtol=1e-13,
-            atol=1e-16,
-            dense_output=True,
-        )
-        if not left.success:
-            raise QuadratureFailure(f"generating-function march failed: {left.message}")
-        return left
+        rhs = functools.partial(_bs_w_rhs, self.params)
+        return _march(rhs, (s0, 1e-9), self._series(s0), dense_output=True)
 
     def value(self, s: float) -> float:
         if not 0.0 <= s < self.s2:
@@ -225,47 +220,44 @@ def _bs_n(params: ModelParams, s):
 
 
 def _bs_w_rhs(params: ModelParams, s, y):
-    """w' = (n(s) w + theta1 s^2) / (s h(s)) on the real line."""
+    """w' = (n(s) w + theta1 s^2) / (s h(s)), for real or complex s."""
     return [(_bs_n(params, s) * y[0] + params.theta1 * s * s) / (s * _bs_h(params, s))]
 
 
-def _bs_frobenius(params: ModelParams, s2: float, order: int = 10) -> np.ndarray:
-    """Series coefficients of the regular solution at the singular point s2.
+def _march(rhs, span: tuple[float, float], y0, **kwargs):
+    """One DOP853 march of the generating-function ODE at rtol 1e-13, atol 1e-16."""
+    sol = scipy.integrate.solve_ivp(
+        rhs, span, [y0], method="DOP853", rtol=1e-13, atol=1e-16, **kwargs
+    )
+    if not sol.success:
+        raise QuadratureFailure(f"generating-function march failed: {sol.message}")
+    return sol
 
-    (s h(s)) w' = n(s) w + theta1 s^2 admits exactly one solution analytic
-    at s2 (the singular mode diverges there); its Taylor coefficients
-    follow from the closed derivatives of h and n.
+
+def _bs_start(params: ModelParams, s2: float) -> tuple[float, float]:
+    """(w(s2), w'(s2)) of the regular solution at the singular point s2.
+
+    (s h(s)) w' = n(s) w + theta1 s^2 with h(s2) = 0 fixes both: at s2 the
+    equation reads n w + theta1 s2^2 = 0, and its derivative
+    s2 h'(s2) w' = n'(s2) w + n(s2) w' + 2 theta1 s2.
     """
-    theta, th1, sigma = params.theta, params.theta1, params.sigma
-    hd = [
-        _bs_h(params, s2),
-        theta - 2.0 * th1 * s2 + sigma + math.log1p(-s2) + 1.0,
-        -2.0 * th1 - 1.0 / (1.0 - s2),
-    ]
-    for j in range(3, order + 1):
-        hd.append(-math.factorial(j - 2) / (1.0 - s2) ** (j - 1))
-    hc = [hd[j] / math.factorial(j) for j in range(order + 1)]
-    sh = [s2 * hc[0]] + [s2 * hc[j] + hc[j - 1] for j in range(1, order + 1)]
-    nd = [_bs_n(params, s2), 2.0 * th1 * s2 + 1.0 / (1.0 - s2), 2.0 * th1 + 1.0 / (1.0 - s2) ** 2]
-    for j in range(3, order + 1):
-        nd.append(math.factorial(j - 1) / (1.0 - s2) ** j)
-    nc = [nd[j] / math.factorial(j) for j in range(order + 1)]
-    d = np.zeros(order)
-    d[0] = -th1 * s2 * s2 / nc[0]
-    for j in range(1, order):
-        rhs_j = th1 * (2.0 * s2 if j == 1 else (1.0 if j == 2 else 0.0))
-        lhs_known = sum(sh[m] * (j - m + 1) * d[j - m + 1] for m in range(2, j + 1))
-        rhs_known = sum(nc[m] * d[j - m] for m in range(1, j + 1)) + rhs_j
-        d[j] = (rhs_known - lhs_known) / (sh[1] * j - nc[0])
-    return d
+    th1 = params.theta1
+    n = float(_bs_n(params, s2))
+    dh = params.theta - 2.0 * th1 * s2 + params.sigma + math.log1p(-s2) + 1.0
+    dn = 2.0 * th1 * s2 + 1.0 / (1.0 - s2)
+    w = -th1 * s2 * s2 / n
+    return w, (dn * w + 2.0 * th1 * s2) / (s2 * dh - n)
 
 
 def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunction:
     """Moment generating function of the uniform-measure model.
 
-    The regular solution is seeded by its series at the interior singular
-    point s2 and marched outward (the singular mode decays away from s2,
-    so both directions are stable).  Taylor coefficients at 0 come from a
+    The regular solution is seeded at s2 +- delta, delta = 1e-7 s2, by its
+    two-term Taylor start at the interior singular point s2 (_bs_start) and
+    marched outward.  The singular mode behaves like |s - s2|^kappa with
+    kappa = n(s2) / (s2 h'(s2)) < 0, so it decays away from s2 and an
+    error in the start shrinks along both marches; the dropped term
+    w'' delta^2 / 2 is about 1e-15.  Taylor coefficients at 0 come from a
     Cauchy-integral FFT on the complex circle |s| = r: the function is
     analytic in the unit disk, and real-interval extraction would lose
     the high coefficients to noise amplification.  The march from s2
@@ -273,13 +265,12 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("the generating function needs theta0, theta1 > 0")
-    th1 = params.theta1
     s2 = bs_rho(params)  # the root of h: bs_rho's r(x) expands to h(x)
-    d = _bs_frobenius(params, s2)
-    delta = 1e-3 * s2
+    w2, dw2 = _bs_start(params, s2)
+    delta = 1e-7 * s2
 
     def series(s: float) -> float:
-        return float(np.polyval(d[::-1], s - s2))
+        return w2 + dw2 * (s - s2)
 
     # choose a contour radius separated from s2 and from zeros of h
     r = 0.6
@@ -290,33 +281,16 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
             if hmag.min() > 1e-3:
                 r = cand
                 break
-    if r > s2:
-        seed = series(s2 + delta)
-        seg = (s2 + delta, r)
-    else:
-        seed = series(s2 - delta)
-        seg = (s2 - delta, r)
-    radial = scipy.integrate.solve_ivp(
-        functools.partial(_bs_w_rhs, params), seg, [seed], method="DOP853", rtol=1e-13, atol=1e-16
-    )
-    w_r = complex(radial.y[0, -1])
+    s0 = s2 + delta if r > s2 else s2 - delta
+    w_r = complex(_march(functools.partial(_bs_w_rhs, params), (s0, r), series(s0)).y[0, -1])
 
     def rhs_circ(phi, y):
         s = r * np.exp(1j * phi)
-        return [(_bs_n(params, s) * y[0] + th1 * s * s) / (s * _bs_h(params, s)) * 1j * s]
+        return [_bs_w_rhs(params, s, y)[0] * 1j * s]
 
-    phis = np.linspace(0.0, 2.0 * np.pi, _N_CIRCLE, endpoint=False)
-    circ = scipy.integrate.solve_ivp(
-        rhs_circ,
-        (0.0, 2.0 * np.pi),
-        [w_r],
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-16,
-        t_eval=np.append(phis, 2.0 * np.pi),
-    )
-    if not circ.success:
-        raise QuadratureFailure("contour march failed")
+    # the contour's _N_CIRCLE points, and 2 pi again for the closure
+    t_eval = np.linspace(0.0, 2.0 * np.pi, _N_CIRCLE + 1)
+    circ = _march(rhs_circ, (0.0, 2.0 * np.pi), w_r, t_eval=t_eval)
     closure = abs(circ.y[0, -1] - w_r)
     fft = np.fft.fft(circ.y[0, :-1]) / _N_CIRCLE
     taylor = np.zeros(n_taylor + 1)
@@ -336,6 +310,8 @@ def bs_absorption(x: float, sigma: float) -> float:
     no mutation: (1-x) e^-sigma / (x + (1-x) e^-sigma)."""
     if not (0.0 <= x <= 1.0 and 0 < sigma < math.inf):
         raise DomainError("need x in [0,1] and finite sigma > 0")
+    if x == 0.0:
+        return 1.0  # the formula's 0/0 once e^-sigma underflows
     e = math.exp(-sigma)
     return (1.0 - x) * e / (x + (1.0 - x) * e)
 
@@ -351,6 +327,8 @@ def kimura_fixation(x: float, sigma: float, m0: float) -> float:
     if not (0.0 <= x <= 1.0 and 0 < sigma < math.inf and 0 < m0 < math.inf):
         raise DomainError("need x in [0,1], finite sigma > 0, finite m0 > 0")
     lam = 2.0 * sigma / m0
+    if lam == 0.0:
+        return x  # the lam -> 0 limit, where the expm1 ratio is 0/0
     return math.expm1(-lam * x) / math.expm1(-lam)
 
 

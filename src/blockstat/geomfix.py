@@ -125,59 +125,34 @@ def build_discrete_fixed_point(
     def mass_neg(k: int) -> float:
         return q ** (k - 2) * c2 / (q ** (k - 1) + x0 * (1.0 - q ** (k - 1))) ** 2
 
-    # orbit iterates collapse onto the endpoints once (1-rho)^k falls below
-    # the floating-point resolution; such atoms carry mass < 1e-16 m0 and
-    # are folded into the tail bound instead of being stored
-    ks_list: list[int] = [0]
-    locs_list: list[float] = [x0]
-    mass_list: list[float] = [m0_mass]
-    k_pos_end = K
-    prev = x0
-    for k in range(1, K + 1):
-        loc = phi_iterate(rho, x0, k)
-        m = mass_pos(k)
-        if not (0.0 < loc < prev) or m < 1e-290:
-            k_pos_end = k - 1
-            break
-        ks_list.append(k)
-        locs_list.append(loc)
-        mass_list.append(m)
-        prev = loc
-    k_neg_end = K
-    prev = x0
-    for k in range(1, K + 1):
-        loc = phi_iterate(rho, x0, -k)
-        m = mass_neg(k)
-        # stop before orbit gaps near 1 fall under the atom-merge resolution
-        if not (prev < loc < 1.0) or m < 1e-290 or loc - prev < 5e-12:
-            k_neg_end = k - 1
-            break
-        ks_list.append(-k)
-        locs_list.append(loc)
-        mass_list.append(m)
-        prev = loc
+    # each side walks the orbit from x0 and then sums its tail bound, which
+    # runs on across the sides.  Orbit iterates collapse onto the endpoints
+    # once (1-rho)^k falls below the floating-point resolution; such atoms
+    # carry mass < 1e-16 m0 and are folded into the tail bound instead of
+    # being stored.  Toward 1 the walk also stops before orbit gaps fall
+    # under the atom-merge resolution.
+    atoms: list[tuple[int, float, float]] = [(0, x0, m0_mass)]
+    k_end, tail = 0, 0.0
+    for sign, mass, min_gap in ((1, mass_pos, 0.0), (-1, mass_neg, 5e-12)):
+        end, prev = K, x0
+        for k in range(1, K + 1):
+            loc, m = phi_iterate(rho, x0, sign * k), mass(k)
+            gap = sign * (prev - loc)
+            if not (0.0 < loc < 1.0 and gap > 0.0 and gap >= min_gap) or m < 1e-290:
+                end = k - 1
+                break
+            atoms.append((sign * k, loc, m))
+            prev = loc
+        for k in range(end + 1, end + 4001):
+            t = mass(k)
+            tail += t
+            if t < 1e-22 * (m0_mass + tail):
+                break
+        k_end = max(k_end, end)
 
-    tail = 0.0
-    for k in range(k_pos_end + 1, k_pos_end + 4001):
-        t = mass_pos(k)
-        tail += t
-        if t < 1e-22 * (m0_mass + tail):
-            break
-    for k in range(k_neg_end + 1, k_neg_end + 4001):
-        t = mass_neg(k)
-        tail += t
-        if t < 1e-22 * (m0_mass + tail):
-            break
-
-    ks = np.array(ks_list)
-    order = np.argsort(ks)
+    ks, locs, masses = (np.array(column) for column in zip(*sorted(atoms)))
     return AtomicMeasure(
-        ks[order],
-        np.array(locs_list)[order],
-        np.array(mass_list)[order],
-        int(max(k_pos_end, k_neg_end)),
-        tail,
-        meta={"rho": rho, "x0": x0, "requested_K": K},
+        ks, locs, masses, k_end, tail, meta={"rho": rho, "x0": x0, "requested_K": K}
     )
 
 
@@ -389,6 +364,8 @@ def check_geometric(
     """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0,1)")
+    if n_max < 0:
+        raise DomainError("n_max must be non-negative")
     reasons: list[str] = []
     if measure.m0 > 0.0:
         reasons.append("atom at 0 present (m0 > 0)")
@@ -408,19 +385,14 @@ def check_geometric(
 
     cg3b = math.nan
     if params is not None:
-        lhs = integrate(lambda x: 1.0 / (1.0 - rho * x))
-        rhs = (
-            params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
-        ) / (rho * (1.0 - rho))
-        cg3b = abs(lhs - rhs)
+        # the reversed quadratic of the pgf equations at rho
+        target = params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
+        cg3b = abs(integrate(lambda x: 1.0 / (1.0 - rho * x)) - target / (rho * (1.0 - rho)))
         if cg3b > tol:
             reasons.append(f"cg3b residual {cg3b:.3e} exceeds {tol:.1e}")
 
     cg1 = np.empty(0)
     if params is not None and not reasons:
-        target = (
-            params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
-        )
         n1 = np.arange(1, 11)
         cg1 = np.abs(
             integrate(lambda x: np.stack([cg1_integrand(rho, n, x) for n in n1])) / n1 - target

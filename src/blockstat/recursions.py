@@ -36,6 +36,7 @@ EXACT_TAIL = 1e-17  # exact_tails keeps a law's exact tails down to this
 # sup-norm error of a pmf closed at K (no branching out of K) over its own
 # top mass p_K: a measured bound, not a proved one (README, numerical notes)
 PMF_CLOSURE = 4.0
+MORAN_N_CAP = 10**7  # states of the banded Moran solve, about 85 bytes each
 
 
 @dataclass
@@ -143,9 +144,12 @@ def solve_moran(params: MoranParams) -> StationaryPmf:
 
     The tails a_n = P(L > n) solve a homogeneous three-term recursion
     with a_0 = 1 and a boundary equation at n = N-1; the equations are
-    solved together as one pivoted tridiagonal system.
+    solved together as one pivoted tridiagonal system.  N above
+    MORAN_N_CAP raises DomainError.
     """
     N = params.N
+    if N > MORAN_N_CAP:
+        raise DomainError(f"the banded Moran solve holds at most {MORAN_N_CAP} states, not N = {N}")
     a = _solve_moran_banded(params)
     p = np.empty(N)
     p[: N - 1] = a[: N - 1] - a[1:]

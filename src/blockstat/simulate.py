@@ -94,6 +94,8 @@ class _BlockRng:
     """
 
     def __init__(self, seed: int, block: int = 1 << 14):
+        if seed < 0:
+            raise DomainError("the seed must be a non-negative integer")
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self.block = block
         self._fill()

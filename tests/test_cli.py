@@ -1,9 +1,13 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import time
 import warnings
 
+import numpy as np
 import pytest
 
 from blockstat.cli import main
@@ -239,10 +243,14 @@ def test_malformed_measure_file_is_spec_error(tmp_path, capsys, name):
         ["dual", "--x", "0.5", "--sigma", "nan", "--m0", "1"],
         ["dual", "--x", "0.5", "--sigma", "1", "--m0", "inf"],
         ["dual", "--N", "10", "--k", "3", "--s", "nan"],
+        ["simulate", "--model", "kingman", "--sigma", "1", "--start", "3", "--events", "10",
+         "--seed", "-1"],
+        ["stationary", "--model", "zero", "--sigma", "1e300", "--theta0", "1"],
+        ["stationary", "--model", "moran", "--N", str(10**30), "--s", "0.5"],
     ],
     ids=["simulate-no-sigma", "nan-sigma", "inf-sigma", "nan-theta0", "nan-moran-s",
          "inf-moran-u0", "dual-inf-sigma-nan-m0", "dual-nan-sigma", "dual-inf-m0",
-         "dual-nan-moran-s"],
+         "dual-nan-moran-s", "negative-seed", "zero-rho-rounds-to-1", "moran-N-beyond-cap"],
 )
 def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])
@@ -273,3 +281,109 @@ def test_parser_built_once_and_commands_looked_up_per_call(monkeypatch):
     monkeypatch.setattr(cli, "cmd_dual", lambda args: seen.append(args.x) or 7)
     assert main(["dual", "--x", "0.3", "--sigma", "1"]) == 7
     assert seen == [0.3]
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["geom-check", "--model", "uniform", "--rho", "0.5", "--n-max", "-1"],
+    ["geom-check", "--model", "uniform", "--rho", "0.5", "--n-max", "10001"],
+    ["simulate", "--model", "kingman", "--sigma", "1", "--start", "10001", "--events", "10",
+     "--seed", "1"],
+    ["simulate", "--model", "kingman", "--sigma", "1", "--start", "3", "--events", "inf",
+     "--seed", "1"],
+    ["simulate", "--model", "kingman", "--sigma", "1", "--start", "3", "--events", "nan",
+     "--seed", "1"],
+    ["simulate", "--model", "kingman", "--sigma", "1", "--start", "3", "--events", "1e8",
+     "--seed", "1"],
+], ids=["n-max-negative", "n-max-beyond-cap", "start-beyond-cap", "inf-events", "nan-events",
+        "events-beyond-cap"])
+def test_sizes_outside_their_caps_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "is not in 0.." in capsys.readouterr().err
+
+
+def test_extreme_rates_give_the_limiting_values(tmp_path):
+    # rho = 2 sigma / (sigma + theta + d) does not overflow at theta1 = 1e300
+    out = tmp_path / "zero"
+    args = ["stationary", "--model", "zero", "--sigma", "1", "--theta1", "1e300"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["diagnostics"]["rho"] == 1e-300
+    # x = 0 and an underflowing e^-sigma or 2 sigma / m0: the limits 1 and x
+    assert main(["dual", "--x", "0", "--sigma", "1e300", "--out", str(tmp_path / "a.json")]) == 0
+    assert json.loads((tmp_path / "a.json").read_text())["bs_absorption"] == 1.0
+    args = ["dual", "--x", "0", "--sigma", "1e-300", "--m0", "1e300"]
+    assert main(args + ["--out", str(tmp_path / "k.json")]) == 0
+    assert json.loads((tmp_path / "k.json").read_text())["kimura_fixation"] == 0.0
+
+
+def test_singular_duality_system_is_spec_error(tmp_path, capsys):
+    # theta0 = 1e-300 next to an endpoint mass of 1e300: the Schur step of
+    # the w-system is singular in doubles
+    spec = tmp_path / "measure.json"
+    spec.write_text('{"m0": 1.0, "m1": 1e300}')
+    argv = ["moments", "--model", str(spec), "--sigma", "0.3", "--theta0", "1e-300",
+            "--theta1", "1e-300", "--tol", "1e-300", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "singular" in json.loads(capsys.readouterr().err)["error"].lower()
+
+
+FUZZ_FLOATS = ["0", "-1", "0.3", "1", "2.5", "nan", "inf", "-inf", "1e300", "1e-300", "-1e300"]
+FUZZ_INTS = ["-1", "0", "1", "3", "12", str(10**30), "1e3", "nan"]
+FUZZ_MEASURES = {
+    "atoms.json": '{"interior": {"type": "atoms", "atoms": [[0.2, 0.5], [0.7, 0.25]]}}',
+    "beta.json": '{"interior": {"type": "beta", "a": 1.5, "b": 2.5}, "m0": 0.5}',
+    "mixed.json": '{"m0": 1.0, "m1": 1e300}',
+    "bad.json": '{"interior": {"type": "atoms", "atoms": [[1.5, -1]]}}',
+}
+MODEL_OPTIONS = ["--sigma", "--theta0", "--theta1"]
+MORAN_OPTIONS = ["--s", "--u0", "--u1"]
+FUZZ_COMMANDS = {
+    # command: (models, float options, integer options)
+    "stationary": (["uniform", "kingman", "star", "beta31", "zero", "moran"],
+                   MODEL_OPTIONS + MORAN_OPTIONS + ["--tol"], ["--N"]),
+    "simulate": (["kingman", "uniform", "beta31", "zero", "moran", "moran-x"],
+                 MODEL_OPTIONS + MORAN_OPTIONS + ["--burn-in"],
+                 ["--N", "--start", "--events", "--seed"]),
+    "moments": (["uniform", "kingman", "zero"], MODEL_OPTIONS + ["--tol"], []),
+    "geom-check": (["uniform", "beta31", "zero"], MODEL_OPTIONS + ["--rho", "--tol"], ["--n-max"]),
+    "dual": (None, ["--x", "--sigma", "--m0", "--s"], ["--N", "--k"]),
+    "validate": (None, [], []),
+}
+
+
+def _fuzz_argv(rng, tmp_path):
+    command = str(rng.choice(sorted(FUZZ_COMMANDS)))
+    models, floats, ints = FUZZ_COMMANDS[command]
+    argv = [command]
+    if models is not None:
+        argv += ["--model", str(rng.choice(models + [str(tmp_path / m) for m in FUZZ_MEASURES]))]
+    for option, pool in [(o, FUZZ_FLOATS) for o in floats] + [(o, FUZZ_INTS) for o in ints]:
+        if rng.random() < 0.7:
+            argv += [option, str(rng.choice(pool))]
+    if command == "validate":
+        argv += ["--suite", "quick"]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    return argv
+
+
+def test_fuzzed_arguments_end_in_an_exit_code(tmp_path):
+    # seeded, in process: every run exits 0, 1 or 2 and no exception
+    # leaves main, whatever the values
+    for name, text in FUZZ_MEASURES.items():
+        (tmp_path / name).write_text(text)
+    rng = np.random.default_rng(7)
+    start = time.perf_counter()
+    for _ in range(300):
+        argv = _fuzz_argv(rng, tmp_path)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value
+                code = exc.code
+        assert code in (0, 1, 2), argv
+    assert time.perf_counter() - start < 10.0

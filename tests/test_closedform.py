@@ -914,3 +914,79 @@ def test_two_weight_form_steps_only_to_the_hand_over():
     pmf, _ = wf_closed(2.0, prm, n_max=400)
     rec = solve_lambda_truncated(LambdaMeasure.kingman(2.0), prm, tol=1e-12)
     assert pmf.sup_distance(rec) <= 1e-9
+
+
+def _large_n_moran_draws():
+    # N in 5e4..1e5 with rates of order one, where the weight integrals of
+    # the formula's p_1 lose their digits; plus a case that raised
+    # QuadratureFailure before the head was compared at the hand-over
+    rng = np.random.default_rng(2026)
+    draws = [
+        MoranParams(int(rng.integers(50_000, 100_001)), *(float(v) for v in rng.uniform(0.1, 2.0, 3)))
+        for _ in range(10)
+    ]
+    return draws + [MoranParams(2703, 1.852, 0.0151, 1.041)]
+
+
+@pytest.mark.parametrize("mp", _large_n_moran_draws(), ids=lambda mp: f"N{mp.N}")
+def test_moran_hand_over_is_right_or_refused(mp):
+    # the formula's p_1 is either the banded solve's or the call raises;
+    # moran_mean asks for n_max = 1, so it must not skip the check
+    ref = solve_moran(mp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pmf, _ = moran_closed(mp, n_max=100)
+            assert np.max(np.abs(pmf.probs - ref.probs[:100])) <= 1e-9
+        except BlockstatError:
+            pass
+        try:
+            assert moran_mean(mp) == pytest.approx(ref.mean(), rel=1e-9)
+        except BlockstatError:
+            pass
+
+
+@pytest.mark.parametrize("N", [20_000, 100_000])
+def test_product_form_residual_is_finite(N):
+    # u0 = 0: the residual is the first term left out (none for the
+    # terminating Moran sum), not a second evaluation of the series
+    mp = MoranParams(N, 0.5, 0.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pmf, _ = moran_closed(mp)
+    assert 0.0 <= pmf.residual <= 1e-12
+    assert np.max(np.abs(pmf.probs - solve_moran(mp).probs)) <= 1e-12
+
+
+def test_crow_kimura_rho_from_the_single_discriminant():
+    # rho = 2 sigma / (sigma + theta + d) against a high-precision root,
+    # down to theta1 = 1e-12, where the reversed quadratic formula cancelled
+    def ref(sigma, th0, th1):
+        # the root in [0, 1) of theta1 x^2 - (sigma+theta) x + sigma; 700
+        # digits outlast the quadratic formula's cancellation down to 1e-300
+        with mpmath.workdps(700):
+            s, t0, t1 = (mpmath.mpf(v) for v in (sigma, th0, th1))
+            if t1 == 0:
+                return s / (s + t0)
+            return (s + t0 + t1 - mpmath.sqrt((s - t0 - t1) ** 2 + 4 * s * t0)) / (2 * t1)
+
+    rng = np.random.default_rng(2811)
+    draws = [(2.0, 0.3, 1e-12), (1.0, 1.0, 1e-10), (0.3, 2.0, 1e-9), (0.0, 1.0, 0.5),
+             (0.0, 0.0, 2.0), (1.0, 0.7, 0.0)]
+    for _ in range(40):
+        sg, th0 = np.exp(rng.uniform(math.log(0.05), math.log(10.0), 2))
+        draws.append((float(sg), float(th0), float(np.exp(rng.uniform(math.log(1e-12), math.log(10.0))))))
+    for prm in draws:
+        rho = crow_kimura_geometric(ModelParams(*prm))[0].extras["rho"]
+        want = ref(*prm)
+        assert abs(rho - want) <= 1e-15 * want, prm  # rho = 0 at sigma = 0
+    # no overflow up to 1e300; a rho that rounds to 1 is refused
+    for prm in itertools.product((0.0, 1e-300, 1.0, 1e300), repeat=3):
+        if prm[1] > 0 or prm[2] > prm[0]:
+            try:
+                assert 0.0 <= crow_kimura_geometric(ModelParams(*prm))[0].extras["rho"] < 1.0
+            except DomainError:  # only where the true rho rounds to 1
+                assert 1.0 - ref(*prm) < 1e-16, prm
+    for prm in ((1e300, 1.0, 0.0), (5.0, 1e-300, 0.0)):
+        with pytest.raises(DomainError, match="rounds to 1"):
+            crow_kimura_geometric(ModelParams(*prm))

@@ -259,3 +259,23 @@ def test_w_system_star_runtime():
     start = time.perf_counter()
     _extend_w_system(merger_rows(LambdaMeasure.star(), 1, 1024), ModelParams(1.0, 0.5, 0.5))
     assert time.perf_counter() - start < 1.0
+
+
+def test_bs_w_generating_on_seeded_draws():
+    # the two-term start at s2 +- 1e-7 s2 carries the march: the Taylor
+    # head matches the w-system, the contour closes, and w(s) on both sides
+    # of the start's edge matches the moment series
+    rng = np.random.default_rng(2808)
+    uni = LambdaMeasure.uniform()
+    for _ in range(40):
+        sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(10.0))))
+        th0, th1 = (float(v) for v in rng.uniform(0.01, 5.0, 2))
+        prm = ModelParams(sigma, th0, th1)
+        ms = solve_w_moments(uni, prm, tol=1e-13)
+        wg = bs_w_generating(prm, n_taylor=12)
+        assert np.max(np.abs(wg.taylor[1:] - ms.w[1:13])) <= 1e-10, prm
+        assert wg.circle_closure < 1e-10, prm
+        nn = np.arange(1, ms.truncation_K + 1)
+        for s in wg.s2 * np.array([1.0 - 5e-8, 1.0 - 2e-7, 0.5]):
+            if s**ms.truncation_K < 1e-13:
+                assert wg.value(float(s)) == pytest.approx(float(np.dot(ms.w[1:], s**nn)), abs=1e-9)

@@ -1,6 +1,8 @@
 """Package layout: the modules of blockstat share only public names."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import blockstat
@@ -22,3 +24,65 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert not found, found
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _parsed(name):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def _string_set(tree, target):
+    """The strings of the module-level set literal assigned to target."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    raise AssertionError(f"no {target} in the tracer")
+
+
+def _resolve(dotted):
+    """blockstat.<module>.<name>[.<attribute>], importing the module."""
+    module, *names = dotted.split(".")
+    obj = importlib.import_module(f"blockstat.{module}")
+    for name in names:
+        obj = vars(obj)[name]
+    return obj
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    # the benchmark is read here, not imported: a name it reads that the
+    # package dropped would otherwise surface only as a failed bench run
+    import blockstat.cli  # noqa: F401  (the cli workload calls bs.cli.main)
+
+    workloads, tracer = _parsed("workloads.py"), _parsed("tracer.py")
+    read = {
+        node.attr
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "bs"
+    }
+    assert read and not [name for name in sorted(read) if not hasattr(blockstat, name)]
+    for entry in _string_set(tracer, "WRITERS") | _string_set(tracer, "PRIVATE"):
+        assert callable(_resolve(entry)), entry
+    # the tracer's hooks bind some arguments by name
+    hooks = next(
+        node.value for node in tracer.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_HOOKS"
+    )
+    hooked = [(key.value, getattr(value, "id", None)) for key, value in zip(hooks.keys, hooks.values)]
+    binds = {
+        fn.name: [
+            call.args[-1].value for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "_bound"
+        ]
+        for fn in tracer.body if isinstance(fn, ast.FunctionDef)
+    }
+    bound = [(dotted, param) for dotted, hook in hooked for param in binds.get(hook, ())]
+    assert {param for _, param in bound} >= {"K", "n_reps"}
+    for dotted, param in bound:
+        assert param in inspect.signature(_resolve(dotted)).parameters, (dotted, param)
+    for dotted, _ in hooked:
+        assert callable(_resolve(dotted)), dotted
