@@ -67,7 +67,7 @@ def _pmf_csv(pmf: recursions.StationaryPmf, path: str) -> None:
 
 # Caps on the sizes that a run's cost grows with, so that every legal value
 # ends within seconds: geom-check's integrals grow linearly in --n-max
-# (0.13 s at 10^4), a simulation's first steps quadratically in --start
+# (0.13 s at 10^4), a simulation's first steps superlinearly in --start
 # (0.7 s from 10^4 Kingman blocks, over 20 s from 10^5), and its path and
 # CSV linearly in --events (0.5 s per 10^6).
 _MAX_N_MAX = 10**4

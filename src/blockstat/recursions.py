@@ -149,7 +149,7 @@ def solve_moran(params: MoranParams) -> StationaryPmf:
     """
     N = params.N
     if N > MORAN_N_CAP:
-        raise DomainError(f"the banded Moran solve holds at most {MORAN_N_CAP} states, not N = {N}")
+        raise DomainError(f"the banded Moran solve holds {MORAN_N_CAP} states, not N = {N}")
     a = _solve_moran_banded(params)
     p = np.empty(N)
     p[: N - 1] = a[: N - 1] - a[1:]

@@ -921,10 +921,10 @@ def _large_n_moran_draws():
     # the formula's p_1 lose their digits; plus a case that raised
     # QuadratureFailure before the head was compared at the hand-over
     rng = np.random.default_rng(2026)
-    draws = [
-        MoranParams(int(rng.integers(50_000, 100_001)), *(float(v) for v in rng.uniform(0.1, 2.0, 3)))
-        for _ in range(10)
-    ]
+    draws = []
+    for _ in range(10):
+        N = int(rng.integers(50_000, 100_001))
+        draws.append(MoranParams(N, *(float(v) for v in rng.uniform(0.1, 2.0, 3))))
     return draws + [MoranParams(2703, 1.852, 0.0151, 1.041)]
 
 
@@ -975,7 +975,8 @@ def test_crow_kimura_rho_from_the_single_discriminant():
              (0.0, 0.0, 2.0), (1.0, 0.7, 0.0)]
     for _ in range(40):
         sg, th0 = np.exp(rng.uniform(math.log(0.05), math.log(10.0), 2))
-        draws.append((float(sg), float(th0), float(np.exp(rng.uniform(math.log(1e-12), math.log(10.0))))))
+        th1 = np.exp(rng.uniform(math.log(1e-12), math.log(10.0)))
+        draws.append((float(sg), float(th0), float(th1)))
     for prm in draws:
         rho = crow_kimura_geometric(ModelParams(*prm))[0].extras["rho"]
         want = ref(*prm)

@@ -278,4 +278,5 @@ def test_bs_w_generating_on_seeded_draws():
         nn = np.arange(1, ms.truncation_K + 1)
         for s in wg.s2 * np.array([1.0 - 5e-8, 1.0 - 2e-7, 0.5]):
             if s**ms.truncation_K < 1e-13:
-                assert wg.value(float(s)) == pytest.approx(float(np.dot(ms.w[1:], s**nn)), abs=1e-9)
+                series = float(np.dot(ms.w[1:], s**nn))
+                assert wg.value(float(s)) == pytest.approx(series, abs=1e-9)

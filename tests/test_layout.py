@@ -72,7 +72,7 @@ def test_perfbench_reads_only_names_the_package_has():
         node.value for node in tracer.body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_HOOKS"
     )
-    hooked = [(key.value, getattr(value, "id", None)) for key, value in zip(hooks.keys, hooks.values)]
+    hooked = [(k.value, getattr(v, "id", None)) for k, v in zip(hooks.keys, hooks.values)]
     binds = {
         fn.name: [
             call.args[-1].value for call in ast.walk(fn)
