@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from .closedform import PgfEvaluator, bs_rho
 from .errors import DomainError, IllConditioned, PreconditionViolated, QuadratureFailure
@@ -226,6 +225,8 @@ def _bs_w_rhs(params: ModelParams, s, y):
 
 def _march(rhs, span: tuple[float, float], y0, **kwargs):
     """One DOP853 march of the generating-function ODE at rtol 1e-13, atol 1e-16."""
+    import scipy.integrate  # on first use: it loads scipy.optimize, sparse and spatial
+
     sol = scipy.integrate.solve_ivp(
         rhs, span, [y0], method="DOP853", rtol=1e-13, atol=1e-16, **kwargs
     )

@@ -366,6 +366,8 @@ def check_geometric(
         raise DomainError("rho must lie in (0,1)")
     if n_max < 0:
         raise DomainError("n_max must be non-negative")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must lie in (0, inf), not {tol}")
     reasons: list[str] = []
     if measure.m0 > 0.0:
         reasons.append("atom at 0 present (m0 > 0)")

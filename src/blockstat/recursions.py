@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -167,6 +166,8 @@ def solve_three_term(
     Rows r = 0..m-1 with x_{-1} = x_left given and x_m = 0, so sup[m-1]
     is never used; solved as a pivoted banded system.
     """
+    import scipy.linalg  # on first use, not on import of the package
+
     m = diag.size
     ab = np.zeros((3, m))  # (1,1) banded storage
     ab[0, 1:] = sup[:-1]
@@ -313,9 +314,11 @@ def double_until_closed(
     solve(K) returns (result, bound), where bound is that K-solve's own
     bound on how far closing the system at K moves the part of the result
     it vouches for.  Returns (result, K, bound) for the first K with
-    bound < tol; raises DomainError before any solve if K > K_cap, and
-    NoConvergence once 2K > K_cap.
+    bound < tol; raises DomainError before any solve if K > K_cap or tol
+    is not in (0, inf), and NoConvergence once 2K > K_cap.
     """
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must lie in (0, inf), not {tol}")
     if K > K_cap:
         raise DomainError(f"truncation level {K} passes the cap {K_cap}")
     while True:

@@ -183,11 +183,12 @@ def _shortest(bits: np.ndarray, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     small = (q < 0) & (q > -53) & ((c >> mq) << mq == c)
     f = np.where(small, c >> mq, f)
     e = np.where(small, 0, k)
-    rows = np.flatnonzero(f % np.uint64(10) == 0)
+    ten = np.uint64(10)  # x // ten * ten == x: numpy's % has no fast path for a scalar
+    rows = np.flatnonzero(f // ten * ten == f)
     while rows.size:
-        f[rows] //= np.uint64(10)
+        f[rows] //= ten
         e[rows] += 1
-        rows = rows[f[rows] % np.uint64(10) == 0]
+        rows = rows[f[rows] // ten * ten == f[rows]]
     return f, e
 
 
@@ -196,8 +197,9 @@ def _ascii(f: np.ndarray, quads: np.ndarray, width: int) -> np.ndarray:
     groups = -(-width // 4)
     text = np.empty((f.size, groups), dtype=np.uint32)
     for i in range(groups - 1, -1, -1):
-        f, r = np.divmod(f, np.uint64(10**4))
-        text[:, i] = quads[r]
+        q = f // np.uint64(10**4)  # not divmod or %: only // has a scalar fast path
+        text[:, i] = quads[f - q * np.uint64(10**4)]
+        f = q
     return text.view(np.uint8)[:, 4 * groups - width:]
 
 
@@ -225,7 +227,7 @@ def _float_fields(x: np.ndarray, tables) -> np.ndarray:
     out = layouts[layout]
     out[:, _INT] &= text
     out[:, _FRAC] &= text
-    out[:, _EXP] &= quads[power % 10**4].view(np.uint8).reshape(-1, 4)[:, 1:]
+    out[:, _EXP] &= quads[power].view(np.uint8).reshape(-1, 4)[:, 1:]
     return out
 
 

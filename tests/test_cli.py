@@ -247,10 +247,21 @@ def test_malformed_measure_file_is_spec_error(tmp_path, capsys, name):
          "--seed", "-1"],
         ["stationary", "--model", "zero", "--sigma", "1e300", "--theta0", "1"],
         ["stationary", "--model", "moran", "--N", str(10**30), "--s", "0.5"],
+        # a tol outside (0, inf) is refused before the first solve, not
+        # run to the truncation cap or passed by every `residual > tol`
+        *[["stationary", "--model", "uniform", "--sigma", "1", "--theta0", ".5",
+           "--theta1", ".5", "--tol", tol] for tol in ("0", "-1", "nan", "inf")],
+        ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "1", "--theta1", "1",
+         "--tol", "nan"],
+        *[["geom-check", "--model", "beta31", "--rho", "0.5", "--tol", tol]
+          for tol in ("nan", "-1")],
     ],
     ids=["simulate-no-sigma", "nan-sigma", "inf-sigma", "nan-theta0", "nan-moran-s",
          "inf-moran-u0", "dual-inf-sigma-nan-m0", "dual-nan-sigma", "dual-inf-m0",
-         "dual-nan-moran-s", "negative-seed", "zero-rho-rounds-to-1", "moran-N-beyond-cap"],
+         "dual-nan-moran-s", "negative-seed", "zero-rho-rounds-to-1", "moran-N-beyond-cap",
+         "stationary-zero-tol", "stationary-negative-tol", "stationary-nan-tol",
+         "stationary-inf-tol", "moments-nan-tol", "geom-check-nan-tol",
+         "geom-check-negative-tol"],
 )
 def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])

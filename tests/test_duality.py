@@ -248,6 +248,16 @@ def test_w_moments_above_cap_raises_before_solving(monkeypatch):
         solve_w_moments(LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), K=65, K_cap=64)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_w_moments_bad_tol_raises_before_solving(monkeypatch, tol):
+    def no_solve(*args):
+        raise AssertionError("solved with a bad tol")
+
+    monkeypatch.setattr(blockstat.duality, "merger_rows", no_solve)
+    with pytest.raises(DomainError, match="tol"):
+        solve_w_moments(LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), tol=tol)
+
+
 def test_w_system_star_beyond_float_binomials():
     # binom(2048, 1024) overflows a double; the rows never form it
     w, _ = _extend_w_system(merger_rows(LambdaMeasure.star(), 1, 2048),

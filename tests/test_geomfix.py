@@ -1,12 +1,14 @@
 """Moebius dynamics, the measure operator, and geometric-law conditions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockstat.closedform import bs_rho
-from blockstat.errors import PreconditionViolated
+from blockstat.errors import DomainError, PreconditionViolated
 from blockstat.geomfix import (
     MobiusInvolution,
     apply_S,
@@ -19,7 +21,7 @@ from blockstat.geomfix import (
     pushforward_to_lambda,
     rho_star,
 )
-from blockstat.measures import LambdaMeasure, ModelParams
+from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams
 from blockstat.closedform import crow_kimura_geometric
 
 
@@ -160,6 +162,18 @@ def test_check_geometric_negative_controls():
     ):
         for rho in (0.1, 0.5, 0.9):
             assert not check_geometric(measure, rho, n_max=6).passed
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_check_geometric_bad_tol_raises_before_integrating(monkeypatch, tol):
+    # a NaN tol passed beta(3,1), which is non-geometric by design: every
+    # `residual > tol` is False for it
+    def no_integral(*args, **kwargs):
+        raise AssertionError("integrated with a bad tol")
+
+    monkeypatch.setattr(BetaDensity, "integrate", no_integral)
+    with pytest.raises(DomainError, match="tol"):
+        check_geometric(LambdaMeasure.beta31(), 0.5, tol=tol)
 
 
 def test_check_geometric_pushforward_passes():

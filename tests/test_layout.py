@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import blockstat
 
@@ -86,3 +89,32 @@ def test_perfbench_reads_only_names_the_package_has():
         assert param in inspect.signature(_resolve(dotted)).parameters, (dotted, param)
     for dotted, _ in hooked:
         assert callable(_resolve(dotted)), dotted
+
+
+_IMPORT_THEN_SOLVE = """
+import sys
+import blockstat, blockstat.cli
+loaded = lambda: [m for m in {deferred!r} if m in sys.modules]
+print(loaded())
+from blockstat import ModelParams, MoranParams, bs_w_generating, solve_moran
+solve_moran(MoranParams(12, 0.7, 0.25, 0.15))
+bs_w_generating(ModelParams(1.0, 0.5, 0.5), n_taylor=4)
+print(loaded())
+"""
+
+
+def test_import_leaves_the_ode_and_banded_solvers_unloaded():
+    # scipy.integrate (with the optimize, sparse and spatial it pulls in)
+    # and scipy.linalg are imported by the two routes that use them, not
+    # by `import blockstat`; a fresh interpreter sees what import loads
+    deferred = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"]
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_THEN_SOLVE.format(deferred=deferred)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    on_import, after_solves = run.stdout.splitlines()
+    assert on_import == "[]"
+    # the banded Moran solve and the generating-function march load them
+    assert {"scipy.integrate", "scipy.linalg"} <= set(ast.literal_eval(after_solves))

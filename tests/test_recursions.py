@@ -175,6 +175,20 @@ def test_lambda_truncated_above_cap_raises_before_solving(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_lambda_truncated_bad_tol_raises_before_solving(monkeypatch, tol):
+    # without the check no bound is below 0, -1 or NaN, so the doubling
+    # would run to K_cap, and every bound is below inf
+    def no_solve(*args):
+        raise AssertionError("solved with a bad tol")
+
+    monkeypatch.setattr(blockstat.recursions, "_solve_prlm", no_solve)
+    with pytest.raises(DomainError, match="tol"):
+        solve_lambda_truncated(LambdaMeasure.uniform(), ModelParams(1.0, 0.5, 0.5), tol=tol)
+    with pytest.raises(DomainError, match="tol"):
+        double_until_closed(no_solve, tol=tol)
+
+
 _SIGMA_ZERO = ModelParams(0.0, 0.5, 0.5)
 
 
