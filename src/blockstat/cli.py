@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import BlockstatError
+from .errors import BlockstatError, DomainError
 from .measures import LambdaMeasure, ModelParams, MoranParams, UniformScaled
 from . import closedform, duality, geomfix, recursions, simulate
 from .textio import write_csv
@@ -412,6 +412,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # refused for every model, those that read no tol too
+        if args.command == "stationary" and not 0.0 < args.tol < np.inf:
+            raise DomainError(f"tol must lie in (0, inf), not {args.tol}")
         if args.command in ("stationary", "simulate") and args.model in ("moran", "moran-x"):
             if args.N is None or args.s is None:
                 raise BlockstatError("the Moran model needs --N and --s")

@@ -3,22 +3,22 @@
 Stationary moments w_n = P_n(absorption at 0) of the killed ancestral
 selection graph solve a lower-Hessenberg linear system; for the uniform
 measure their generating function solves a first-order ODE whose regular
-solution is marched from its two-term Taylor start at the interior
-singular point.  Also: the classical absorption/fixation formulas and the
-ancestral-type function h(x) = 1 - g(1-x).
+solution is collocated on Chebyshev panels that start at the interior
+singular point, where the equation itself selects it.  Also: the
+classical absorption/fixation formulas and the ancestral-type function
+h(x) = 1 - g(1-x).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .closedform import PgfEvaluator, bs_rho
-from .errors import DomainError, IllConditioned, PreconditionViolated, QuadratureFailure
+from .errors import DomainError, IllConditioned, PreconditionViolated
 from .measures import LambdaMeasure, ModelParams, merger_rows
 from .recursions import DEFAULT_TOL, K_START, StationaryPmf, double_until_closed
 from .textio import write_csv
@@ -157,14 +157,19 @@ def solve_w_moments(
 # Uniform-measure generating function w(s) = sum_{n>=1} w_n s^n
 # ----------------------------------------------------------------------
 
-_N_CIRCLE = 256  # contour points of the Cauchy-integral FFT
+_N_CIRCLE = 256  # contour points of the Cauchy-integral FFT, one arc each
+_NODES = 12  # Chebyshev-Lobatto collocation nodes per panel
+_X = chebyshev.chebpts2(_NODES)  # the nodes on [-1, 1]
+_TO_CHEB = np.linalg.inv(chebyshev.chebvander(_X, _NODES - 1))  # node values -> coefficients
+_T = (_X + 1.0) / 2.0  # the nodes on [0, 1], t_0 = 0; _D differentiates in t
+_D = 2.0 * chebyshev.chebvander(_X, _NODES - 2) @ chebyshev.chebder(np.eye(_NODES)) @ _TO_CHEB
 
 
 @dataclass
 class WGeneratingFunction:
     """Regular solution of the moment generating-function ODE.
 
-    Exposes values on (0, s2), the Taylor head (w_0..w_n), the Stieltjes
+    Exposes values on [0, s2), the Taylor head (w_0..w_n), the Stieltjes
     transform wrapper, and the circle-closure diagnostic of the contour
     used for coefficient extraction.
     """
@@ -174,28 +179,25 @@ class WGeneratingFunction:
     taylor: np.ndarray
     circle_radius: float
     circle_closure: float
-    _delta: float
-    _series: Callable[[float], float]
-
-    @functools.cached_property
-    def _left_sol(self):
-        """Dense march from s2 - delta down to 1e-9, made on first use:
-        only value() below s2 - delta reads it."""
-        s0 = self.s2 - self._delta
-        rhs = functools.partial(_bs_w_rhs, self.params)
-        return _march(rhs, (s0, 1e-9), self._series(s0), dense_output=True)
+    _disk: np.ndarray  # the FFT: w(s) = sum_n _disk[n] (s/r)^n on |s| <= r
+    _ends: np.ndarray  # the real panels' ends, s2 to r
+    _cheb: np.ndarray  # w's Chebyshev coefficients on each real panel
 
     def value(self, s: float) -> float:
-        if not 0.0 <= s < self.s2:
-            raise DomainError(f"w(s) is evaluated on [0, s2 = {self.s2:.6f})")
-        if s == 0.0:
-            return 0.0
-        if s >= self.s2 - self._delta:
-            return float(self._series(s))
-        return float(self._left_sol.sol(s)[0])
+        return float(self.values([s])[0])
 
     def values(self, s_grid) -> np.ndarray:
-        return np.array([self.value(float(s)) for s in np.asarray(s_grid)])
+        """w on [0, r] from the FFT; on (r, s2), when r < s2, from the panels."""
+        s = np.asarray(s_grid, dtype=float).reshape(-1)
+        if not np.all((0.0 <= s) & (s < self.s2)):
+            raise DomainError(f"w(s) is evaluated on [0, s2 = {self.s2:.6f})")
+        r, a = self.circle_radius, self._ends
+        out = np.power.outer(np.minimum(s, r) / r, np.arange(_N_CIRCLE)) @ self._disk
+        far = s > r
+        k = np.searchsorted(-a, -s[far]) - 1  # the ends fall from s2 to r here
+        x = 2.0 * (s[far] - a[k]) / (a[k + 1] - a[k]) - 1.0
+        out[far] = chebyshev.chebval(x, self._cheb[k].T, tensor=False)
+        return out
 
     def stieltjes(self, t: float) -> float:
         """E[1/(t - (1-X_inf))] = (1 + w(1/t))/t for t > 1/s2."""
@@ -218,60 +220,25 @@ def _bs_n(params: ModelParams, s):
     return params.theta1 * s * s - params.sigma - np.log1p(-s)
 
 
-def _bs_w_rhs(params: ModelParams, s, y):
-    """w' = (n(s) w + theta1 s^2) / (s h(s)), for real or complex s."""
-    return [(_bs_n(params, s) * y[0] + params.theta1 * s * s) / (s * _bs_h(params, s))]
-
-
-def _march(rhs, span: tuple[float, float], y0, **kwargs):
-    """One DOP853 march of the generating-function ODE at rtol 1e-13, atol 1e-16."""
-    import scipy.integrate  # on first use: it loads scipy.optimize, sparse and spatial
-
-    sol = scipy.integrate.solve_ivp(
-        rhs, span, [y0], method="DOP853", rtol=1e-13, atol=1e-16, **kwargs
-    )
-    if not sol.success:
-        raise QuadratureFailure(f"generating-function march failed: {sol.message}")
-    return sol
-
-
-def _bs_start(params: ModelParams, s2: float) -> tuple[float, float]:
-    """(w(s2), w'(s2)) of the regular solution at the singular point s2.
-
-    (s h(s)) w' = n(s) w + theta1 s^2 with h(s2) = 0 fixes both: at s2 the
-    equation reads n w + theta1 s2^2 = 0, and its derivative
-    s2 h'(s2) w' = n'(s2) w + n(s2) w' + 2 theta1 s2.
-    """
-    th1 = params.theta1
-    n = float(_bs_n(params, s2))
-    dh = params.theta - 2.0 * th1 * s2 + params.sigma + math.log1p(-s2) + 1.0
-    dn = 2.0 * th1 * s2 + 1.0 / (1.0 - s2)
-    w = -th1 * s2 * s2 / n
-    return w, (dn * w + 2.0 * th1 * s2) / (s2 * dh - n)
-
-
 def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunction:
     """Moment generating function of the uniform-measure model.
 
-    The regular solution is seeded at s2 +- delta, delta = 1e-7 s2, by its
-    two-term Taylor start at the interior singular point s2 (_bs_start) and
-    marched outward.  The singular mode behaves like |s - s2|^kappa with
-    kappa = n(s2) / (s2 h'(s2)) < 0, so it decays away from s2 and an
-    error in the start shrinks along both marches; the dropped term
-    w'' delta^2 / 2 is about 1e-15.  Taylor coefficients at 0 come from a
-    Cauchy-integral FFT on the complex circle |s| = r: the function is
+    The regular solution of P(s) w' - n(s) w = theta1 s^2, P = s h, is
+    collocated at Chebyshev-Lobatto nodes on panels: real ones from the
+    interior singular point s2 to the contour radius r, then _N_CIRCLE
+    arcs once around |s| = r.  At s2, P = 0 turns the first row into
+    n(s2) w = -theta1 s2^2, and the other solutions grow like
+    |s - s2|^kappa, kappa = n(s2)/(s2 h'(s2)) < 0, so the first panel's
+    collocation picks the regular one.  Each later panel is solved, all in
+    one batch, for a part zero at its start and a homogeneous part one
+    there; a scalar loop chains them.  Taylor coefficients at 0 come from
+    a Cauchy-integral FFT of the arcs' start values: the function is
     analytic in the unit disk, and real-interval extraction would lose
-    the high coefficients to noise amplification.  The march from s2
-    toward 0 that value() reads is made on its first use.
+    the high coefficients to noise amplification.
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("the generating function needs theta0, theta1 > 0")
     s2 = bs_rho(params)  # the root of h: bs_rho's r(x) expands to h(x)
-    w2, dw2 = _bs_start(params, s2)
-    delta = 1e-7 * s2
-
-    def series(s: float) -> float:
-        return w2 + dw2 * (s - s2)
 
     # choose a contour radius separated from s2 and from zeros of h
     r = 0.6
@@ -282,23 +249,52 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
             if hmag.min() > 1e-3:
                 r = cand
                 break
-    s0 = s2 + delta if r > s2 else s2 - delta
-    w_r = complex(_march(functools.partial(_bs_w_rhs, params), (s0, r), series(s0)).y[0, -1])
 
-    def rhs_circ(phi, y):
-        s = r * np.exp(1j * phi)
-        return [_bs_w_rhs(params, s, y)[0] * 1j * s]
+    # a real panel from x is at most min(0.05, x/4, (1 - x)/4) long, so
+    # the singular points 0 and 1 lie four panel lengths or more from it
+    ends = [s2]
+    while ends[-1] != r:
+        x = ends[-1]
+        step = min(0.05, 0.25 * x, 0.25 * (1.0 - x))
+        ends.append(min(x + step, r) if r > x else max(x - step, r))
+    ends = np.array(ends)
+    n_real = ends.size - 1
+    dphi = 2.0 * np.pi / _N_CIRCLE
+    s_arc = r * np.exp(1j * dphi * (np.arange(_N_CIRCLE)[:, None] + _T))
+    s = np.concatenate((ends[:-1, None] + np.diff(ends)[:, None] * _T, s_arc))
+    ds = np.concatenate((np.diff(ends)[:, None] + 0.0 * _T, 1j * dphi * s_arc))  # ds/dt
 
-    # the contour's _N_CIRCLE points, and 2 pi again for the closure
-    t_eval = np.linspace(0.0, 2.0 * np.pi, _N_CIRCLE + 1)
-    circ = _march(rhs_circ, (0.0, 2.0 * np.pi), w_r, t_eval=t_eval)
-    closure = abs(circ.y[0, -1] - w_r)
-    fft = np.fft.fft(circ.y[0, :-1]) / _N_CIRCLE
+    # rows P(s_j)/s'(t_j) D_j - n(s_j) e_j, with P(s2) = 0 exactly; every
+    # later panel's first row sets its start value: 0 or 1
+    coef = s * _bs_h(params, s) / ds
+    coef[0, 0] = 0.0
+    A = coef[:, :, None] * _D
+    A[:, np.arange(_NODES), np.arange(_NODES)] -= _bs_n(params, s)
+    A[1:, 0, :] = np.eye(_NODES)[0]
+    B = np.zeros(s.shape + (2,), dtype=complex)
+    B[:, :, 0] = params.theta1 * s * s
+    B[1:, 0] = (0.0, 1.0)
+    try:
+        U = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"generating-function collocation: {exc}") from exc
+
+    # w at each later panel's start and, last, at the final end; panel 0
+    # has no homogeneous part, and its 0 weights none
+    start = [0.0]
+    for part, hom in zip(U[:, -1, 0].tolist(), U[:, -1, 1].tolist()):
+        start.append(part + start[-1] * hom)
+    circle = np.array(start[n_real:-1])
+    node_w = (U[:n_real, :, 0] + np.array(start[:n_real])[:, None] * U[:n_real, :, 1]).real
+
+    fft = np.fft.fft(circle) / _N_CIRCLE
     taylor = np.zeros(n_taylor + 1)
     for n in range(1, n_taylor + 1):
         taylor[n] = (fft[n] / r**n).real
-
-    return WGeneratingFunction(params, s2, taylor, r, closure, delta, series)
+    disk = fft.real
+    disk[0] = 0.0  # w(0) = 0: the sum starts at n = 1
+    closure = abs(start[-1] - circle[0])
+    return WGeneratingFunction(params, s2, taylor, r, closure, disk, ends, node_w @ _TO_CHEB.T)
 
 
 # ----------------------------------------------------------------------

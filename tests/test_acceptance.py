@@ -220,7 +220,7 @@ def test_criterion_09_generating_function_taylor_head():
     ms = du.solve_w_moments(uni, prm, tol=1e-12)
     wg = du.bs_w_generating(prm, n_taylor=10)
     worst = max(abs(wg.taylor[n] - ms[n]) for n in range(1, 11))
-    _report(9, "generating-function Taylor head vs moments", worst, 1e-5)
+    _report(9, "generating-function Taylor head vs moments", worst, 1e-10)
 
 
 def test_criterion_10_fixed_point_pipeline():

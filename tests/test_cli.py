@@ -255,13 +255,18 @@ def test_malformed_measure_file_is_spec_error(tmp_path, capsys, name):
          "--tol", "nan"],
         *[["geom-check", "--model", "beta31", "--rho", "0.5", "--tol", tol]
           for tol in ("nan", "-1")],
+        # the closed geometric law and the banded Moran solve read no tol,
+        # but refuse a bad one as the truncated models do
+        ["stationary", "--model", "zero", "--sigma", "1", "--theta0", "1", "--theta1", "1",
+         "--tol", "nan"],
+        ["stationary", "--model", "moran", "--N", "10", "--s", "0.5", "--tol", "nan"],
     ],
     ids=["simulate-no-sigma", "nan-sigma", "inf-sigma", "nan-theta0", "nan-moran-s",
          "inf-moran-u0", "dual-inf-sigma-nan-m0", "dual-nan-sigma", "dual-inf-m0",
          "dual-nan-moran-s", "negative-seed", "zero-rho-rounds-to-1", "moran-N-beyond-cap",
          "stationary-zero-tol", "stationary-negative-tol", "stationary-nan-tol",
          "stationary-inf-tol", "moments-nan-tol", "geom-check-nan-tol",
-         "geom-check-negative-tol"],
+         "geom-check-negative-tol", "stationary-zero-nan-tol", "stationary-moran-nan-tol"],
 )
 def test_bad_parameter_is_spec_error(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])

@@ -272,9 +272,9 @@ def test_w_system_star_runtime():
 
 
 def test_bs_w_generating_on_seeded_draws():
-    # the two-term start at s2 +- 1e-7 s2 carries the march: the Taylor
-    # head matches the w-system, the contour closes, and w(s) on both sides
-    # of the start's edge matches the moment series
+    # the collocation from s2 carries the panels: the Taylor head matches
+    # the w-system, the contour closes, and w(s) next to s2 matches the
+    # moment series
     rng = np.random.default_rng(2808)
     uni = LambdaMeasure.uniform()
     for _ in range(40):
@@ -290,3 +290,36 @@ def test_bs_w_generating_on_seeded_draws():
             if s**ms.truncation_K < 1e-13:
                 series = float(np.dot(ms.w[1:], s**nn))
                 assert wg.value(float(s)) == pytest.approx(series, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "prm",
+    [ModelParams(10.0, 0.05, 0.2), ModelParams(5.0, 0.01, 1.0),
+     ModelParams(0.05, 5.0, 5.0), ModelParams(0.01, 3.0, 0.02)],
+    ids=["s2-0.990", "s2-0.974", "s2-0.0045", "s2-0.0025"],
+)
+def test_bs_w_generating_with_s2_near_0_or_1(prm):
+    # s2 near 1 grades the real panels toward the singular point 1 and
+    # leaves the contour inside s2; s2 near 0 grades them toward 0
+    ms = solve_w_moments(LambdaMeasure.uniform(), prm, tol=1e-11)
+    wg = bs_w_generating(prm, n_taylor=12)
+    assert wg.s2 > 0.97 or wg.s2 < 0.01
+    assert np.max(np.abs(wg.taylor[1:] - ms.w[1:13])) <= 1e-10
+    assert wg.circle_closure < 1e-10
+    grid = wg.s2 * np.array([0.0, 0.1, 0.5, 0.9, 0.99, 1.0 - 2e-7])
+    nn = np.arange(1, ms.truncation_K + 1)
+    kept = grid**ms.truncation_K < 1e-13  # where K terms carry the series
+    assert kept.sum() >= 5
+    series = [float(np.dot(ms.w[1:], s**nn)) for s in grid[kept]]
+    assert np.max(np.abs(wg.values(grid[kept]) - series)) <= 1e-9
+
+
+@pytest.mark.parametrize("prm", [ModelParams(1.0, 0.5, 0.5), ModelParams(10.0, 0.05, 0.2)])
+def test_bs_w_values_is_value_on_a_grid(prm):
+    # s2 below and above the contour radius; the grid holds the real
+    # panels' ends below s2, where one panel hands over to the next
+    wg = bs_w_generating(prm)
+    ends = wg._ends[wg._ends < wg.s2]
+    grid = np.concatenate((np.linspace(0.0, wg.s2, 200, endpoint=False), ends))
+    vals = wg.values(grid)
+    assert np.max(np.abs(vals - [wg.value(float(s)) for s in grid])) <= 1e-15

@@ -92,21 +92,24 @@ def test_perfbench_reads_only_names_the_package_has():
 
 
 _IMPORT_THEN_SOLVE = """
-import sys
+import contextlib, io, sys
 import blockstat, blockstat.cli
 loaded = lambda: [m for m in {deferred!r} if m in sys.modules]
 print(loaded())
 from blockstat import ModelParams, MoranParams, bs_w_generating, solve_moran
 solve_moran(MoranParams(12, 0.7, 0.25, 0.15))
 bs_w_generating(ModelParams(1.0, 0.5, 0.5), n_taylor=4)
-print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = blockstat.cli.main(["validate", "--suite", "full"])
+print(code, loaded())
 """
 
 
 def test_import_leaves_the_ode_and_banded_solvers_unloaded():
-    # scipy.integrate (with the optimize, sparse and spatial it pulls in)
-    # and scipy.linalg are imported by the two routes that use them, not
-    # by `import blockstat`; a fresh interpreter sees what import loads
+    # scipy.linalg is imported by the banded solve that uses it, not by
+    # `import blockstat`; scipy.integrate (with the optimize and sparse it
+    # pulls in) is never imported, as the generating function is
+    # collocated with numpy alone; a fresh interpreter sees what loads
     deferred = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run(
@@ -116,5 +119,18 @@ def test_import_leaves_the_ode_and_banded_solvers_unloaded():
     assert run.returncode == 0, run.stderr
     on_import, after_solves = run.stdout.splitlines()
     assert on_import == "[]"
-    # the banded Moran solve and the generating-function march load them
-    assert {"scipy.integrate", "scipy.linalg"} <= set(ast.literal_eval(after_solves))
+    assert after_solves == "0 ['scipy.linalg']"
+
+
+def test_no_module_imports_scipy_integrate():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.startswith("scipy.integrate")]
+    assert not found, found
