@@ -305,6 +305,18 @@ def _validate_checks(suite: str):
             residual = closedform.verify_master_equation(pgf, measure, params, zg)
             add(f"{name} pgf identity residual", residual, 1e-10)
 
+        # two-weight pgfs at mid z and moderate N, against their pmfs' series
+        zs = np.linspace(0.05, 0.95, 10)
+        mp62, prm_k = MoranParams(62, 0.4886, 0.6376, 0.04176), ModelParams(4.32, 7.04, 0.16)
+        for name, (_, pgf), pmf in [
+            ("moran pgf vs pmf series, N = 62 (sup)", closedform.moran_closed(mp62),
+             recursions.solve_moran(mp62)),
+            ("kingman pgf vs pmf series (sup)", closedform.wf_closed(0.625, prm_k, n_max=40),
+             recursions.solve_lambda_truncated(LambdaMeasure.kingman(0.625), prm_k, tol=1e-14)),
+        ]:
+            series = closedform.PgfEvaluator.of_probs(pmf.probs)
+            add(name, np.max(np.abs(pgf(zs) - series(zs))), 1e-9)
+
         path = simulate.simulate_moran_L(MoranParams(10, 0.5, 0.1, 0.1), 5, 10**5, seed=11)
         occ = simulate.occupancy(path, 0.2)
         add(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, xlogy
 
 from .errors import (
     DomainError,
@@ -148,46 +148,33 @@ class _TwoWeightForm:
     tail_solve: Callable[[], tuple[np.ndarray, dict]]  # pmf past formula_valid_to, extras
 
 
-def _scaled_weight(form: _TwoWeightForm) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """(w, scale) with w(y) = w_0(y) exp(-scale).
+def _log_weight(form: _TwoWeightForm) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """log w_0(y) = alpha log y + log k(y) + (beta-1) log(1-y) on [0, 1], as a
+    function of y and ybar = 1 - y.
 
-    scale is the peak of the log-integrand, so an absolute quadrature
-    tolerance on w acts as a relative one; only scale-free ratios of its
-    integrals are used.  A factor (1-y)^(beta-1) with beta > 1 is folded
-    into w; a singular one (beta < 1) is left to the caller.
+    The caller passes ybar, so that a y next to 1 keeps the digits of its
+    distance to 1.  The factor (1-y)^(beta-1) is folded in for beta > 1
+    only; a singular one (beta < 1) is left to the caller.  Both ends give
+    -inf, not a warning, where w_0 vanishes.
     """
-    beta_exp = form.beta - 1.0
-    grid = np.linspace(1e-9, 1.0 - 1e-9, 4001)
-    full = form.alpha * np.log(grid) + form.log_k(grid) + max(beta_exp, 0.0) * np.log1p(-grid)
-    scale = float(np.max(full))
-
-    def w(y):
-        # only y = 0 is masked; at y = 1 a folded exponent gives
-        # exp(-inf) = 0, which is the correct limit
-        out = np.zeros_like(y)
-        pos = y > 0
-        with np.errstate(divide="ignore"):
-            lw = form.alpha * np.log(y[pos]) + form.log_k(y[pos]) - scale
-            if beta_exp > 0.0:
-                lw = lw + beta_exp * np.log1p(-y[pos])
-        out[pos] = np.exp(lw)
-        return out
-
-    return w, scale
+    fold = max(form.beta - 1.0, 0.0)
+    return lambda y, ybar: xlogy(form.alpha, y) + form.log_k(y) + xlogy(fold, ybar)
 
 
 def _weight_integrals(
-    w: Callable[[np.ndarray], np.ndarray], beta_split: float
+    log_w: Callable[[np.ndarray, np.ndarray], np.ndarray], scale: float, beta_split: float
 ) -> tuple[float, float]:
-    """Integrals of (1-y)^beta_split w(y) (1, y) over (0, 1), beta_split in (-1, 0].
+    """Integrals of (1-y)^beta_split w(y) (1, y) over (0, 1), w = exp(log_w - scale).
 
+    scale is the peak of log_w, so the absolute quadrature tolerance acts
+    as a relative one; only scale-free ratios of the integrals are used.
     Refining both components on identical panels makes their quadrature
     errors strongly correlated, which is what the ill-conditioned ratio
     I_1/I_0 needs.  A singular beta_split < 0 goes to quad_power_endpoints.
     """
 
     def pair(y):
-        base = w(y)
+        base = np.exp(log_w(y, 1.0 - y) - scale)
         return np.stack([base, base * y])
 
     if beta_split == 0.0:
@@ -211,6 +198,7 @@ def _weight_integrals(
 # larger.
 _Q_EFF_EPS = 1e-15
 _W_TOL = 1e-15
+_W_GRID = np.linspace(1e-9, 1.0 - 1e-9, 4001)  # scanned for the peaks of log w
 _Q_ERR_CAP = 1e-10
 _QDTYPE = np.longdouble
 
@@ -242,9 +230,11 @@ def _two_weight_closed(
     stable solve's to _Q_ERR_CAP, or IllConditioned is raised: the error
     estimate bounds the q recurrence, not the weight integrals' own error.
     """
-    w, scale = _scaled_weight(form)
+    log_w = _log_weight(form)
+    on_grid = log_w(_W_GRID, 1.0 - _W_GRID)
+    scale = float(np.max(on_grid))
     beta_split = min(form.beta - 1.0, 0.0)
-    i0, i1 = _weight_integrals(w, beta_split)
+    i0, i1 = _weight_integrals(log_w, scale, beta_split)
     if i0 <= i1:
         raise QuadratureFailure(f"{tag}: weight integrals came out non-monotone")
     a1, a2 = form.alpha + 1.0, form.alpha + 2.0
@@ -282,41 +272,44 @@ def _two_weight_closed(
 
     ratio = i1 / i0
     pgf_pref = form.c * i0 / (i0 - i1)
+    # the largest log w on the grid below each grid point, and from it up
+    below = np.maximum.accumulate(np.append(-math.inf, on_grid))
+    above = np.maximum.accumulate(np.append(on_grid, -math.inf)[::-1])[::-1]
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        # every z is mapped onto one reference interval, so that each branch
-        # is one vector-valued quadrature over all its z; both maps scale the
-        # integral by a factor <= 1, so its tolerance is no looser per z
+        # (ratio - y) w_0(y) is positive below y = ratio, negative above, and
+        # integrates to 0 over (0, 1); so each z integrates on its own side,
+        # int_0^z below and int_z^1 (y - ratio) w_0 above, and nothing
+        # cancels.  w is taken relative to its largest value on that side,
+        # so the integrand peaks near 1 and the prefactor stays in range.
+        # Each side is one vector-valued quadrature over all its z, mapped
+        # onto (0, 1) by a factor <= 1, so its tolerance is no looser per z.
+        low = z <= ratio
+        at = np.searchsorted(_W_GRID, z)  # _W_GRID[at - 1] < z <= _W_GRID[at]
+        ref = np.maximum(log_w(z, 1.0 - z), np.where(low, below[at], above[at]))
         j = np.empty_like(z)
-        low = z <= 0.6
         if low.any():
             # int_0^z f(y) dy = z int_0^1 f(z t) dt
-            zl = z[low][:, None]
+            zl, rl = z[low][:, None], ref[low][:, None]
 
             def f(t):
                 y = zl * t
-                base = (ratio - y) * w(y)
-                if beta_split < 0.0:
-                    base = base * np.power(1.0 - y, beta_split)
-                return base
+                return (ratio - y) * np.exp(log_w(y, 1.0 - y) - rl) * np.power(1.0 - y, beta_split)
 
             j[low] = z[low] * adaptive_quad(f, 0.0, 1.0, tol=1e-13)
         if not low.all():
-            # int_0^1 (ratio - y) w = 0, so the tail integral is used:
-            # y = z + (1-z) t, and (1-y)^beta_split = (1-z)^beta_split (1-t)^beta_split
-            zh = z[~low][:, None]
+            # y = z + (1-z) t, so 1-y = (1-z)(1-t), and
+            # (1-y)^beta_split = (1-z)^beta_split (1-t)^beta_split
+            zh, rh = z[~low][:, None], ref[~low][:, None]
 
             def g(t):
                 y = zh + (1.0 - zh) * t
-                return (y - ratio) * w(y)
+                return (y - ratio) * np.exp(log_w(y, (1.0 - zh) * (1.0 - t)) - rh)
 
             tail = quad_power_endpoints(g, 0.0, 1.0, alpha=0.0, beta=beta_split, tol=1e-13)
             j[~low] = (1.0 - z[~low]) ** (1.0 + beta_split) * tail
-        log_pref = form.log_K(z) - form.alpha * np.log(z) - form.beta * np.log1p(-z) + scale
-        # a large prefactor times the cancelling integral loses its digits;
-        # past exp's range the product is inf (NaN where j = 0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = pgf_pref * j * np.where(log_pref < 709.0, np.exp(log_pref), math.inf)
+        log_pref = form.log_K(z) - form.alpha * np.log(z) - form.beta * np.log1p(-z) + ref
+        value = pgf_pref * j * np.exp(log_pref)
         bad = ~((-1e-9 <= value) & (value <= 1.0 + 1e-9))
         if bad.any():
             k = int(np.argmax(bad))
@@ -601,7 +594,8 @@ def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     scaled to peak at 1.  The pmf follows from the local derivative
     recursion of the equation, solved as a stable banded system with
     p_{K+1} = 0, K from double_until_closed; the mass that cut leaves out
-    is tail_mass = 1 - sum p_n.
+    is tail_mass = 1 - sum p_n.  The residual is the largest of the p2
+    consistency, the closure bound and the residual of the banded rows.
     """
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
     theta = params.theta
@@ -673,14 +667,14 @@ def beta31_pgf(params: ModelParams) -> tuple[StationaryPmf, PgfEvaluator]:
     def solve(K):
         n = np.arange(2, K + 1)  # rows for p_2..p_K with p_{K+1} = 0
         diag = -n * (sigma + theta) - (sigma + theta + 3.0)
-        tail = solve_three_term(sigma * (n + 1), diag, th1 * (n + 1), p1)
+        tail, residual = solve_three_term(sigma * (n + 1), diag, th1 * (n + 1), p1)
         probs = clip_negative(np.concatenate([[p1], tail]), "beta31")
-        return probs, PMF_CLOSURE * float(probs[-1])
+        return (probs, residual), PMF_CLOSURE * float(probs[-1])
 
-    probs, K, bound = double_until_closed(solve)
+    (probs, residual), K, bound = double_until_closed(solve)
     consistency = 0.0 if math.isnan(p2) else abs(float(probs[1]) - p2)
     return StationaryPmf(
-        probs, K, max(consistency, bound), "beta31-ode",
+        probs, K, max(consistency, bound, residual), "beta31-ode",
         tail_mass=max(1.0 - float(probs.sum()), 0.0),
         extras={"p2_consistency": consistency, "closure_bound": bound},
     ), PgfEvaluator.of_probs(probs)

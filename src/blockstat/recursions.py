@@ -114,18 +114,6 @@ def _moran_coeffs(params: MoranParams, n):
     return A, B, C
 
 
-def _moran_tail_residual(params: MoranParams, a: np.ndarray) -> float:
-    N = params.N
-    A, B, C = _moran_coeffs(params, np.arange(2, N))
-    res = float(np.max(np.abs(A * a[2:] - B * a[1:-1] + C * a[:-2]), initial=0.0))
-    res = max(res, abs(a[0] - 1.0))
-    res = max(
-        res,
-        abs((1.0 + params.u + params.s / N) * a[N - 1] - (params.s / N) * a[N - 2]),
-    )
-    return res
-
-
 def _moran_pmf_residual(params: MoranParams, p: np.ndarray) -> float:
     """Residual of the equivalent pmf-form equations plus its boundary."""
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
@@ -149,22 +137,23 @@ def solve_moran(params: MoranParams) -> StationaryPmf:
     N = params.N
     if N > MORAN_N_CAP:
         raise DomainError(f"the banded Moran solve holds {MORAN_N_CAP} states, not N = {N}")
-    a = _solve_moran_banded(params)
+    a, tail_residual = _solve_moran_banded(params)
     p = np.empty(N)
     p[: N - 1] = a[: N - 1] - a[1:]
     p[N - 1] = a[N - 1]
     p = clip_negative(p, "moran-banded")
-    residual = max(_moran_tail_residual(params, a), _moran_pmf_residual(params, p))
+    residual = max(tail_residual, _moran_pmf_residual(params, p))
     return StationaryPmf(p, N, residual, "moran-banded")
 
 
 def solve_three_term(
     sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, x_left: float
-) -> np.ndarray:
-    """x_0..x_{m-1} from sub_r x_{r-1} + diag_r x_r + sup_r x_{r+1} = 0.
+) -> tuple[np.ndarray, float]:
+    """x_0..x_{m-1} from sub_r x_{r-1} + diag_r x_r + sup_r x_{r+1} = 0, and
+    the largest |sub_r x_{r-1} + diag_r x_r + sup_r x_{r+1}| at the solution.
 
     Rows r = 0..m-1 with x_{-1} = x_left given and x_m = 0, so sup[m-1]
-    is never used; solved as a pivoted banded system.
+    meets only that 0; solved as a pivoted banded system.
     """
     import scipy.linalg  # on first use, not on import of the package
 
@@ -175,11 +164,14 @@ def solve_three_term(
     ab[2, :-1] = sub[1:]
     rhs = np.zeros(m)
     rhs[0] = -sub[0] * x_left
-    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    x = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    rows = sub * np.append(x_left, x[:-1]) + diag * x + sup * np.append(x[1:], 0.0)
+    return x, float(np.max(np.abs(rows)))
 
 
-def _solve_moran_banded(params: MoranParams) -> np.ndarray:
-    """Tails a_0..a_{N-1} of the Moran chain from its tridiagonal system.
+def _solve_moran_banded(params: MoranParams) -> tuple[np.ndarray, float]:
+    """Tails a_0..a_{N-1} of the Moran chain from its tridiagonal system,
+    and the residual of its rows.
 
     Unknowns a_1..a_{N-1}: the recursion C a_{n-2} - B a_{n-1} + A a_n = 0
     at n = 2..N-1, then the boundary row (1+u+s/N) a_{N-1} - (s/N) a_{N-2} = 0.
@@ -191,7 +183,8 @@ def _solve_moran_banded(params: MoranParams) -> np.ndarray:
     sN = params.s / N
     C[-1] = -sN
     diag[-1] = 1.0 + params.u + sN
-    return np.concatenate([[1.0], solve_three_term(C, diag, A, 1.0)])
+    a_unknown, residual = solve_three_term(C, diag, A, 1.0)
+    return np.concatenate([[1.0], a_unknown]), residual
 
 
 def moran_rate_matrix(params: MoranParams) -> np.ndarray:
@@ -404,22 +397,22 @@ def solve_star(params: ModelParams, m1: float) -> StationaryPmf:
         return StationaryPmf(a[:-1] - a[1:], a.size - 1, 0.0, "star-closed-tails", float(a[-1]))
 
     def solve(K):
-        a = _solve_star_banded(params, m1, K)
+        a, residual = _solve_star_banded(params, m1, K)
         p = clip_negative(a[:-1] - a[1:], "star-banded")
-        return (a, p), PMF_CLOSURE * float(p[-1])
+        return (p, residual), PMF_CLOSURE * float(p[-1])
 
-    (a, p), K, bound = double_until_closed(solve)
-    n = np.arange(1, K)
-    res = np.abs((m1 / n + params.theta + sigma) * a[1:K] - sigma * a[: K - 1] - th1 * a[2:])
-    res = max(float(np.max(res, initial=0.0)), bound)
-    return StationaryPmf(p, K, res, "star-banded", extras={"closure_bound": bound})
+    (p, residual), K, bound = double_until_closed(solve)
+    return StationaryPmf(
+        p, K, max(residual, bound), "star-banded", extras={"closure_bound": bound}
+    )
 
 
-def _solve_star_banded(params: ModelParams, m1: float, K: int) -> np.ndarray:
-    """Tails a_0..a_K from the two-sided tridiagonal system with a_K = 0."""
+def _solve_star_banded(params: ModelParams, m1: float, K: int) -> tuple[np.ndarray, float]:
+    """Tails a_0..a_K from the two-sided tridiagonal system with a_K = 0,
+    and the residual of its rows."""
     sigma, th1, theta = params.sigma, params.theta1, params.theta
     n = np.arange(1, K, dtype=float)  # rows for the unknowns a_1..a_{K-1}
-    a_unknown = solve_three_term(
+    a_unknown, residual = solve_three_term(
         np.full(K - 1, sigma), -(m1 / n + theta + sigma), np.full(K - 1, th1), 1.0
     )
-    return np.concatenate([[1.0], a_unknown, [0.0]])
+    return np.concatenate([[1.0], a_unknown, [0.0]]), residual

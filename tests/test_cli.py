@@ -186,7 +186,7 @@ def test_validate_full_raises_no_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["validate", "--suite", "full"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "15/15 checks passed"
+    assert capsys.readouterr().out.splitlines()[-1] == "17/17 checks passed"
 
 
 def test_stationary_json_records_the_recurrence_warning(tmp_path):

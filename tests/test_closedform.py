@@ -31,7 +31,6 @@ from blockstat.closedform import (
 from blockstat.errors import (
     BlockstatError,
     DomainError,
-    IllConditioned,
     NoConvergence,
     RootOrderViolation,
 )
@@ -507,16 +506,16 @@ def test_master_equation_rejects_interior_measure():
 
 
 @pytest.mark.parametrize("N, z", [(10**4, 0.5), (10**4, 0.2), (10**4, 0.3), (1000, 0.5)])
-def test_moran_pgf_prefactor_overflow_is_ill_conditioned(N, z):
-    # the prefactor exp(log K(z) - alpha log z - beta log(1-z)) times the
-    # cancelling integral leaves [0, 1] (at N = 10^4, z = 1/2, the double
-    # range): -5.96e54 at N = 1000, z = 1/2, and 2.66e12 at N = 10^4, z = 0.2
+def test_moran_pgf_large_prefactor_holds_its_digits(N, z):
+    # the prefactor exp(log K(z) - alpha log z - beta log(1-z)) passes the
+    # double range at N = 10^4, z = 1/2; each z integrates on its side of
+    # I_1/I_0 relative to the largest weight there, so the value is right
     mp = MoranParams(N, 0.7, 0.25, 0.15)
-    _, pg = moran_closed(mp, n_max=50)
-    with pytest.raises(IllConditioned):
-        pg.d(z)
-    with pytest.raises(IllConditioned):
-        verify_master_equation(pg, None, mp, [0.1, z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, pg = moran_closed(mp, n_max=50)
+        value = pg(z)
+    assert abs(value - PgfEvaluator.of_probs(solve_moran(mp).probs)(z)) <= 1e-9
 
 
 def test_master_equation_identity_follows_the_measure():
@@ -742,15 +741,17 @@ def test_q_recurrence_matches_3f2_double_sum():
 
 def _two_weight_oracle(form, log_k, log_K, z):
     """The two-weight pgf at z from the closed form's own I_0, I_1 and scale,
-    with its integral taken by 30-digit mpmath: from 0 to z for z <= 0.6 and
-    from z to 1 beyond, each with its endpoint power substituted away.
-    log_k and log_K are the form's, written for mpmath."""
-    w, scale = closedform._scaled_weight(form)
-    i0, i1 = closedform._weight_integrals(w, min(form.beta - 1.0, 0.0))
+    with its integral taken by 30-digit mpmath on z's side of I_1/I_0: from
+    0 to z at or below it and from z to 1 above, each with its endpoint
+    power substituted away.  log_k and log_K are the form's, written for
+    mpmath."""
+    log_w = closedform._log_weight(form)
+    scale = float(np.max(log_w(closedform._W_GRID, 1.0 - closedform._W_GRID)))
+    i0, i1 = closedform._weight_integrals(log_w, scale, min(form.beta - 1.0, 0.0))
     with mpmath.workdps(30):
         ratio = mpmath.mpf(i1) / i0
         a, b, sc, z = (mpmath.mpf(v) for v in (form.alpha, form.beta, scale, z))
-        if z <= 0.6:
+        if z <= ratio:
             def f(t):  # y = t^(1/(alpha+1)) takes out y^alpha
                 y = t ** (1 / (a + 1))
                 return (ratio - y) * mpmath.exp(log_k(y) - sc) * (1 - y) ** (b - 1) / (a + 1)
@@ -944,6 +945,52 @@ def test_moran_hand_over_is_right_or_refused(mp):
             assert moran_mean(mp) == pytest.approx(ref.mean(), rel=1e-9)
         except BlockstatError:
             pass
+
+
+_SWEEP_Z = np.linspace(0.05, 0.95, 20)
+
+
+def test_moran_pgf_is_right_or_refused_random():
+    # N in 2..10^4 with rates 0.1..2 at mid z, plus three laws whose pgf
+    # loses its digits at mid z when integrated on the wrong side of
+    # I_1/I_0: every value is the banded pmf's power series, or the call
+    # refuses
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(150):
+        N = int(_log_uniform(rng, 2, 1e4))
+        draws.append(MoranParams(N, *(_log_uniform(rng, 0.1, 2.0) for _ in range(3))))
+    draws += [
+        MoranParams(62, 0.4886, 0.6376, 0.04176),
+        MoranParams(154, 1.0586, 0.9049, 0.5880),
+        MoranParams(200, 0.7, 0.25, 0.15),
+    ]
+    returned = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mp in draws:
+            ref = PgfEvaluator.of_probs(solve_moran(mp).probs)(_SWEEP_Z)
+            try:
+                _, pg = moran_closed(mp, n_max=min(mp.N, 50))
+                value = pg(_SWEEP_Z)
+            except BlockstatError:
+                continue
+            returned += 1
+            assert np.max(np.abs(value - ref)) <= 1e-9, mp
+    assert returned >= 140
+
+
+def test_kingman_pgf_vs_pmf_series_random():
+    rng = np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(75):
+            m0 = float(rng.uniform(0.5, 4.0))
+            prm = ModelParams(*(_log_uniform(rng, 0.1, 10.0) for _ in range(3)))
+            _, pg = wf_closed(m0, prm, n_max=40)
+            rec = solve_lambda_truncated(LambdaMeasure.kingman(m0), prm, tol=1e-14)
+            ref = PgfEvaluator.of_probs(rec.probs)(_SWEEP_Z)
+            assert np.max(np.abs(pg(_SWEEP_Z) - ref)) <= 1e-12, (m0, prm)
 
 
 @pytest.mark.parametrize("N", [20_000, 100_000])

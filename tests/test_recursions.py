@@ -105,7 +105,7 @@ def test_tails_keep_relative_accuracy_below_rounding():
     # a_0 - cumsum(p) loses every tail below about 1e-16; summed from the
     # top they match the banded solve's own a_n and the geometric rho^n
     mp = MoranParams(2000, 0.5, 0.1, 0.1)
-    a = _solve_moran_banded(mp)
+    a, _ = _solve_moran_banded(mp)
     got = solve_moran(mp).tails()
     pos = a > 0
     assert a[pos].min() < 1e-300
@@ -378,12 +378,12 @@ def test_banded_helper_callers_match_loop_assembly():
     rng = np.random.default_rng(99)
     for N in [2, 3, 4] + [int(n) for n in rng.integers(5, 400, size=20)]:
         mp = _random_moran(rng, N)
-        assert _solve_moran_banded(mp).tobytes() == _moran_banded_loop(mp).tobytes()
+        assert _solve_moran_banded(mp)[0].tobytes() == _moran_banded_loop(mp).tobytes()
     for _ in range(20):
         prm = ModelParams(float(rng.uniform(0.1, 3)), float(rng.uniform(0, 2)),
                           float(rng.uniform(0.05, 2)))
         m1, K = float(rng.uniform(0.1, 3)), int(rng.integers(2, 700))
-        got = _solve_star_banded(prm, m1, K)
+        got, _ = _solve_star_banded(prm, m1, K)
         assert got.tobytes() == _star_banded_loop(prm, m1, K).tobytes()
     for prm in [ModelParams(1.0, 0.5, 0.5), ModelParams(2.0, 0.3, 1.2),
                 ModelParams(0.4, 1.5, 0.1), ModelParams(8.0, 0.05, 0.05)]:
