@@ -112,7 +112,7 @@ def complete_monotonicity_defect(w: np.ndarray, depth: int = 12) -> float:
         if not cur:
             break
         worst = min(worst, *cur[: max(1, depth - n + 1)])
-    return -worst
+    return 0.0 - worst  # +0.0, not -0.0, when no difference is negative
 
 
 def solve_w_moments(

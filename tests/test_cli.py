@@ -123,6 +123,9 @@ def test_moments_command(tmp_path):
     lines = (tmp_path / "w.csv").read_text().splitlines()
     assert lines[0] == "n,w_n"
     assert float(lines[1].split(",")[1]) == 1.0
+    # a completely monotone sequence has defect +0.0, not -0.0
+    defect = json.loads((tmp_path / "w.json").read_text())["diagnostics"]["monotonicity_defect"]
+    assert math.copysign(1.0, defect) == 1.0
 
 
 def test_stationary_and_moments_json_carry_closure_bound(tmp_path):

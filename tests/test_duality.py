@@ -53,6 +53,7 @@ def test_w_moments_requires_two_way_mutation():
 def test_complete_monotonicity_detector():
     geom = 0.5 ** np.arange(12)
     assert complete_monotonicity_defect(geom) == 0.0
+    assert math.copysign(1.0, complete_monotonicity_defect(geom)) == 1.0  # +0.0, not -0.0
     assert complete_monotonicity_defect(np.array([1.0, 0.1, 0.5])) > 0
 
 
