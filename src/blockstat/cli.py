@@ -110,8 +110,13 @@ def cmd_stationary(args) -> int:
                 pmf, _ = closedform.crow_kimura_geometric(prm)
             else:
                 pmf = recursions.solve_lambda_truncated(measure, prm, tol=args.tol)
-                if isinstance(measure.interior, UniformScaled):
-                    pmf.extras["rho"] = closedform.bs_rho(prm)
+                interior = measure.interior
+                if isinstance(interior, UniformScaled) and measure.m0 == measure.m1 == 0.0:
+                    # c * uniform has the law of uniform at the rates over c
+                    c = interior.c
+                    pmf.extras["rho"] = closedform.bs_rho(
+                        ModelParams(prm.sigma / c, prm.theta0 / c, prm.theta1 / c)
+                    )
     out = args.out or "stationary"
     _pmf_csv(pmf, out + ".csv")
     _json_out(
@@ -198,7 +203,7 @@ def cmd_geom_check(args) -> int:
             "passed": rep.passed,
             "reasons": rep.reasons,
             "cg3a_max_residual": float(np.max(rep.cg3a_residuals)),
-            "cg3b_residual": rep.cg3b_residual,
+            "cg3b_residual": None if prm is None else rep.cg3b_residual,
             "cg1_max_residual": float(np.max(rep.cg1_residuals))
             if rep.cg1_residuals.size
             else None,

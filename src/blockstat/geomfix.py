@@ -7,6 +7,12 @@ identity (cg3a) together with a scalar normalisation (cg3b).  The
 involution phi(x) = (1-x)/(1-rho x) transports such measures to fixed
 points of the operator S mu = rho y (2 - rho y) mu + (1-rho) mu o phi^-1,
 whose discrete fixed points are built here explicitly.
+
+check_geometric integrates every condition as a row of one vector-valued
+integral against the measure: cg3a as the difference of its two sides,
+cg3b, and the cg1 bracket written as a sum of nonnegative terms, which
+keeps its relative accuracy near x = 0, where the bracket vanishes like
+x^2, and at x = 1.
 """
 
 from __future__ import annotations
@@ -112,8 +118,8 @@ def build_discrete_fixed_point(
     """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0,1)")
-    if not 0.0 < x0 < 1.0 or m0_mass <= 0.0:
-        raise DomainError("x0 in (0,1) and m0_mass > 0 required")
+    if not (0.0 < x0 < 1.0 and 0.0 < m0_mass < math.inf):
+        raise DomainError("x0 in (0,1) and a finite m0_mass > 0 required")
     if K is None:
         K = max(16, int(math.ceil(math.log(1e-12) / math.log(1.0 - rho))))
     q = 1.0 - rho
@@ -215,6 +221,8 @@ def rho_star(x0: float, m0_mass: float, params: ModelParams) -> float:
     Requires m0_mass < sigma x0 (1-x0) so the endpoint signs bracket a root.
     """
     sigma, theta, th1 = params.sigma, params.theta, params.theta1
+    if not (0.0 < x0 < 1.0 and 0.0 <= m0_mass < math.inf):
+        raise DomainError("x0 in (0,1) and a finite m0_mass >= 0 required")
     if m0_mass >= sigma * x0 * (1.0 - x0):
         raise PreconditionViolated(
             "need m0_mass < sigma x0 (1-x0) for a root in (0,1)"
@@ -262,55 +270,25 @@ def fixed_point_sum_identity(mu: AtomicMeasure, rho: float) -> tuple[float, floa
 # ----------------------------------------------------------------------
 
 
-def _series_exp(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Power-series exp of a polynomial with zero constant term."""
-    e = np.zeros(order + 1)
-    e[0] = 1.0
-    for k in range(1, order + 1):
-        acc = 0.0
-        for j in range(1, min(k, coeffs.size - 1) + 1):
-            acc += j * coeffs[j] * e[k - j]
-        e[k] = acc / k
-    return e
+def _cg1_integrand(rho: float, x: np.ndarray) -> np.ndarray:
+    """[(1-rho)(1-x)^n + rho - phi_big(x)^n] / x^2 on [0,1] (at 0 its limit)
+    for n = 1..10, the rows of a (10, x.size) array.
 
-
-def _cg1_bracket_series(rho: float, n: int, order: int = 18) -> np.ndarray:
-    """Series coefficients of (1-rho)(1-x)^n + rho - ((1-x)/(1-rho x))^n."""
-    j = np.arange(order + 1, dtype=float)
-    log_1mx = np.zeros(order + 1)
-    log_phi = np.zeros(order + 1)
-    log_1mx[1:] = -n / j[1:]
-    log_phi[1:] = -n * (1.0 - rho ** j[1:]) / j[1:]
-    e1 = _series_exp(log_1mx, order)
-    e2 = _series_exp(log_phi, order)
-    c = (1.0 - rho) * e1 - e2
-    c[0] += rho  # (1-rho) + rho - 1 = 0 by construction
-    return c
-
-
-def cg1_integrand(rho: float, n: int, x: np.ndarray) -> np.ndarray:
-    """Stable [(1-rho)(1-x)^n + rho - phi_big(x)^n] / x^2 on (0,1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    cut = 0.25 / max(n, 1)
-    small = x < cut
-    if np.any(small):
-        c = _cg1_bracket_series(rho, n)
-        xs = x[small]
-        acc = np.zeros_like(xs)
-        for j in range(c.size - 1, 1, -1):
-            acc = acc * xs + c[j]
-        out[small] = acc
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        bracket = (
-            (1.0 - rho) * np.exp(n * np.log1p(-xb))
-            + rho
-            - np.exp(n * (np.log1p(-xb) - np.log1p(-rho * xb)))
-        )
-        out[big] = bracket / xb**2
-    return out
+    With y = 1 - rho x, b = 1-x and a = phi_big(x) = b/y, the bracket is
+    rho (1-rho) x^2 / y (b S_n / y + G_n), where G_n = sum_{k<n} b^k,
+    S_n = sum_{m<n-1} h_m and h_m = sum_{i+j=m} a^i b^j.  Every term is
+    nonnegative, so nothing cancels, near x = 0 or anywhere else.
+    """
+    y = 1.0 - rho * x
+    b = 1.0 - x
+    a = b / y
+    powers = b ** np.arange(10)[:, None]  # b^k, k = 0..9
+    h = powers[:9].copy()
+    for m in range(1, 9):
+        h[m] += a * h[m - 1]  # h_m = a h_{m-1} + b^m
+    s = np.zeros_like(powers)
+    np.cumsum(h, axis=0, out=s[1:])
+    return rho * (1.0 - rho) / y * (b / y * s + np.cumsum(powers, axis=0))
 
 
 def _dust_free(measure: LambdaMeasure) -> bool | None:
@@ -360,7 +338,8 @@ def check_geometric(
     pushforward identities (cg3a) for n = 0..n_max, the scalar balance
     (cg3b) when model parameters are supplied, and (redundantly, the
     conditions are equivalent) the combined identity (cg1) for
-    n = 1..10.  The dust-free criterion is reported as a diagnostic flag.
+    n = 1..10, reported only when the others hold.  All are rows of one
+    integral.  The dust-free criterion is reported as a diagnostic flag.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0,1)")
@@ -374,33 +353,36 @@ def check_geometric(
     if measure.m1 > 0.0:
         reasons.append("atom at 1 present (m1 > 0)")
 
-    # each condition is one vector-valued integral over its stacked n
-    integrate = measure.interior.integrate
+    # every condition is a row of one vector-valued integral: cg3a for
+    # n = 0..n_max as one difference, then with params cg3b and cg1 for
+    # n = 1..10
     ns = np.arange(0, n_max + 1)[:, None]
-    lhs = integrate(lambda x: np.exp(ns * np.log1p(-x)))
-    rhs = (1.0 - rho) * integrate(
-        lambda x: np.exp(ns * (np.log1p(-x) - np.log1p(-rho * x)) - 2.0 * np.log1p(-rho * x)),
-    )
-    cg3a = np.abs(lhs - rhs) + np.zeros(ns.size)  # a Zero interior integrates to a scalar 0
+
+    def conditions(x):
+        y = 1.0 - rho * x
+        rows = [(1.0 - x) ** ns - (1.0 - rho) * ((1.0 - x) / y) ** ns / y**2]
+        if params is not None:
+            rows += [1.0 / y[None], _cg1_integrand(rho, x)]
+        return np.concatenate(rows)
+
+    n_rows = ns.size + (0 if params is None else 11)
+    values = measure.interior.integrate(conditions) + np.zeros(n_rows)  # Zero gives a scalar 0
+    cg3a = np.abs(values[: ns.size])
     if np.max(cg3a) > tol:
         reasons.append(f"cg3a residual {np.max(cg3a):.3e} exceeds {tol:.1e}")
 
     cg3b = math.nan
+    cg1 = np.empty(0)
     if params is not None:
         # the reversed quadratic of the pgf equations at rho
         target = params.theta1 * rho**2 - (params.sigma + params.theta) * rho + params.sigma
-        cg3b = abs(integrate(lambda x: 1.0 / (1.0 - rho * x)) - target / (rho * (1.0 - rho)))
+        cg3b = abs(values[ns.size] - target / (rho * (1.0 - rho)))
         if cg3b > tol:
             reasons.append(f"cg3b residual {cg3b:.3e} exceeds {tol:.1e}")
-
-    cg1 = np.empty(0)
-    if params is not None and not reasons:
-        n1 = np.arange(1, 11)
-        cg1 = np.abs(
-            integrate(lambda x: np.stack([cg1_integrand(rho, n, x) for n in n1])) / n1 - target
-        )
-        if np.max(cg1) > 10.0 * tol:
-            reasons.append(f"cg1 residual {np.max(cg1):.3e} exceeds {10 * tol:.1e}")
+        if not reasons:
+            cg1 = np.abs(values[ns.size + 1 :] / np.arange(1, 11) - target)
+            if np.max(cg1) > 10.0 * tol:
+                reasons.append(f"cg1 residual {np.max(cg1):.3e} exceeds {10 * tol:.1e}")
 
     return GeometricCheck(
         passed=not reasons,

@@ -19,9 +19,9 @@ of little-endian uint64 words, NUL where no character goes, whose last
 byte is left for the separator that follows it.  A finite nonzero float
 has four words:
 
-    word 0     the sign, '0.' and its zeros right-aligned in bytes 0-5,
-               the first digit in byte 6 and, when the point follows it,
-               '.' in byte 7 (a table indexed by sign and point position);
+    word 0     the sign in byte 0, '0.' and its zeros right-aligned in
+               bytes 1-5, the first digit in byte 6 and, when the point
+               follows it, '.' in byte 7 (a table indexed by the point);
     words 1-2  the other 16 digits, eight per word from two 4-digit ASCII
                quads, those past the last one shown cleared by a word mask;
     word 3     byte 24 for a 17th digit that a point moved up, then '.0'
@@ -30,8 +30,9 @@ has four words:
 A point after two or more digits goes in by a one-byte shift of words
 1-3 above a per-row mask.  Zeros, infinities and NaN ('0.0', '-0.0',
 'inf', '-inf', 'nan') come from a constant table.  An integer's slot has
-as many words as the longest of its chunk needs, its digits and sign
-right-aligned.  The NULs are dropped chunk by chunk as the text is written.
+as many words as the longest of its chunk needs, with a byte to spare,
+its digits right-aligned and its sign in byte 0.  The NULs are dropped
+chunk by chunk as the text is written.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ def _low(nbytes: int) -> int:
 
 _DOT0 = np.uint64(_word(b".0", 5))  # an integer's '.0' in word 3
 _DOTS = np.uint64(_word(b"." * 8))
+_MINUS = np.uint64(ord("-"))  # in byte 0 of a negative value's slot
 
 
 @functools.cache
@@ -74,10 +76,9 @@ def _tables() -> dict[str, np.ndarray]:
     2^125 <= g - 1 < 2^126; its upper and lower 63 bits are g1 and g0.
     quads[i] holds the four ASCII digits of i, zero padded, in its low four
     bytes.  A float's point p (digits before the decimal point) indexes
-    w0, fixed and suffix at p - _P_MIN, w0 by sign too; keep1 and keep2
-    keep the low j bytes of words 1-2, keep0 word 0 of a float with j
-    digits shown.  int_keep and int_sign give an int's word r from the
-    right by its digit count.
+    w0, fixed and suffix at p - _P_MIN; keep1 and keep2 keep the low j
+    bytes of words 1-2, keep0 word 0 of a float with j digits shown.
+    int_keep masks an int's word r from the right by its digit count.
     """
     g = []
     for e in range(_E_MIN, _E_MAX + 1):
@@ -91,13 +92,12 @@ def _tables() -> dict[str, np.ndarray]:
     quads = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
     quads = np.ascontiguousarray(quads.astype(np.uint8)).view(np.uint32).ravel()
     points = range(_P_MIN, _P_MAX + 1)
-    w0, signed, fixed, suffix = [], [], [], []
+    w0, fixed, suffix = [], [], []
     for p in points:
         sci = not -4 < p <= 16
         prefix = b"0." + b"0" * -p if -4 < p <= 0 else b""
         dot = _word(b".", 7) if sci or p == 1 else 0
         w0.append(_word(prefix, 6 - len(prefix)) | dot)
-        signed.append(_word(b"-" + prefix, 5 - len(prefix)) | dot)
         fixed.append(-1 if sci else p)
         exp = f"e{p - 1:+03d}".encode()
         suffix.append(_word(exp, 7 - len(exp)) if sci else 0)
@@ -117,7 +117,7 @@ def _tables() -> dict[str, np.ndarray]:
         "quads": quads.astype(np.uint64),
         "digits": digits,
         "tens": tens,
-        "w0": np.array(w0 + signed, dtype=np.uint64),
+        "w0": np.array(w0, dtype=np.uint64),
         "fixed": np.array(fixed, dtype=np.int64),  # p in fixed notation, else -1
         "suffix": np.array(suffix, dtype=np.uint64),
         "keep0": np.array([_low(7) if j == 1 else _low(8) for j in range(18)], dtype=np.uint64),
@@ -125,8 +125,6 @@ def _tables() -> dict[str, np.ndarray]:
         "keep2": np.array([_low(max(j - 8, 0)) for j in range(17)], dtype=np.uint64),
         "specials": np.array([_word(s) for s in _SPECIALS], dtype=np.uint64),
         "int_keep": np.array([[sum(0xFF << 8 * i for i, d in enumerate(pl) if 0 <= d < n)
-                               for n in range(21)] for pl in place], dtype=np.uint64),
-        "int_sign": np.array([[sum(ord("-") << 8 * i for i, d in enumerate(pl) if d == n)
                                for n in range(21)] for pl in place], dtype=np.uint64),
     }
     for a in tables.values():
@@ -266,7 +264,8 @@ def _float_fields(x: np.ndarray, t: dict) -> np.ndarray:
     digits -= upper * _E8
     first = upper // _E8
     upper -= first * _E8
-    w0 = t["w0"][at + (bits >> 63).view(np.int64) * (_P_MAX - _P_MIN + 1)]
+    w0 = t["w0"][at]
+    w0 |= (bits >> 63) * _MINUS
     w0 |= (first + np.uint64(ord("0"))) << 48
     w0 &= t["keep0"][shown]
     w1 = _ascii8(upper, t["quads"])
@@ -310,10 +309,10 @@ def _int_fields(a: np.ndarray, neg: np.ndarray, t: dict) -> np.ndarray:
     for r in range(out.shape[0]):
         w = _ascii8(a, t["quads"])
         w &= t["int_keep"][r][n]
-        w |= neg * t["int_sign"][r][n]
         out[-1 - r] = w
         a, rest = rest, rest // _E8  # the next eight digits
         a -= rest * _E8
+    out[0] |= neg * _MINUS
     return out
 
 

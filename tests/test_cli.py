@@ -43,6 +43,59 @@ def test_stationary_uniform_writes_pmf_and_rho(tmp_path):
     assert p1 == pytest.approx(1 - meta["diagnostics"]["rho"], abs=1e-9)
 
 
+def test_stationary_uniform_rho_is_that_of_the_scaled_rates(tmp_path):
+    # c * uniform at (sigma, theta0, theta1) has the law of uniform at the
+    # rates over c: rho is the ratio p_{n+1} / p_n of the solved pmf
+    from blockstat.closedform import bs_rho
+    from blockstat.measures import ModelParams
+
+    spec = tmp_path / "measure.json"
+    spec.write_text('{"m0": 0, "m1": 0, "interior": {"type": "uniform", "c": 2}}')
+    out = tmp_path / "u2"
+    assert main(["stationary", "--model", str(spec), "--sigma", "1", "--theta0", ".5",
+                 "--theta1", ".5", "--out", str(out)]) == 0
+    rho = json.loads(out.with_suffix(".json").read_text())["diagnostics"]["rho"]
+    assert rho == bs_rho(ModelParams(0.5, 0.25, 0.25))
+    p = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)[:10, 1]
+    assert p[1:] / p[:-1] == pytest.approx(np.full(9, rho), rel=1e-8)
+
+
+def test_stationary_uniform_with_an_endpoint_atom_reports_no_rho(tmp_path):
+    # an atom at 0 makes the law non-geometric: no single rho describes it
+    spec = tmp_path / "measure.json"
+    spec.write_text('{"m0": 0.5, "m1": 0, "interior": {"type": "uniform", "c": 1}}')
+    out = tmp_path / "atom"
+    assert main(["stationary", "--model", str(spec), "--sigma", "1", "--theta0", ".5",
+                 "--theta1", ".5", "--out", str(out)]) == 0
+    assert "rho" not in json.loads(out.with_suffix(".json").read_text())["diagnostics"]
+    p = np.loadtxt(out.with_suffix(".csv"), delimiter=",", skiprows=1)[:11, 1]
+    assert np.ptp(p[1:] / p[:-1]) > 0.1
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stationary", "--model", "uniform", "--sigma", "1", "--theta0", ".5", "--theta1", ".5"],
+    ["simulate", "--model", "kingman", "--sigma", "1", "--start", "3", "--events", "100",
+     "--seed", "1"],
+    ["moments", "--model", "uniform", "--sigma", "1", "--theta0", "1", "--theta1", "1"],
+    ["geom-check", "--model", "uniform", "--sigma", "1", "--theta0", ".5", "--theta1", ".5"],
+    ["geom-check", "--model", "beta31", "--rho", "0.5"],
+    ["dual", "--x", "0.5", "--sigma", "1", "--m0", "2"],
+], ids=["stationary", "simulate", "moments", "geom-check", "geom-check-no-params", "dual"])
+def test_json_artifacts_are_strict_json(tmp_path, argv):
+    # RFC 8259 has no NaN or Infinity; a residual that was not computed is null
+    out = tmp_path / "out"
+    path = out if argv[0] in ("geom-check", "dual") else out.with_suffix(".json")
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    payload = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    if argv[-2:] == ["--rho", "0.5"]:
+        assert payload["cg3b_residual"] is None
+        assert payload["cg1_max_residual"] is None
+
+
 def test_stationary_zero_measure_json_carries_rho_and_tail_mass(tmp_path):
     out = tmp_path / "ck"
     code = main(

@@ -1,6 +1,7 @@
 """Moebius dynamics, the measure operator, and geometric-law conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from blockstat.geomfix import (
     pushforward_to_lambda,
     rho_star,
 )
-from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams
+from blockstat.measures import BetaDensity, LambdaMeasure, ModelParams, UniformScaled
 from blockstat.closedform import crow_kimura_geometric
 
 
@@ -115,6 +116,30 @@ def test_rho_star_root_and_endpoints():
         rho_star(0.5, 0.25 * 1.0, prm)  # m0 = sigma x0 (1-x0)
 
 
+PRM_FP = ModelParams(1.0, 0.2, 0.2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rho_star(math.nan, 0.05, PRM_FP),
+        lambda: rho_star(math.inf, 0.05, PRM_FP),
+        lambda: rho_star(1.5, 0.05, PRM_FP),
+        lambda: rho_star(0.3, math.nan, PRM_FP),
+        lambda: rho_star(0.3, -0.01, PRM_FP),
+        lambda: build_discrete_fixed_point(0.5, 0.3, math.nan),
+        lambda: build_discrete_fixed_point(0.5, 0.3, math.inf),
+    ],
+    ids=["rho-star-nan-x0", "rho-star-inf-x0", "rho-star-x0-above-1", "rho-star-nan-mass",
+         "rho-star-negative-mass", "fixed-point-nan-mass", "fixed-point-inf-mass"],
+)
+def test_fixed_point_inputs_outside_their_domain_are_refused(build):
+    # NaN failed every comparison: rho_star returned a bracket end and the
+    # fixed point atoms with NaN masses
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_rho_star_small_mass_limit():
     # m0 -> 0: the root approaches the zero-measure geometric parameter
     prm = ModelParams(1.0, 0.4, 0.9)
@@ -192,3 +217,40 @@ def test_apply_S_preserves_fixed_point_mass():
     assert smu.total_mass() == pytest.approx(
         mu.total_mass(), abs=10 * mu.tail_bound + 1e-13
     )
+
+
+def test_cg1_integrand_matches_mpmath():
+    # relative to 40 digits, across the bracket's x^2 zero at 0 and x = 1
+    import mpmath as mp
+
+    from blockstat.geomfix import _cg1_integrand
+
+    x = np.logspace(-12, 0, 60)
+    x[-1] = 1.0
+    mp.mp.dps = 40
+    for rho in np.random.default_rng(33).uniform(0.02, 0.98, 12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _cg1_integrand(rho, x)
+        r = mp.mpf(rho)
+        for j, xj in enumerate(map(mp.mpf, x)):
+            for n in range(1, 11):
+                ref = ((1 - r) * (1 - xj) ** n + r - ((1 - xj) / (1 - r * xj)) ** n) / xj**2
+                assert abs(got[n - 1, j] - ref) <= 1e-13 * abs(ref), (rho, x[j], n)
+
+
+@pytest.mark.parametrize("with_params", [True, False])
+def test_check_geometric_integrates_once(monkeypatch, with_params):
+    calls = []
+    integrate = UniformScaled.integrate
+
+    def counted(self, f, *args, **kwargs):
+        calls.append(f)
+        return integrate(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(UniformScaled, "integrate", counted)
+    prm = ModelParams(1.0, 0.5, 0.5)
+    rep = check_geometric(LambdaMeasure.uniform(), bs_rho(prm), params=prm if with_params else None)
+    assert rep.passed
+    assert len(calls) == 1
+    assert rep.cg1_residuals.size == (10 if with_params else 0)
