@@ -6,8 +6,8 @@ of their shared quadratic P(z), the geometric laws of the uniform
 (Bolthausen-Sznitman) and zero (Crow-Kimura) measures, each returned as
 (StationaryPmf, PgfEvaluator), and the residual of the pgf identity: a
 once-integrated form for Moran and Lambda = m0 delta_0 + m1 delta_1, and
-the paper's integro-differential equation, read from the measure, for
-every Lambda with an interior part.
+the paper's integro-differential equation, read from the measure and
+the pgf's power series, for every Lambda with an interior part.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class PgfEvaluator:
     p1 is the head probability that the first-order identity takes as
     data.  probs, where known, are the coefficients p_1, p_2, ... of the
     pgf as a power series (of_probs builds such a pgf); the identity of a
-    measure with an interior part reads f, f' and the Taylor coefficients
-    it needs off them exactly.  The pgf does not name its model: the
-    measure and parameters given to verify_master_equation do.
+    measure with an interior part reads its divided differences off them.
+    The pgf does not name its model: the measure and parameters given to
+    verify_master_equation do.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray | float]
@@ -86,7 +86,6 @@ class PgfEvaluator:
         """The power series sum_n p_n z^n of a pmf p_1, p_2, ...."""
         probs = np.asarray(probs, dtype=float)
         n = np.arange(1, probs.size + 1)
-
         return cls(lambda z: np.power.outer(z, n) @ probs, float(probs[0]), probs)
 
     def __call__(self, z):
@@ -385,6 +384,8 @@ def moran_closed(params: MoranParams, n_max: int | None = None) -> tuple[Station
     (useful for large N, where only the head carries mass).
     """
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
+    if n_max is not None and n_max < 1:
+        raise DomainError(f"moran_closed needs n_max >= 1, got {n_max}")
     n_max = N if n_max is None else min(n_max, N)
 
     if u0 == 0.0:
@@ -424,8 +425,8 @@ def moran_factorial_moments(
     The shifted term E[(L-1)_n^down] is read off the pmf, so a pmf (from
     any solver) can be supplied to avoid recomputing the closed form.
     """
-    if n_max > params.N:
-        raise DomainError("falling moments vanish beyond n = N")
+    if not 0 <= n_max <= params.N:
+        raise DomainError(f"moran falling moments need 0 <= n_max <= N, got {n_max}")
     if pmf is None:
         pmf = moran_closed(params)[0]
     N, s, u0, u1 = params.N, params.s, params.u0, params.u1
@@ -452,8 +453,8 @@ def wf_closed(
     conditioned positive when theta = 0); theta0 > 0 goes through the
     exponential weight integrals and the q_{n,i} recurrence.
     """
-    if params.sigma <= 0:
-        raise PreconditionViolated("wf_closed needs sigma > 0")
+    if params.sigma <= 0 or n_max < 1:
+        raise PreconditionViolated(f"wf_closed needs sigma > 0 and n_max >= 1, got n_max = {n_max}")
     sp, t0p, t1p = _wf_primed(m0, params)
 
     if t0p == 0.0:
@@ -480,6 +481,8 @@ def wf_closed(
 
 def wf_mean(m0: float, params: ModelParams, p1: float | None = None) -> float:
     """E[L] = (2(sigma+theta0-theta1) + (m0+2 theta1) p1) / (m0+2 theta0)."""
+    if not m0 > 0:
+        raise PreconditionViolated("Kingman model needs m0 > 0")
     if p1 is None:
         p1 = wf_closed(m0, params, n_max=40)[1].p1
     return (
@@ -492,6 +495,8 @@ def wf_factorial_moments(
     m0: float, params: ModelParams, n_max: int, pmf: StationaryPmf | None = None
 ) -> np.ndarray:
     """E[(L)_n^down] for n = 0..n_max via the Kingman moment recursion."""
+    if n_max < 0:
+        raise DomainError(f"wf falling moments need n_max >= 0, got {n_max}")
     if pmf is None:
         pmf = wf_closed(m0, params)[0]
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
@@ -571,10 +576,8 @@ def star_closed(m1: float, params: ModelParams) -> tuple[StationaryPmf, PgfEvalu
     theta1 > 0 and the exact-tails p_1 at theta1 = 0, where f(0) would cost
     a quadrature that the pmf makes unnecessary.
     """
-    if params.sigma <= 0 or m1 <= 0:
-        raise PreconditionViolated("star model needs sigma > 0 and m1 > 0")
+    pmf = solve_star(params, m1)  # refuses sigma <= 0 and an m1 outside (0, inf)
     f = _star_f(m1, params)
-    pmf = solve_star(params, m1)
     p1 = float(pmf.probs[0]) if params.theta1 == 0.0 else star_p1(m1, params)
     return pmf, PgfEvaluator(lambda z: z * (1.0 - (1.0 - z) * f(z)), p1)
 
@@ -818,12 +821,17 @@ def _first_order_residual(pgf, measure, prm, z):
     )
 
 
-# Below r = _TAYLOR_R the bracket of the Lambda_0 term cancels to O(r^2),
-# so it is summed as its Taylor series in r, terms r^0..r^(_TAYLOR_TERMS-1)
-# of bracket / r^2; the first omitted term is below 0.03^8 = 6.6e-13 times
-# t_k c_k(z).
-_TAYLOR_R = 0.03
-_TAYLOR_TERMS = 8
+def _divided_differences(coef, a, b, c):
+    """(f(a), f[a, b], f[a, b, c]) of f = sum_n coef[n] x^n by one Horner sweep.
+
+    f[a, b, c] = sum_n coef[n] h_{n-2}(a, b, c), h the complete homogeneous
+    symmetric polynomial, has no negative term for coef, a, b, c >= 0, so
+    it does not cancel.  At (z, z, z) the three are f(z), f'(z), f''(z)/2.
+    """
+    g = d = e = 0.0
+    for p_n in coef[::-1]:
+        e, d, g = e * c + d, d * b + g, g * a + p_n
+    return g, d, e
 
 
 def _lambda_residual(pgf, measure, p: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -834,40 +842,26 @@ def _lambda_residual(pgf, measure, p: ModelParams, z: np.ndarray) -> np.ndarray:
         + (m0/2) z(1-z) f'' + m1 (z - f)
         + int Lambda_0(dr) r^-2 [z f((1-r)z + r) + (1-z) f((1-r)z) - f(z)].
 
-    f is the power series of pgf.probs.  t_k = f^(k)(z)/k! comes off its
-    coefficients exactly; below _TAYLOR_R the bracket is
-    sum_{k>=2} t_k c_k(z) r^k with c_k(z) = z(1-z)^k + (1-z)(-z)^k (the
-    k = 0 and k = 1 terms cancel).  The r-integral is one vector-valued
+    f is the power series of pgf.probs.  With a = (1-r)z and c = z + r(1-z),
+    c - a = r and z = z c + (1-z) a, so the bracket is r^2 z(1-z) f[a, z, c],
+    a second divided difference that does not cancel at any r; f, f' and
+    f''/2 are those at (z, z, z).  The r-integral is one vector-valued
     measure.interior.integrate call over the whole grid.
     """
-    P = np.polynomial.polynomial
     coef = np.trim_zeros(np.concatenate(([0.0], pgf.probs)), "b")
-    t = np.array([
-        P.polyval(z, P.polyder(coef, k)) / math.factorial(k) for k in range(_TAYLOR_TERMS + 2)
-    ])
-    f, df, d2f = t[0], t[1], 2.0 * t[2]
-    k = np.arange(2, _TAYLOR_TERMS + 2)[:, None]
-    series = t[2:] * (z * (1.0 - z) ** k + (1.0 - z) * (-z) ** k)
-    zc, fc = z[:, None], f[:, None]
+    f, df, half_d2f = _divided_differences(coef, z, z, z)
+    zc = z[:, None]
 
     def bracket(r):
         """bracket / r^2, shape (z.size, r.size)."""
-        out = np.empty((z.size, r.size))
-        small = r < _TAYLOR_R
-        out[:, small] = P.polyval(r[small], series)
-        rb = r[~small]
-        out[:, ~small] = (
-            zc * P.polyval((1.0 - rb) * zc + rb, coef)
-            + (1.0 - zc) * P.polyval((1.0 - rb) * zc, coef)
-            - fc
-        ) / rb**2
-        return out
+        a, c = (1.0 - r) * zc, zc + r * (1.0 - zc)
+        return zc * (1.0 - zc) * _divided_differences(coef, a, zc, c)[2]
 
     return (
         p.sigma * z * (z - 1.0) * df
         + p.theta1 * (1.0 - z) * (df - f / z)
         + p.theta0 * ((z - f) / (1.0 - z) - z * df + f)
-        + 0.5 * measure.m0 * z * (1.0 - z) * d2f
+        + measure.m0 * z * (1.0 - z) * half_d2f
         + measure.m1 * (z - f)
         + measure.interior.integrate(bracket, tol=1e-11)
     )
@@ -887,10 +881,10 @@ def verify_master_equation(
     identity (_first_order_residual); Moran is the Kingman case with m0/2
     replaced by (1+sz)/N, scaled by N.  A measure with an interior part
     goes to the paper's identity (_lambda_residual), which reads the pgf's
-    coefficients; a pgf without them raises DomainError, as do
-    MoranParams with a measure and ModelParams without one.
+    coefficients; a pgf without them raises DomainError, as do a z
+    outside (0, 1), MoranParams with a measure and ModelParams without one.
     """
-    z = np.asarray(z_grid, dtype=float)
+    z = np.ravel(np.asarray(z_grid, dtype=float))
     if not (isinstance(params, MoranParams) and measure is None
             or isinstance(params, ModelParams) and measure is not None):
         raise DomainError("a pgf identity takes MoranParams alone or ModelParams and a measure")
@@ -900,6 +894,8 @@ def verify_master_equation(
             "the pgf identity of a measure with an interior part needs the pgf's "
             "coefficients (PgfEvaluator.of_probs)"
         )
+    if not np.all((z > 0.0) & (z < 1.0)):
+        raise DomainError("the pgf identity divides by z and by 1 - z: z must lie in (0, 1)")
     if not z.size:
         return 0.0
     residual = _first_order_residual if first_order else _lambda_residual

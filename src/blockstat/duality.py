@@ -234,7 +234,8 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
     there; a scalar loop chains them.  Taylor coefficients at 0 come from
     a Cauchy-integral FFT of the arcs' start values: the function is
     analytic in the unit disk, and real-interval extraction would lose
-    the high coefficients to noise amplification.
+    the high coefficients to noise amplification.  An n_taylor < 0, or one
+    whose rounding noise eps r^-n_taylor passes 1e-6, raises DomainError.
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise PreconditionViolated("the generating function needs theta0, theta1 > 0")
@@ -249,6 +250,8 @@ def bs_w_generating(params: ModelParams, n_taylor: int = 12) -> WGeneratingFunct
             if hmag.min() > 1e-3:
                 r = cand
                 break
+    if n_taylor < 0 or n_taylor * -math.log(r) > math.log(1e-6 / np.finfo(float).eps):
+        raise DomainError(f"n_taylor = {n_taylor} is negative or its noise eps {r}^-n passes 1e-6")
 
     # a real panel from x is at most min(0.05, x/4, (1 - x)/4) long, so
     # the singular points 0 and 1 lie four panel lengths or more from it

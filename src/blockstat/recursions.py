@@ -388,8 +388,8 @@ def solve_star(params: ModelParams, m1: float) -> StationaryPmf:
     """
     if params.sigma <= 0:
         raise PreconditionViolated("star-shaped model needs sigma > 0")
-    if m1 <= 0:
-        raise DomainError("star-shaped model needs m1 > 0")
+    if not 0 < m1 < np.inf:
+        raise DomainError("star-shaped model needs a finite m1 > 0")
     sigma, th0, th1 = params.sigma, params.theta0, params.theta1
 
     if th1 == 0.0:

@@ -342,8 +342,8 @@ def simulate_killed_asg(
     """
     if params.theta0 <= 0 or params.theta1 <= 0:
         raise DomainError("killed-ASG absorption needs theta0 > 0 and theta1 > 0")
-    if start < 1:
-        raise DomainError("start must be a positive line count")
+    if start < 1 or n_reps < 1 or max_events_per_rep < 1:
+        raise DomainError("start, n_reps and max_events_per_rep must be positive counts")
     tables, _, visit = _rate_tables(lambda k: killed_asg_rates(measure, params, k))
     draws = _BlockRng(seed).uniforms()
     absorbed_zero = 0

@@ -32,6 +32,7 @@ from blockstat.errors import (
     BlockstatError,
     DomainError,
     NoConvergence,
+    PreconditionViolated,
     RootOrderViolation,
 )
 from blockstat.geomfix import build_discrete_fixed_point, pushforward_to_lambda, rho_star
@@ -583,6 +584,54 @@ def test_master_equation_nan_residual_is_reported():
     assert math.isnan(verify_master_equation(pg, LambdaMeasure.crow_kimura(), prm, [0.5]))
 
 
+@pytest.mark.parametrize("z", [0.0, 1.0, 1.5, -0.5, math.nan])
+@pytest.mark.parametrize("interior", [False, True], ids=["first-order", "interior"])
+def test_master_equation_refuses_z_outside_the_unit_interval(z, interior):
+    # the identity divides by z and by 1 - z; one bad point refuses the grid
+    prm = ModelParams(1.0, 0.5, 0.5)
+    pmf, _ = bs_geometric_pmf(prm)
+    measure = LambdaMeasure.uniform() if interior else LambdaMeasure.crow_kimura()
+    with pytest.raises(DomainError):
+        verify_master_equation(PgfEvaluator.of_probs(pmf.probs), measure, prm, [0.3, z])
+
+
+@pytest.mark.parametrize("law, prm, measure", [
+    (lambda prm, m: bs_geometric_pmf(prm)[0], ModelParams(6.0, 0.02, 0.02),
+     LambdaMeasure.uniform()),
+    (lambda prm, m: solve_lambda_truncated(m, prm, tol=1e-12), ModelParams(8.0, 0.05, 0.05),
+     LambdaMeasure.beta(1.5, 2.5)),
+], ids=["uniform-rho-0.98759", "beta-1.5-2.5"])
+def test_master_equation_holds_with_the_pole_near_one(law, prm, measure):
+    # p_{n+1}/p_n near 1: the bracket's divided differences hold their
+    # digits at every r, where a short Taylor series in r did not
+    zg = np.linspace(0.05, 0.9, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pg = PgfEvaluator.of_probs(law(prm, measure).probs)
+        assert verify_master_equation(pg, measure, prm, zg) <= 1e-12
+        assert verify_master_equation(pg, _mass_times(measure, 1.1), prm, zg) >= 1e-4
+
+
+def test_lambda_bracket_divided_difference_vs_mpmath():
+    # bracket / r^2 = z(1-z) f[(1-r)z, z, z + r(1-z)] against the divided
+    # difference of the same three doubles in 40-digit arithmetic
+    rng = np.random.default_rng(3434)
+    prm = ModelParams(*rng.uniform(0.5, 2.0, 3))
+    probs = solve_lambda_truncated(LambdaMeasure.beta(*rng.uniform(0.5, 4.0, 2)), prm).probs
+    coef = np.concatenate(([0.0], probs))
+    zc = np.sort(rng.uniform(0.0, 1.0, 10))[:, None]
+    r = np.logspace(-12.0, 0.0, 60)
+    a, c = (1.0 - r) * zc, zc + r * (1.0 - zc)
+    got = zc * (1.0 - zc) * closedform._divided_differences(coef, a, zc, c)[2]
+    with mpmath.workdps(40):
+        poly = [mpmath.mpf(float(x)) for x in coef[::-1]]
+        for i, j in itertools.product(range(zc.size), range(r.size)):
+            ai, bi, ci = (mpmath.mpf(float(x)) for x in (a[i, j], zc[i, 0], c[i, j]))
+            fa, fb, fc = (mpmath.polyval(poly, x) for x in (ai, bi, ci))
+            ref = bi * (1 - bi) * ((fc - fb) / (ci - bi) - (fb - fa) / (bi - ai)) / (ci - ai)
+            assert abs(got[i, j] - ref) <= 1e-13 * abs(ref), (bi, r[j])
+
+
 def test_moran_closed_vs_banded_random():
     rng = np.random.default_rng(515)
     handed_over = 0
@@ -668,6 +717,26 @@ def test_wf_hand_over_counts_the_weight_integral_error():
         rec = solve_lambda_truncated(LambdaMeasure.kingman(m0), prm, tol=1e-13)
     assert pmf.extras["formula_valid_to"] < 13
     assert pmf.sup_distance(rec) < closedform._Q_ERR_CAP
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: moran_closed(MoranParams(12, 0.7, 0.25, 0.15), n_max=0), DomainError),
+    (lambda: moran_closed(MoranParams(12, 0.7, 0.25, 0.15), n_max=-3), DomainError),
+    (lambda: moran_closed(MoranParams(12, 0.7, 0.0, 0.15), n_max=0), DomainError),
+    (lambda: wf_closed(2.0, ModelParams(1.0, 0.5, 0.5), n_max=0), PreconditionViolated),
+    (lambda: wf_closed(2.0, ModelParams(1.0, 0.0, 0.5), n_max=-1), PreconditionViolated),
+    (lambda: moran_factorial_moments(MoranParams(12, 0.7, 0.25, 0.15), -1), DomainError),
+    (lambda: wf_factorial_moments(2.0, ModelParams(1.0, 0.5, 0.5), -1), DomainError),
+    (lambda: wf_mean(0.0, ModelParams(1.0, 0.0, 0.5), p1=0.5), PreconditionViolated),
+    (lambda: wf_mean(-1.0, ModelParams(1.0, 0.5, 0.5), p1=0.5), PreconditionViolated),
+    (lambda: solve_star(ModelParams(1.0, 0.5, 0.5), math.nan), DomainError),
+    (lambda: solve_star(ModelParams(1.0, 0.5, 0.5), math.inf), DomainError),
+    (lambda: star_closed(math.nan, ModelParams(1.0, 0.5, 0.5)), DomainError),
+    (lambda: star_closed(math.inf, ModelParams(1.0, 0.5, 0.5)), DomainError),
+])
+def test_closed_form_sizes_and_rates_are_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_product_form_overflow_is_typed():

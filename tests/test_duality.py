@@ -89,6 +89,22 @@ def test_bs_w_generating_against_moments():
             assert wg.value(float(s)) == pytest.approx(series, abs=1e-9)
 
 
+@pytest.mark.parametrize("n_taylor", [-1, 44, 60, 100, 255, 256])
+def test_bs_w_generating_refuses_a_noisy_head(n_taylor):
+    # at r = 0.6 the n-th coefficient carries noise of about eps 0.6^-n,
+    # which passes 1e-6 from n = 44 on; the 256-point FFT ends at 255
+    with pytest.raises(DomainError):
+        bs_w_generating(ModelParams(1.0, 0.5, 0.5), n_taylor=n_taylor)
+
+
+def test_bs_w_generating_longest_head_holds_its_bound():
+    prm = ModelParams(1.0, 0.5, 0.5)
+    wg = bs_w_generating(prm, n_taylor=43)
+    assert wg.circle_radius == 0.6
+    ms = solve_w_moments(LambdaMeasure.uniform(), prm, K=512, tol=1e-13)
+    assert np.max(np.abs(wg.taylor[1:] - ms.w[1:44])) <= 1e-6
+
+
 def test_bs_w_domain_error_beyond_s2():
     wg = bs_w_generating(ModelParams(1.0, 0.5, 0.5))
     with pytest.raises(DomainError):

@@ -259,6 +259,15 @@ def test_negative_max_events_is_domain_error():
         simulate_moran_L(MoranParams(10, 0.5, 0.1, 0.1), 5, -1, seed=1)
 
 
+@pytest.mark.parametrize("n_reps, max_events", [(0, 10), (-1, 10), (5, 0), (5, -1)])
+def test_killed_asg_refuses_bad_counts(n_reps, max_events):
+    with pytest.raises(DomainError):
+        simulate_killed_asg(
+            LambdaMeasure.uniform(), ModelParams(1.0, 1.0, 1.0), 3, n_reps, seed=1,
+            max_events_per_rep=max_events,
+        )
+
+
 def test_occupancy_against_moran_solver():
     mp = MoranParams(10, 0.5, 0.1, 0.1)
     path = simulate_moran_L(mp, 5, 200_000, seed=2024)
